@@ -31,17 +31,14 @@ from .blocks import (
     collective_lowering,
     dicke_state,
     export_basis_csv,
+    measure_block,
     seed_vector,
 )
 from .cloning import (
     INFINITE_CLONES,
     CloneSettings,
-    CovariantMapParams,
-    ScanResult,
-    covariant_output_fidelity,
     estimation_lambda,
     mixed_cloning_fidelity,
-    optimality_scan,
     pure_cloning_fidelity,
     scaling_relation_check,
 )
@@ -63,11 +60,14 @@ from .core import (
     state_fidelity,
 )
 from .oracle import (
+    CovariantMapParams,
     DecompositionReport,
+    ScanResult,
     SymmetrizationReport,
     VerificationError,
     covariance_residual,
-    measure_block,
+    covariant_output_fidelity,
+    optimality_scan,
     pure_component_moments,
     purification_map_outputs,
     quadrature_check,

@@ -14,10 +14,6 @@ import numpy as np
 
 from .core import MixedQubit, kron_power, outer, qubit_eigenstates
 
-_LOG_SPACE_N = 50  # above this, block_probability evaluates in log space
-_SMALL_LAMBDA = 1e-8  # below this, maximally-mixed limit branches kick in
-_CONVOLVE_MAX_J = 512  # largest block handled by the exact positive-sum path
-
 
 def _check_even(n: int) -> None:
     if n < 2 or n % 2:
@@ -35,9 +31,7 @@ def multiplicity(n: int, j: int) -> int:
     J = n // 2
     if not 0 <= j <= J:
         raise ValueError(f"total spin must lie in 0..{J}, got {j}")
-    if j == J:
-        return 1
-    return math.comb(n, J - j) - math.comb(n, J - j - 1)
+    return math.comb(n, J - j) * (2 * j + 1) // (J + j + 1)
 
 
 def cross_power_sum(c1: float, c0: float, m: int) -> float:
@@ -46,39 +40,67 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
     return math.fsum(c1**k * c0 ** (m - k) for k in range(m + 1))
 
 
-def block_probability(n: int, lam: float, j: int) -> float:
-    """Probability that n copies with Bloch length lam land in total spin j."""
+def _prefix_sums(lam: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """S0[2j] and f_j for j = 0..J from one pass of prefix sums.
+
+    A spin-j block holds k = 0..2j anti-aligned qubits with weight r^k,
+    r = c0/c1.  With S0[m] = sum_{k<=m} r^k and S1[m] = sum_{k<=m} k r^k,
+    f_j = 1 - S1[2j] / (2j S0[2j]); every term is positive, so nothing
+    cancels for any lam.  j = 0 takes the continuous limit.
+    """
     _check_lambda(lam)
-    d = multiplicity(n, j)
+    k = np.arange(2 * J + 1, dtype=float)
+    weights = ((1.0 - lam) / (1.0 + lam)) ** k
+    s0 = np.cumsum(weights)[::2]
+    s1 = np.cumsum(k * weights)[::2]
+    j = np.arange(1, J + 1)
+    return s0, np.concatenate(([_fidelity_limit_j0(lam)], 1.0 - s1[1:] / (2 * j * s0[1:])))
+
+
+def _spectrum_columns(n: int, lam: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and float p_j, f_j for j = 0..n/2.
+
+    p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
+    c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
+    indicator.
+    """
+    _check_even(n)
     J = n // 2
-    if lam < _SMALL_LAMBDA:
-        # maximally mixed limit; the big-int division is correctly rounded
-        return (d * (2 * j + 1)) / (4**J)
+    s0, fids = _prefix_sums(lam, J)
+    mults = []
+    comb = math.comb(n, J)  # C(n, J - j)
+    for j in range(J + 1):
+        mults.append(comb * (2 * j + 1) // (J + j + 1))
+        comb = comb * (J - j) // (J + j + 1)
+
+    js = np.arange(J + 1)
     c1 = (1.0 + lam) / 2.0
     c0 = (1.0 - lam) / 2.0
-    if n <= _LOG_SPACE_N:
-        return d * (c0 * c1) ** (J - j) * cross_power_sum(c1, c0, 2 * j)
     if c0 == 0.0:
-        return 1.0 if j == J else 0.0
-    lc1 = math.log(c1)
-    lc0 = math.log(c0)
-    log_r = lc0 - lc1
-    # log of (1 - r^(2j+1)) / (1 - r) with r = c0/c1 < 1
-    ratio = math.log(-math.expm1((2 * j + 1) * log_r)) - math.log(-math.expm1(log_r))
-    log_p = math.log(d) + (J - j) * (lc0 + lc1) + 2 * j * lc1 + ratio
-    return math.exp(log_p)
+        probs = (js == J).astype(float)
+    else:
+        log_d = np.array([math.log(d) for d in mults])
+        probs = np.exp(log_d + (J - js) * math.log(c0 * c1) + 2 * js * math.log(c1) + np.log(s0))
+    return mults, probs, fids
+
+
+def block_probability(n: int, lam: float, j: int) -> float:
+    """Probability that n copies with Bloch length lam land in total spin j."""
+    if not 0 <= j <= n // 2:
+        raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
+    return float(_spectrum_columns(n, lam)[1][j])
 
 
 def _fidelity_limit_j0(lam: float) -> float:
     # Continuous j -> 0 limit of block_fidelity; series for small lam where
     # the closed form cancels catastrophically.
-    if lam > 1.0 - 1e-12:
-        return 1.0
     if lam < 1e-2:
         l2 = lam * lam
         return 0.5 + lam * (1.0 / 3.0 + l2 * (1.0 / 15.0 + l2 / 35.0))
     c1 = (1.0 + lam) / 2.0
     c0 = (1.0 - lam) / 2.0
+    if c0 == 0.0:
+        return 1.0
     return c1 / lam + c1 * c0 * math.log(c0 / c1) / lam**2
 
 
@@ -89,29 +111,9 @@ def block_fidelity(lam: float, j: int) -> float:
     j = 0 keeps no qubits; the continuous j -> 0 limit is returned so the
     value can still enter averaged figures of merit.
     """
-    _check_lambda(lam)
     if j < 0:
         raise ValueError("total spin j must be nonnegative")
-    if j == 0:
-        return _fidelity_limit_j0(lam)
-    if lam < _SMALL_LAMBDA:
-        return 0.5
-    if lam > 1.0 - 1e-12:
-        return 1.0
-    c1 = (1.0 + lam) / 2.0
-    c0 = (1.0 - lam) / 2.0
-    if j <= _CONVOLVE_MAX_J:
-        k = np.arange(2 * j + 1, dtype=float)
-        c1p = c1**k
-        c0p = c0**k
-        # s[m] = cross_power_sum(c1, c0, m); entries up to m = 2j are complete
-        s = np.convolve(c1p, c0p)
-        t = float(np.dot(c1p[: 2 * j], s[2 * j - 1 :: -1][: 2 * j]))
-        return c1 * t / (2 * j * float(s[2 * j]))
-    log_r = math.log(c0) - math.log(c1)
-    big = -math.expm1((2 * j + 1) * log_r)  # 1 - r^(2j+1)
-    small = -math.expm1(log_r)  # 1 - r
-    return ((2 * j + 1) / big - 1.0 / small) / (2 * j)
+    return float(_prefix_sums(lam, j)[1][j])
 
 
 class SpectrumRow(NamedTuple):
@@ -145,11 +147,9 @@ class BlockSpectrum:
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
     """All (j, d_j, p_j, f_j) rows for a register of n qubits."""
-    _check_even(n)
-    _check_lambda(lam)
+    mults, probs, fids = _spectrum_columns(n, lam)
     rows = tuple(
-        SpectrumRow(j, multiplicity(n, j), block_probability(n, lam, j), block_fidelity(lam, j))
-        for j in range(n // 2 + 1)
+        SpectrumRow(j, d, p, f) for j, (d, p, f) in enumerate(zip(mults, probs.tolist(), fids.tolist()))
     )
     return BlockSpectrum(n=n, lam=lam, rows=rows)
 

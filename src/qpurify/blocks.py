@@ -2,8 +2,9 @@
 
 The basis vectors |j, m, alpha> organise the 2^n computational dimensions
 into blocks: j is the collective spin, m its projection, and alpha counts
-the equivalent copies of the spin-j sector.  Block projectors and the
-unitaries exchanging copies are assembled from the same vectors.
+the equivalent copies of the spin-j sector.  Block projectors, the block
+measurement and the unitaries exchanging copies are assembled from the
+same vectors.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ SINGLET[0b10] = -1.0 / math.sqrt(2.0)
 
 # squared-norm threshold below which an orbit vector counts as dependent
 _GS_DISCARD_SQ = 1e-8
+_PROB_FLOOR = 1e-14  # below this an outcome's post-state is undefined
 
 
 class BasisConstructionError(RuntimeError):
@@ -261,6 +263,23 @@ def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:
         w = basis.vector(j, m, alpha)
         mat += outer(u, w) + outer(w, u) - outer(u) - outer(w)
     return BlockSwap(BlockLabel(j, alpha), mat, False)
+
+
+def measure_block(
+    state: np.ndarray, basis: SchurBasis, label: BlockLabel
+) -> tuple[float, np.ndarray | None]:
+    """Project ``state`` onto one block.
+
+    Returns (probability, normalized post-measurement state); the state is
+    None when the probability falls below 1e-14 and is undefined.
+    """
+    rows = basis.block(label.j, label.alpha)
+    inner = rows.conj() @ state @ rows.T
+    prob = float(np.real(np.trace(inner)))
+    if prob < _PROB_FLOOR:
+        return prob, None
+    post = rows.T @ inner @ rows.conj() / prob
+    return prob, post
 
 
 def export_basis_csv(basis: SchurBasis, dest) -> None:

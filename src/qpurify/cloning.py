@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from . import analytics
-from .core import MixedQubit, dense_cap, state_fidelity
-from .oracle import pure_component_moments
 
 INFINITE_CLONES = math.inf
 
@@ -38,18 +33,6 @@ class CloneSettings:
             return
         if self.m_out != int(self.m_out) or self.m_out < self.n_in:
             raise ValueError(f"m_out must be an integer >= n_in or infinity, got {self.m_out}")
-
-
-@dataclass(frozen=True)
-class CovariantMapParams:
-    """Weights (x, y) of a rotation-covariant single-output map."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.x < 0.0 or self.y < 0.0 or self.x + self.y > 1.0 + 1e-12:
-            raise ValueError(f"need x, y >= 0 with x + y <= 1, got ({self.x}, {self.y})")
 
 
 def pure_cloning_fidelity(j: int, m_out: float) -> float:
@@ -105,60 +88,3 @@ def scaling_relation_check(settings: CloneSettings) -> float:
     lhs = 2.0 * mixed_cloning_fidelity(settings) - 1.0
     rhs = estimation_lambda(settings.n_in, settings.lam) * (settings.m_out + 2.0) / settings.m_out
     return abs(lhs - rhs)
-
-
-class ScanResult(NamedTuple):
-    x: float
-    y: float
-    fidelity: float
-
-
-def covariant_output_fidelity(
-    q: MixedQubit, j: int, params: CovariantMapParams, nodes: int | None = None
-) -> float:
-    """Fidelity of a covariant (x, y)-map applied to the spin-j block state.
-
-    Evaluated through the pure-component integral of the block state, not
-    through any closed-form shortcut, so it independently tests the block
-    fidelity formula.
-    """
-    if params.x + params.y <= 0.0:
-        raise ValueError("need x + y > 0 for a normalizable output")
-    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
-    out = params.x * moment_kept + params.y * moment_flipped
-    target = np.array([0.0, 1.0], dtype=complex)
-    # moments are expressed in the (anti, aligned) eigenbasis
-    return state_fidelity(out / np.real(np.trace(out)), target)
-
-
-def optimality_scan(
-    q: MixedQubit, j: int, grid: int = 21, nodes: int | None = None, cap: int | None = None
-) -> ScanResult:
-    """Maximize the covariant-map fidelity over the triangle x, y >= 0, x+y <= 1.
-
-    Returns the best grid point; the maximum sits on the y = 0 edge where
-    the map keeps the component aligned with the input block.
-    """
-    if j < 1:
-        raise ValueError("the scan needs j >= 1")
-    if 2 * j > dense_cap(cap):
-        raise ValueError(f"2j = {2 * j} exceeds the dense cap")
-    if grid < 11:
-        raise ValueError("need a grid of at least 11 points per edge")
-    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
-    target = np.array([0.0, 1.0], dtype=complex)
-    kept_term = state_fidelity(moment_kept, target)
-    flipped_term = state_fidelity(moment_flipped, target)
-    best = ScanResult(math.nan, math.nan, -math.inf)
-    steps = grid - 1
-    for ix in range(grid):
-        x = ix / steps
-        for iy in range(grid - ix):
-            y = iy / steps
-            if x + y == 0.0:
-                continue
-            CovariantMapParams(x, y)  # range validation
-            fid = (x * kept_term + y * flipped_term) / (x + y)
-            if fid > best.fidelity:
-                best = ScanResult(x, y, fid)
-    return best

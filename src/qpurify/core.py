@@ -25,7 +25,7 @@ PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 class SizeLimitError(ValueError):
-    """A dense 2^N-dimensional object would exceed the configured cap."""
+    """A dense 2^N-dimensional object would exceed the cap, or the cap is unreadable."""
 
 
 def dense_cap(override: int | None = None) -> int:
@@ -36,8 +36,11 @@ def dense_cap(override: int | None = None) -> int:
     """
     if override is not None:
         return int(override)
-    env = os.environ.get(CAP_ENV_VAR, "").strip()
-    return int(env) if env else DEFAULT_QUBIT_CAP
+    env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_QUBIT_CAP)
+    try:
+        return int(env)
+    except ValueError:
+        raise SizeLimitError(f"{CAP_ENV_VAR} must be an integer qubit count, got {env!r}") from None
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ Every closed-form claim made by :mod:`qpurify.analytics` is re-derived
 here at matrix level for small registers: the tensor power of the input
 state is reconstructed from the blocks and, independently, from
 excitation-number projectors; block states are rebuilt by quadrature over
-pure components; and the measurement maps are checked for rotation
-covariance and reversibility.
+pure components; the measurement maps are checked for rotation
+covariance and reversibility; and a scan over rotation-covariant
+single-qubit maps locates the optimal one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +22,11 @@ from .analytics import (
     block_state_matrix,
     cross_power_sum,
 )
-from .blocks import SINGLET, SchurBasis, block_swap, build_schur_basis
+from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, block_swap, build_schur_basis, measure_block
 from .core import (
     BlockLabel,
     MixedQubit,
+    dense_cap,
     density_matrix,
     haar_unitary,
     kron_power,
@@ -34,8 +37,6 @@ from .core import (
     random_direction,
     state_fidelity,
 )
-
-_PROB_FLOOR = 1e-14  # below this an outcome's post-state is undefined
 
 
 class VerificationError(Exception):
@@ -167,23 +168,6 @@ def verify_decomposition(
     return report
 
 
-def measure_block(
-    state: np.ndarray, basis: SchurBasis, label: BlockLabel
-) -> tuple[float, np.ndarray | None]:
-    """Project ``state`` onto one block.
-
-    Returns (probability, normalized post-measurement state); the state is
-    None when the probability falls below 1e-14 and is undefined.
-    """
-    rows = basis.block(label.j, label.alpha)
-    inner = rows.conj() @ state @ rows.T
-    prob = float(np.real(np.trace(inner)))
-    if prob < _PROB_FLOOR:
-        return prob, None
-    post = rows.T @ inner @ rows.conj() / prob
-    return prob, post
-
-
 def quadrature_check(
     q: MixedQubit, j: int, nodes: int | None = None, cap: int | None = None
 ) -> float:
@@ -261,6 +245,75 @@ def pure_component_moments(
             flipped += scale * outer(orthogonal)
     prefactor = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j)
     return prefactor * kept, prefactor * flipped
+
+
+@dataclass(frozen=True)
+class CovariantMapParams:
+    """Weights (x, y) of a rotation-covariant single-output map."""
+
+    x: float
+    y: float
+
+    def __post_init__(self) -> None:
+        if self.x < 0.0 or self.y < 0.0 or self.x + self.y > 1.0 + 1e-12:
+            raise ValueError(f"need x, y >= 0 with x + y <= 1, got ({self.x}, {self.y})")
+
+
+class ScanResult(NamedTuple):
+    x: float
+    y: float
+    fidelity: float
+
+
+def covariant_output_fidelity(
+    q: MixedQubit, j: int, params: CovariantMapParams, nodes: int | None = None
+) -> float:
+    """Fidelity of a covariant (x, y)-map applied to the spin-j block state.
+
+    Evaluated through the pure-component integral of the block state, not
+    through any closed-form shortcut, so it independently tests the block
+    fidelity formula.
+    """
+    if params.x + params.y <= 0.0:
+        raise ValueError("need x + y > 0 for a normalizable output")
+    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
+    out = params.x * moment_kept + params.y * moment_flipped
+    target = np.array([0.0, 1.0], dtype=complex)
+    # moments are expressed in the (anti, aligned) eigenbasis
+    return state_fidelity(out / np.real(np.trace(out)), target)
+
+
+def optimality_scan(
+    q: MixedQubit, j: int, grid: int = 21, nodes: int | None = None, cap: int | None = None
+) -> ScanResult:
+    """Maximize the covariant-map fidelity over the triangle x, y >= 0, x+y <= 1.
+
+    Returns the best grid point; the maximum sits on the y = 0 edge where
+    the map keeps the component aligned with the input block.
+    """
+    if j < 1:
+        raise ValueError("the scan needs j >= 1")
+    if 2 * j > dense_cap(cap):
+        raise ValueError(f"2j = {2 * j} exceeds the dense cap")
+    if grid < 11:
+        raise ValueError("need a grid of at least 11 points per edge")
+    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
+    target = np.array([0.0, 1.0], dtype=complex)
+    kept_term = state_fidelity(moment_kept, target)
+    flipped_term = state_fidelity(moment_flipped, target)
+    best = ScanResult(math.nan, math.nan, -math.inf)
+    steps = grid - 1
+    for ix in range(grid):
+        x = ix / steps
+        for iy in range(grid - ix):
+            y = iy / steps
+            if x + y == 0.0:
+                continue
+            CovariantMapParams(x, y)  # range validation
+            fid = (x * kept_term + y * flipped_term) / (x + y)
+            if fid > best.fidelity:
+                best = ScanResult(x, y, fid)
+    return best
 
 
 def reversibility_check(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .blocks import block_swap, build_schur_basis
+from .blocks import block_swap, build_schur_basis, measure_block
 from .core import (
     MixedQubit,
     density_matrix,
@@ -25,7 +25,6 @@ from .core import (
     qubit_eigenstates,
     state_fidelity,
 )
-from .oracle import measure_block
 
 
 @dataclass(frozen=True)

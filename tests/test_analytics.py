@@ -99,12 +99,14 @@ class TestBlockProbability:
                     assert got == pytest.approx(exact, rel=1e-13, abs=1e-300)
 
     def test_log_space_path_matches_exact_oracle(self):
-        n = 60  # above the log-space switch
-        lam = Fraction(1, 2)
-        for j in (0, 5, 15, 30):
-            exact = float(exact_probability(n, lam, j))
-            got = block_probability(n, 0.5, j)
-            assert got == pytest.approx(exact, rel=1e-11)
+        # p_j is an exponential of a log sum; its rounding grows with n
+        cases = [(60, Fraction(1, 2), (0, 5, 15, 30))]
+        cases += [(2000, Fraction(num, 10), (0, 100, 600, 1000)) for num in (1, 6, 9)]
+        for n, lam, js in cases:
+            for j in js:
+                exact = float(exact_probability(n, lam, j))
+                got = block_probability(n, float(lam), j)
+                assert got == pytest.approx(exact, rel=1e-11, abs=1e-300)
 
     @given(n=even_n_st, lam=lam_st)
     @settings(max_examples=80, deadline=None)
@@ -143,10 +145,11 @@ class TestBlockFidelity:
                 assert block_fidelity(float(lam), j) == pytest.approx(exact, rel=1e-13)
 
     def test_large_block_path_agrees_with_exact_oracle(self):
-        lam = Fraction(3, 5)
-        for j in (600, 1000):
-            exact = float(exact_fidelity(lam, j))
-            assert block_fidelity(0.6, j) == pytest.approx(exact, rel=1e-11)
+        for num in (1, 6, 9):
+            lam = Fraction(num, 10)
+            for j in (100, 600, 1000):
+                exact = float(exact_fidelity(lam, j))
+                assert block_fidelity(float(lam), j) == pytest.approx(exact, rel=1e-11)
 
     def test_monotone_and_bounded_in_block_spin(self):
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -173,6 +176,20 @@ class TestBlockSpectrum:
         assert [row.multiplicity for row in spect.rows] == [5, 9, 5, 1]
         assert math.fsum(spect.probabilities()) == pytest.approx(1.0, abs=1e-13)
         assert all(row.probability >= 0.0 for row in spect.rows)
+        big = block_spectrum(2000, 0.6)
+        assert big.multiplicities() == [multiplicity(2000, j) for j in range(1001)]
+
+    @given(n=st.integers(1, 200).map(lambda k: 2 * k), lam=lam_st)
+    @settings(max_examples=80, deadline=None)
+    def test_spectrum_properties(self, n, lam):
+        spect = block_spectrum(n, lam)
+        assert abs(math.fsum(spect.probabilities()) - 1.0) < 1e-12
+        # when lam is within a few ulps of 0, the prefix sums of ~2j weights
+        # near 1 round f_j by up to ~1e-14 around its exact value 1/2 + O(lam j)
+        tol = 64 * np.finfo(float).eps
+        f = spect.fidelities()
+        assert np.all(f >= 0.5 - tol) and np.all(f <= 1.0)
+        assert np.all(np.diff(f) >= -tol)
 
     def test_improvement_over_input_fidelity(self):
         # keeping both qubits after the symmetric outcome beats the raw c1

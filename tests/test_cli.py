@@ -33,11 +33,12 @@ class TestStats:
 
     def test_floats_roundtrip(self, tmp_path):
         path = tmp_path / "stats.csv"
-        run_cli("stats", "--n", "8", "--lambda", "0.37", out=path)
-        for line in path.read_text().splitlines()[1:-2]:
-            j, d, p, f = line.split(",")
-            assert float(p) == analytics.block_probability(8, 0.37, int(j))
-            assert float(f) == analytics.block_fidelity(0.37, int(j))
+        for n in (8, 200):
+            run_cli("stats", "--n", str(n), "--lambda", "0.37", out=path)
+            for line in path.read_text().splitlines()[1:-2]:
+                j, d, p, f = line.split(",")
+                assert float(p) == analytics.block_probability(n, 0.37, int(j))
+                assert float(f) == analytics.block_fidelity(0.37, int(j))
 
     def test_tsv_format(self, capsys):
         assert run_cli("stats", "--n", "2", "--lambda", "0.5", "--format", "tsv") == 0
@@ -71,6 +72,12 @@ class TestVerify:
     def test_cap_exceeded_usage_error(self, capsys):
         assert run_cli("verify", "--n", "14", "--lambda", "0.5") == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_non_integer_cap_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUR_CAP", "abc")
+        assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SCHUR_CAP") and err.count("\n") == 1
 
     def test_unreachable_tolerance_fails(self, tmp_path):
         path = tmp_path / "verify.csv"
