@@ -21,7 +21,6 @@ from .analytics import (
 )
 from .blocks import (
     SINGLET,
-    BasisConstructionError,
     BlockProjector,
     BlockSwap,
     SchurBasis,

@@ -2,9 +2,11 @@
 
 The basis vectors |j, m, alpha> organise the 2^n computational dimensions
 into blocks: j is the collective spin, m its projection, and alpha counts
-the equivalent copies of the spin-j sector.  Block projectors, the block
-measurement and the unitaries exchanging copies are assembled from the
-same vectors.
+the equivalent copies of the spin-j sector.  The highest-weight vectors of
+each sector are the kernel of the collective raising operator; block
+projectors, the block measurement and the exchange of copies (a relabelling
+in block coordinates, or the dense reference unitary ``block_swap``) are
+assembled from the same vectors.
 """
 
 from __future__ import annotations
@@ -17,20 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import multiplicity
 from .core import BlockLabel, SizeLimitError, dense_cap, outer
 
 SINGLET = np.zeros(4, dtype=complex)
 SINGLET[0b01] = 1.0 / math.sqrt(2.0)
 SINGLET[0b10] = -1.0 / math.sqrt(2.0)
 
-# squared-norm threshold below which an orbit vector counts as dependent
-_GS_DISCARD_SQ = 1e-8
 _PROB_FLOOR = 1e-14  # below this an outcome's post-state is undefined
-
-
-class BasisConstructionError(RuntimeError):
-    """The orbit span did not close on the expected number of copies."""
 
 
 def _check_register(n: int) -> None:
@@ -79,77 +74,30 @@ def collective_lowering(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _pairings(items: tuple[int, ...]):
-    # all perfect pairings, canonical order: the smallest element pairs with
-    # each later element in turn
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for pos in range(1, len(items)):
-        partner = items[pos]
-        rest = items[1:pos] + items[pos + 1 :]
-        for tail in _pairings(rest):
-            yield ((first, partner),) + tail
+def _highest_weight_vectors(n: int, j: int) -> np.ndarray:
+    """Orthonormal spin-j highest-weight vectors, seed_vector(n, j, j) first.
 
-
-def _pairing_vector(n: int, base: int, pairing) -> np.ndarray:
-    amp = {base: 1.0}
-    scale = 1.0 / math.sqrt(2.0)
-    for a, b in pairing:
-        bit_a = 1 << (n - 1 - a)
-        bit_b = 1 << (n - 1 - b)
-        nxt: dict[int, float] = {}
-        for idx, val in amp.items():
-            nxt[idx | bit_b] = nxt.get(idx | bit_b, 0.0) + val * scale
-            nxt[idx | bit_a] = nxt.get(idx | bit_a, 0.0) - val * scale
-        amp = nxt
-    vec = np.zeros(1 << n, dtype=complex)
-    for idx, val in amp.items():
-        vec[idx] = val
-    return vec
-
-
-def _orbit_vectors(n: int, j: int):
-    """Yield the highest-weight orbit vectors in a fixed canonical order.
-
-    Each vector puts |1> on a chosen set of 2j qubits and singlets on a
-    perfect pairing of the rest.  The enumeration is lexicographic in the
-    chosen set and then in the pairing, which makes the construction
-    deterministic and the very first vector equal to seed_vector(n, j, j).
+    They span the kernel of the collective raising map (|0> -> |1> on each
+    qubit) from the weight space with n/2 + j ones into the one with one
+    more.  The map is onto, so the last rows of its right singular vectors
+    span the kernel; the copies after the seed are the leading left
+    singular vectors of that kernel with the seed projected out.
     """
-    qubits = tuple(range(n))
-    for dicke_positions in itertools.combinations(qubits, 2 * j):
-        chosen = set(dicke_positions)
-        rest = tuple(p for p in qubits if p not in chosen)
-        base = sum(1 << (n - 1 - p) for p in dicke_positions)
-        for pairing in _pairings(rest):
-            yield _pairing_vector(n, base, pairing)
-
-
-def _highest_weight_vectors(n: int, j: int) -> list[np.ndarray]:
-    expected = multiplicity(n, j)
-    kept: list[np.ndarray] = []
-    rows: np.ndarray | None = None
-    for vec in _orbit_vectors(n, j):
-        v = vec
-        if rows is not None:
-            v = v - rows.T @ (rows.conj() @ v)
-        norm_sq = float(np.real(np.vdot(v, v)))
-        if norm_sq < _GS_DISCARD_SQ:
-            continue
-        v = v / math.sqrt(norm_sq)
-        if rows is not None:
-            # second pass trims components reintroduced by rounding
-            v = v - rows.T @ (rows.conj() @ v)
-            v = v / np.linalg.norm(v)
-        kept.append(v)
-        rows = np.array(kept)
-        if len(kept) == expected:
-            return kept
-    raise BasisConstructionError(
-        f"found {len(kept)} of {expected} expected spin-{j} copies for n={n}"
-    )
+    ones = np.array([bin(i).count("1") for i in range(1 << n)])
+    low = np.flatnonzero(ones == n // 2 + j)
+    high = np.flatnonzero(ones == n // 2 + j + 1)
+    raising = np.zeros((high.size, low.size))
+    for k in range(n):
+        bit = 1 << k
+        free = (low & bit) == 0
+        raising[np.searchsorted(high, low[free] | bit), np.flatnonzero(free)] = 1.0
+    kernel = np.linalg.svd(raising)[2][high.size :]
+    seed = seed_vector(n, j, j).real[low]
+    rest = kernel - np.outer(kernel @ seed, seed)
+    others = np.linalg.svd(rest.T, full_matrices=False)[0][:, : len(kernel) - 1]
+    tops = np.zeros((len(kernel), 1 << n), dtype=complex)
+    tops[:, low] = np.vstack([seed, others.T])
+    return tops
 
 
 @dataclass(frozen=True)
@@ -209,10 +157,10 @@ def _build_basis(n: int) -> SchurBasis:
 def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
     """Full orthonormal block basis of an even register of n qubits.
 
-    Highest-weight vectors come from Gram-Schmidt over the canonical orbit
-    of seed_vector(n, j, j); lower m values follow by collective lowering,
-    which keeps the copy index consistent across m.  Results are cached
-    per n and immutable.
+    Highest-weight vectors span the kernel of the collective raising
+    operator, with seed_vector(n, j, j) as copy 1; lower m values follow by
+    collective lowering, which keeps the copy index consistent across m.
+    Results are cached per n and immutable.
     """
     _check_register(n)
     if n > dense_cap(cap):
@@ -263,6 +211,19 @@ def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:
         w = basis.vector(j, m, alpha)
         mat += outer(u, w) + outer(w, u) - outer(u) - outer(w)
     return BlockSwap(BlockLabel(j, alpha), mat, False)
+
+
+def move_copy(basis: SchurBasis, state: np.ndarray, j: int, src: int, dst: int) -> np.ndarray:
+    """Carry a state inside block (j, src) over to block (j, dst).
+
+    Copies of a spin-j sector differ only in their multiplicity label, so
+    this is the relabelling rows_dst^T (rows_src^* state rows_src^T) rows_dst^*;
+    it equals conjugation by the exchange unitary ``block_swap`` without
+    building that 2^n x 2^n matrix.
+    """
+    rows_src = basis.block(j, src)
+    rows_dst = basis.block(j, dst)
+    return rows_dst.T @ (rows_src.conj() @ state @ rows_src.T) @ rows_dst.conj()
 
 
 def measure_block(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, cloning, protocol
-from .core import MixedQubit, SizeLimitError, dense_cap, haar_unitary, random_direction
+from .core import MixedQubit, SizeLimitError, haar_unitary, random_direction
 from .oracle import (
     VerificationError,
     covariance_residual,
@@ -110,8 +110,6 @@ def cmd_stats(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     n = _require_even(config.n)
-    if n > dense_cap():
-        raise UsageError(f"N={n} exceeds the dense cap of {dense_cap()} qubits")
     lam = config.lam
     tol = config.tol if config.tol is not None else default_tolerance(n)
     rng = np.random.Generator(np.random.Philox(config.seed))

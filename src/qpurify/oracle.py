@@ -22,7 +22,7 @@ from .analytics import (
     block_state_matrix,
     cross_power_sum,
 )
-from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, block_swap, build_schur_basis, measure_block
+from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, build_schur_basis, measure_block, move_copy
 from .core import (
     BlockLabel,
     MixedQubit,
@@ -124,11 +124,7 @@ def verify_decomposition(
         base_state = _block_output_state(q, j, J, cap)
         for alpha in range(1, d + 1):
             label = BlockLabel(j, alpha)
-            if alpha == 1:
-                predicted = base_state
-            else:
-                swap = block_swap(basis, j, alpha).matrix
-                predicted = swap @ base_state @ swap.conj().T
+            predicted = move_copy(basis, base_state, j, 1, alpha)
             block_sum += (p / d) * predicted
             prob, post = measure_block(rho_n, basis, label)
             probabilities[label] = prob
@@ -321,9 +317,9 @@ def reversibility_check(
 ) -> float:
     """Undo the protocol on one outcome and compare with the measured state.
 
-    After measuring block ``label``, swapping it onto the first copy and
-    discarding the singlet pairs, re-appending fresh singlets and swapping
-    back must reproduce the post-measurement state exactly.
+    After measuring block ``label``, relabelling it as the first copy and
+    discarding the singlet pairs, re-appending fresh singlets and
+    relabelling back must reproduce the post-measurement state exactly.
     """
     basis = build_schur_basis(n, cap)
     rho_n = kron_power(density_matrix(q), n, cap)
@@ -333,36 +329,33 @@ def reversibility_check(
             f"block (j={label.j}, alpha={label.alpha}) has probability {prob:.1e}; "
             "post-measurement state undefined"
         )
-    swap = block_swap(basis, label.j, label.alpha)
-    unwound = post if swap.is_identity else swap.matrix @ post @ swap.matrix.conj().T
+    unwound = move_copy(basis, post, label.j, label.alpha, 1)
     J = n // 2
     if label.j > 0:
         kept = partial_trace(unwound, range(1, 2 * label.j + 1))
     else:
         kept = np.eye(1, dtype=complex)
     rebuilt = _singlet_pad(kept, J - label.j)
-    redone = rebuilt if swap.is_identity else swap.matrix @ rebuilt @ swap.matrix.conj().T
+    redone = move_copy(basis, rebuilt, label.j, 1, label.alpha)
     return max_abs(redone - post)
 
 
 def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndarray]:
     """Unnormalized outputs of the block measurement, keyed by kept-qubit count.
 
-    For each spin j the measurement branch projects, swaps the copy back to
-    the first one and discards the singlet pairs; branches with the same j
-    are summed.  Traces give outcome probabilities.
+    For each spin j the measurement branch projects onto a copy, relabels
+    it as the first copy and discards the singlet pairs; branches with the
+    same j are summed in block coordinates and lifted onto the first copy
+    once.  Traces give outcome probabilities.
     """
     outs: dict[int, np.ndarray] = {}
     for j in basis.j_values():
-        acc = None
+        inner = 0.0
         for alpha in range(1, basis.multiplicity_of(j) + 1):
             rows = basis.block(j, alpha)
-            inner = rows.conj() @ state @ rows.T
-            branch = rows.T @ inner @ rows.conj()
-            if alpha != 1:
-                swap = block_swap(basis, j, alpha).matrix
-                branch = swap @ branch @ swap.conj().T
-            acc = branch if acc is None else acc + branch
+            inner = inner + rows.conj() @ state @ rows.T
+        first = basis.block(j, 1)
+        acc = first.T @ inner @ first.conj()
         if j > 0:
             outs[2 * j] = partial_trace(acc, range(1, 2 * j + 1))
         else:

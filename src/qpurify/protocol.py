@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .blocks import block_swap, build_schur_basis, measure_block
+from .blocks import build_schur_basis, measure_block, move_copy
 from .core import (
     MixedQubit,
     density_matrix,
@@ -140,9 +140,10 @@ def run_protocol_dense(
 
     The tensor power of the input is built once, outcome probabilities
     come from projector traces, and each outcome's post-measurement state
-    is pushed through swap + discard to measure the kept-qubit fidelity
-    by partial trace.  Outcome states depend only on the block label, so
-    they are computed once per label and reused across trials.
+    is relabelled as the first copy of its spin sector, whose singlet pairs
+    are discarded, to measure the kept-qubit fidelity by partial trace.
+    Outcome states depend only on the block label, so they are computed
+    once per label and reused across trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -158,8 +159,7 @@ def run_protocol_dense(
         probs[i] = max(prob, 0.0)
         if post is None:
             continue  # never sampled; probability renormalizes to zero
-        swap = block_swap(basis, label.j, label.alpha)
-        state = post if swap.is_identity else swap.matrix @ post @ swap.matrix.conj().T
+        state = move_copy(basis, post, label.j, label.alpha, 1)
         if label.j == 0:
             # nothing kept; use the continuity value so averages stay
             # comparable with the fast path

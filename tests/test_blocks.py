@@ -19,7 +19,7 @@ from qpurify import (
     outer,
     seed_vector,
 )
-from qpurify.blocks import SINGLET
+from qpurify.blocks import SINGLET, move_copy
 from qpurify.core import SizeLimitError
 
 
@@ -89,13 +89,13 @@ class TestBasisConstruction:
         assert [basis.multiplicity_of(j) for j in (0, 1, 2)] == [2, 3, 1]
         assert len(basis.vectors) == 16
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_gram_matrix_is_identity(self, n):
         basis = build_schur_basis(n)
         gram = basis.gram_matrix()
         assert max_abs(gram - np.eye(len(basis.vectors))) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_counts_and_completeness(self, n):
         basis = build_schur_basis(n)
         total = sum(basis.multiplicity_of(j) * (2 * j + 1) for j in basis.j_values())
@@ -103,12 +103,22 @@ class TestBasisConstruction:
         for j in basis.j_values():
             assert basis.multiplicity_of(j) == multiplicity(n, j)
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_first_copy_equals_seed(self, n):
         basis = build_schur_basis(n)
         for j in basis.j_values():
             for m in range(-j, j + 1):
                 assert max_abs(basis.vector(j, m, 1) - seed_vector(n, j, m)) < 1e-13
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_lowest_weight_is_annihilated(self, n):
+        # a copy that leaves the kernel of S+ stays orthonormal, so only the
+        # end of its lowering ladder shows that it is not a spin-j copy
+        basis = build_schur_basis(n)
+        for j in basis.j_values():
+            for alpha in range(1, basis.multiplicity_of(j) + 1):
+                lowered = collective_lowering(basis.vector(j, -j, alpha), n)
+                assert np.linalg.norm(lowered) < 1e-10
 
     def test_rejects_odd_or_oversized(self):
         with pytest.raises(ValueError):
@@ -212,6 +222,16 @@ class TestBlockSwap:
         for _ in range(5):
             v4 = kron_power(haar_unitary(rng), 4)
             assert max_abs(mat @ v4 - v4 @ mat) < 1e-9
+
+    def test_move_copy_is_swap_conjugation(self, rng):
+        basis = build_schur_basis(4)
+        for j, alpha in [(0, 2), (1, 1), (1, 3)]:
+            rows = basis.block(j, alpha)
+            a = rng.normal(size=(2 * j + 1,) * 2) + 1j * rng.normal(size=(2 * j + 1,) * 2)
+            state = rows.T @ (a @ a.conj().T) @ rows.conj()
+            swap = block_swap(basis, j, alpha).matrix
+            moved = move_copy(basis, state, j, alpha, 1)
+            assert max_abs(moved - swap @ state @ swap.conj().T) < 1e-12
 
 
 def test_export_basis_csv_roundtrip():

@@ -172,6 +172,28 @@ class TestCovariance:
         unitaries = [haar_unitary(rng) for _ in range(20)]
         assert covariance_residual(q, 4, unitaries) < 1e-9
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_map_outputs_match_swap_route(self, n, rng):
+        from qpurify import block_swap
+
+        basis = build_schur_basis(n)
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        state = a @ a.conj().T
+        state /= np.trace(state).real  # full rank, not a tensor power
+        got = purification_map_outputs(basis, state)
+        for j in basis.j_values():
+            acc = np.zeros_like(state)
+            for alpha in range(1, basis.multiplicity_of(j) + 1):
+                rows = basis.block(j, alpha)
+                branch = rows.T @ (rows.conj() @ state @ rows.T) @ rows.conj()
+                swap = block_swap(basis, j, alpha).matrix
+                acc += swap @ branch @ swap.conj().T
+            if j > 0:
+                expected = partial_trace(acc, range(1, 2 * j + 1))
+            else:
+                expected = np.array([[np.trace(acc)]])
+            assert max_abs(got[2 * j] - expected) < 1e-12
+
     def test_map_outputs_conserve_probability(self, rng):
         basis = build_schur_basis(4)
         q = random_qubit(rng)
