@@ -7,8 +7,6 @@ brute-force verifies every closed form on explicit matrices for small N.
 """
 
 from .analytics import (
-    BlockSpectrum,
-    SpectrumRow,
     block_fidelity,
     block_probability,
     block_spectrum,
@@ -21,9 +19,6 @@ from .analytics import (
 )
 from .blocks import (
     SINGLET,
-    BlockProjector,
-    BlockSwap,
-    SchurBasis,
     block_projector,
     block_swap,
     build_schur_basis,
@@ -60,9 +55,6 @@ from .core import (
 )
 from .oracle import (
     CovariantMapParams,
-    DecompositionReport,
-    ScanResult,
-    SymmetrizationReport,
     VerificationError,
     covariance_residual,
     covariant_output_fidelity,
@@ -75,8 +67,6 @@ from .oracle import (
     verify_decomposition,
 )
 from .protocol import (
-    OutcomeRecord,
-    SimulationSummary,
     run_protocol,
     run_protocol_dense,
     write_outcomes_csv,

@@ -3,23 +3,24 @@
 The basis vectors |j, m, alpha> organise the 2^n computational dimensions
 into blocks: j is the collective spin, m its projection, and alpha counts
 the equivalent copies of the spin-j sector.  The highest-weight vectors of
-each sector are the kernel of the collective raising operator; block
-projectors, the block measurement and the exchange of copies (a relabelling
-in block coordinates, or the dense reference unitary ``block_swap``) are
-assembled from the same vectors.
+each sector are the kernel of the collective raising operator, and the
+basis is kept as one real array per spin.  Dense consumers read each
+copy's (2j+1)-square block of a state (``block_coordinates``), in which
+exchanging copies is a relabelling; block projectors, the lab-frame
+``measure_block`` and the exchange unitary ``block_swap`` are the
+references they are tested against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockLabel, SizeLimitError, dense_cap, outer
+from .core import BlockLabel, SizeLimitError, dense_cap
 
 SINGLET = np.zeros(4, dtype=complex)
 SINGLET[0b01] = 1.0 / math.sqrt(2.0)
@@ -36,20 +37,25 @@ def _check_register(n: int) -> None:
         )
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """Number of ones in each n-qubit basis index."""
+    return np.array([bin(i).count("1") for i in range(1 << n)])
+
+
+def dicke_rows(j: int) -> np.ndarray:
+    """Real (2j+1, 2^2j) rows of Dicke states, m = -j + i in row i.
+
+    Copy 1 of spin j is these rows followed by singlet pairs.
+    """
+    rows = (_popcounts(2 * j) == np.arange(2 * j + 1)[:, None]).astype(float)
+    return rows / np.sqrt(rows.sum(axis=1, keepdims=True))
+
+
 def dicke_state(j: int, m: int) -> np.ndarray:
     """Symmetric state of 2j qubits with j+m ones, equal real amplitudes."""
     if j < 0 or abs(m) > j:
         raise ValueError(f"invalid spin labels (j, m) = ({j}, {m})")
-    width = 2 * j
-    vec = np.zeros(1 << width, dtype=complex)
-    if width == 0:
-        vec[0] = 1.0
-        return vec
-    ones = j + m
-    amp = 1.0 / math.sqrt(math.comb(width, ones))
-    for positions in itertools.combinations(range(width), ones):
-        vec[sum(1 << (width - 1 - p) for p in positions)] = amp
-    return vec
+    return dicke_rows(j)[j + m].astype(complex)
 
 
 def seed_vector(n: int, j: int, m: int) -> np.ndarray:
@@ -64,13 +70,13 @@ def seed_vector(n: int, j: int, m: int) -> np.ndarray:
 
 
 def collective_lowering(vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply the sum of single-qubit lowering operators (|1> -> |0> on each)."""
+    """Apply the sum of single-qubit lowering operators (|1> -> |0>) on the last axis."""
     out = np.zeros_like(vec)
-    idx = np.arange(vec.size)
+    idx = np.arange(vec.shape[-1])
     for k in range(n):
         bit = 1 << (n - 1 - k)
         hot = (idx & bit) != 0
-        out[idx[hot] ^ bit] += vec[hot]
+        out[..., idx[hot] ^ bit] += vec[..., hot]
     return out
 
 
@@ -83,7 +89,7 @@ def _highest_weight_vectors(n: int, j: int) -> np.ndarray:
     span the kernel; the copies after the seed are the leading left
     singular vectors of that kernel with the seed projected out.
     """
-    ones = np.array([bin(i).count("1") for i in range(1 << n)])
+    ones = _popcounts(n)
     low = np.flatnonzero(ones == n // 2 + j)
     high = np.flatnonzero(ones == n // 2 + j + 1)
     raising = np.zeros((high.size, low.size))
@@ -95,63 +101,70 @@ def _highest_weight_vectors(n: int, j: int) -> np.ndarray:
     seed = seed_vector(n, j, j).real[low]
     rest = kernel - np.outer(kernel @ seed, seed)
     others = np.linalg.svd(rest.T, full_matrices=False)[0][:, : len(kernel) - 1]
-    tops = np.zeros((len(kernel), 1 << n), dtype=complex)
+    tops = np.zeros((len(kernel), 1 << n))
     tops[:, low] = np.vstack([seed, others.T])
     return tops
 
 
 @dataclass(frozen=True)
 class SchurBasis:
-    """Orthonormal vectors |j, m, alpha> for n qubits, keyed (j, m, alpha)."""
+    """Orthonormal vectors |j, m, alpha> for n qubits, one real array per spin.
+
+    ``spins[j]`` is read-only, shaped (d_j, 2j+1, 2^n); [alpha - 1, j + m] is |j, m, alpha>.
+    """
 
     n: int
-    vectors: dict
+    spins: dict
 
     def j_values(self) -> list[int]:
-        return sorted({key[0] for key in self.vectors})
+        return sorted(self.spins)
 
     def multiplicity_of(self, j: int) -> int:
-        alphas = [key[2] for key in self.vectors if key[0] == j]
-        if not alphas:
+        if j not in self.spins:
             raise ValueError(f"no spin-{j} sector in a register of {self.n} qubits")
-        return max(alphas)
+        return self.spins[j].shape[0]
 
     def labels(self) -> list[BlockLabel]:
-        return [
-            BlockLabel(j, alpha)
-            for j in self.j_values()
-            for alpha in range(1, self.multiplicity_of(j) + 1)
-        ]
+        return [BlockLabel(j, a) for j in self.j_values() for a in range(1, len(self.spins[j]) + 1)]
 
     def vector(self, j: int, m: int, alpha: int) -> np.ndarray:
-        try:
-            return self.vectors[(j, m, alpha)]
-        except KeyError:
-            raise ValueError(f"no basis vector (j={j}, m={m}, alpha={alpha})") from None
+        if abs(m) > j:
+            raise ValueError(f"no basis vector (j={j}, m={m}, alpha={alpha})")
+        return self.block(j, alpha)[j + m]
 
     def block(self, j: int, alpha: int) -> np.ndarray:
-        """Stacked block vectors; row i is |j, m, alpha> with m = -j + i."""
-        return np.array([self.vector(j, m, alpha) for m in range(-j, j + 1)])
+        """View of the block vectors; row i is |j, m, alpha> with m = -j + i."""
+        d = self.multiplicity_of(j)
+        if not 1 <= alpha <= d:
+            raise ValueError(f"alpha must lie in 1..{d} for j={j}, got {alpha}")
+        return self.spins[j][alpha - 1]
 
     def gram_matrix(self) -> np.ndarray:
-        mat = np.array([self.vectors[key] for key in sorted(self.vectors)])
-        return mat.conj() @ mat.T
+        mat = np.concatenate([rows.reshape(-1, 1 << self.n) for rows in self.spins.values()])
+        return mat @ mat.T
 
 
 @functools.lru_cache(maxsize=None)
 def _build_basis(n: int) -> SchurBasis:
-    vectors: dict[tuple[int, int, int], np.ndarray] = {}
-    for j in range(n // 2, -1, -1):
-        for alpha, top in enumerate(_highest_weight_vectors(n, j), start=1):
-            vectors[(j, j, alpha)] = top
-            vec = top
-            for m in range(j, -j, -1):
-                vec = collective_lowering(vec, n)
-                vec = vec / np.linalg.norm(vec)
-                vectors[(j, m - 1, alpha)] = vec
-    for vec in vectors.values():
-        vec.setflags(write=False)
-    return SchurBasis(n=n, vectors=vectors)
+    spins: dict[int, np.ndarray] = {}
+    for j in range(n // 2 + 1):
+        ladder = [_highest_weight_vectors(n, j)]
+        for _ in range(2 * j):
+            vecs = collective_lowering(ladder[-1], n)
+            ladder.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+        spins[j] = np.stack(ladder[::-1], axis=1)
+        spins[j].setflags(write=False)
+    return SchurBasis(n=n, spins=spins)
+
+
+def _mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
 
 
 def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
@@ -160,11 +173,19 @@ def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
     Highest-weight vectors span the kernel of the collective raising
     operator, with seed_vector(n, j, j) as copy 1; lower m values follow by
     collective lowering, which keeps the copy index consistent across m.
-    Results are cached per n and immutable.
+    Results are cached per n and immutable.  Raises SizeLimitError above
+    the dense cap, or when the dense work that follows, about eight
+    complex 2^n x 2^n matrices, would not fit in the available memory.
     """
     _check_register(n)
     if n > dense_cap(cap):
         raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap(cap)} qubits")
+    needed, available = 8 * 16 * 4**n, _mem_available_bytes()
+    if available is not None and needed > available:
+        raise SizeLimitError(
+            f"n={n} needs about {needed / 2**20:.3g} MiB of dense matrices, "
+            f"more than the {available / 2**20:.3g} MiB available"
+        )
     return _build_basis(n)
 
 
@@ -181,80 +202,77 @@ class BlockSwap:
     is_identity: bool
 
 
-def _check_label(basis: SchurBasis, j: int, alpha: int) -> None:
-    if j not in basis.j_values():
-        raise ValueError(f"no spin-{j} sector for n={basis.n}")
-    d = basis.multiplicity_of(j)
-    if not 1 <= alpha <= d:
-        raise ValueError(f"alpha must lie in 1..{d} for j={j}, got {alpha}")
-
-
 def block_projector(basis: SchurBasis, j: int, alpha: int) -> BlockProjector:
     """Orthogonal projector onto span{|j, m, alpha>: m = -j..j}."""
-    _check_label(basis, j, alpha)
     rows = basis.block(j, alpha)
-    return BlockProjector(BlockLabel(j, alpha), rows.T @ rows.conj())
+    return BlockProjector(BlockLabel(j, alpha), (rows.T @ rows).astype(complex))
 
 
 def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:
     """Involution exchanging copy alpha with copy 1 of the spin-j sector.
 
     Acts as the identity on every other block; alpha = 1 returns the
-    identity matrix, flagged on the result.
+    identity matrix, flagged on the result.  The lab-frame reference for
+    the relabelling that ``block_coordinates`` makes of a copy exchange.
     """
-    _check_label(basis, j, alpha)
+    diff = basis.block(j, 1) - basis.block(j, alpha)
     mat = np.eye(1 << basis.n, dtype=complex)
     if alpha == 1:
         return BlockSwap(BlockLabel(j, alpha), mat, True)
-    for m in range(-j, j + 1):
-        u = basis.vector(j, m, 1)
-        w = basis.vector(j, m, alpha)
-        mat += outer(u, w) + outer(w, u) - outer(u) - outer(w)
+    # 1 - sum_m |u_m - w_m><u_m - w_m| for u_m = |j,m,1>, w_m = |j,m,alpha>
+    mat -= diff.T @ diff
     return BlockSwap(BlockLabel(j, alpha), mat, False)
 
 
-def move_copy(basis: SchurBasis, state: np.ndarray, j: int, src: int, dst: int) -> np.ndarray:
-    """Carry a state inside block (j, src) over to block (j, dst).
+def block_coordinates(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndarray]:
+    """Every copy's (2j+1)-square block of ``state``, keyed by spin j.
 
-    Copies of a spin-j sector differ only in their multiplicity label, so
-    this is the relabelling rows_dst^T (rows_src^* state rows_src^T) rows_dst^*;
-    it equals conjugation by the exchange unitary ``block_swap`` without
-    building that 2^n x 2^n matrix.
+    Entry [alpha - 1] of the (d_j, 2j+1, 2j+1) array is rows state rows^T
+    for the real rows = basis.block(j, alpha); its trace is the outcome
+    probability of that block.  One matmul per spin.
     """
-    rows_src = basis.block(j, src)
-    rows_dst = basis.block(j, dst)
-    return rows_dst.T @ (rows_src.conj() @ state @ rows_src.T) @ rows_dst.conj()
+    # real rows times the state as (re, im) column pairs: one real matmul
+    pairs = np.ascontiguousarray(state, dtype=complex).view(np.float64)
+    coords = {}
+    for j, rows in basis.spins.items():
+        half = (rows.reshape(-1, rows.shape[-1]) @ pairs).view(complex).reshape(rows.shape)
+        coords[j] = half @ rows.transpose(0, 2, 1)
+    return coords
 
 
 def measure_block(
     state: np.ndarray, basis: SchurBasis, label: BlockLabel
 ) -> tuple[float, np.ndarray | None]:
-    """Project ``state`` onto one block.
+    """Project ``state`` onto one block, in the lab frame.
 
     Returns (probability, normalized post-measurement state); the state is
     None when the probability falls below 1e-14 and is undefined.
     """
     rows = basis.block(label.j, label.alpha)
-    inner = rows.conj() @ state @ rows.T
+    inner = rows @ state @ rows.T
     prob = float(np.real(np.trace(inner)))
     if prob < _PROB_FLOOR:
         return prob, None
-    post = rows.T @ inner @ rows.conj() / prob
+    post = rows.T @ inner @ rows / prob
     return prob, post
 
 
 def export_basis_csv(basis: SchurBasis, dest) -> None:
-    """Write every amplitude as CSV rows ``j,m,alpha,basis_index,re,im``."""
+    """Write every amplitude as CSV rows ``j,m,alpha,basis_index,re,im``.
+
+    Copy 1 of each spin is fixed (Dicke states followed by singlet pairs).
+    Copies alpha >= 2 are one orthonormal choice among many: they come from
+    LAPACK singular vectors of a degenerate subspace, so their rows can
+    change with the LAPACK build or its thread count, while every block
+    projector sum, probability and fidelity stays the same.
+    """
     own = isinstance(dest, (str, os.PathLike))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         fh.write("j,m,alpha,basis_index,re,im\n")
-        for key in sorted(basis.vectors):
-            j, m, alpha = key
-            for idx, amp in enumerate(basis.vectors[key]):
-                fh.write(
-                    f"{j},{m},{alpha},{idx},{float(amp.real)!r},{float(amp.imag)!r}\n"
-                )
+        for j, rows in basis.spins.items():
+            for (i, a, idx), amp in np.ndenumerate(rows.transpose(1, 0, 2)):
+                fh.write(f"{j},{i - j},{a + 1},{idx},{float(amp)!r},0.0\n")
     finally:
         if own:
             fh.close()

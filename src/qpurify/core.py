@@ -33,9 +33,11 @@ def dense_cap(override: int | None = None) -> int:
 
     The SCHUR_CAP environment variable overrides the built-in default of
     10 qubits; an explicit ``override`` wins over both.  The default is the
-    largest even register at which ``qpurify verify`` and ``simulate
-    --dense`` finish in about a minute: at 12 qubits the dense simulation
-    takes minutes and the verification longer still.
+    largest even register at which ``qpurify verify`` finishes in about a
+    minute (7 s at 10 qubits on a 2-core machine).  At 12 qubits ``simulate
+    --dense`` takes 7 s at 0.6 GB, but ``verify`` takes 244 s at 2.1 GB:
+    the angular quadrature, the 924 reversibility lifts and the covariance
+    check each take over a minute there.
     """
     if override is not None:
         return int(override)

@@ -11,6 +11,7 @@ single-qubit maps locates the optimal one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -22,7 +23,8 @@ from .analytics import (
     block_state_matrix,
     cross_power_sum,
 )
-from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, build_schur_basis, measure_block, move_copy
+from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
+from .blocks import dicke_rows, measure_block  # noqa: F401  (measure_block: callers import it here)
 from .core import (
     BlockLabel,
     MixedQubit,
@@ -82,60 +84,47 @@ class DecompositionReport:
         return out
 
 
-def _singlet_pad(state: np.ndarray, pairs: int) -> np.ndarray:
-    out = state
-    for _ in range(pairs):
-        out = np.kron(out, outer(SINGLET))
-    return out
-
-
-def _block_output_state(q: MixedQubit, j: int, J: int, cap=None) -> np.ndarray:
-    """Predicted normalized state on a (j, 1) block: kept part times singlets."""
-    if j == 0:
-        kept = np.eye(1, dtype=complex)
-    else:
-        kept = block_state_matrix(q, j, cap)
-    return _singlet_pad(kept, J - j)
-
-
 def verify_decomposition(
     q: MixedQubit, n: int, tol: float | None = None, cap: int | None = None
 ) -> DecompositionReport:
     """Reassemble the n-fold tensor power of ``q`` in two independent ways.
 
-    (a) as the probability-weighted sum of per-block predicted states and
-    (b) as a sum of excitation-number projectors in the rotated basis.
-    Both max-element residuals, together with per-block post-measurement
-    residuals, must stay below ``tol``; otherwise VerificationError is
-    raised with the offending block named and the report attached.
+    (a) as the probability-weighted sum of predicted blocks, lifted once
+    per spin, and (b) as a sum of excitation-number projectors in the
+    rotated basis.  Both max-element residuals, together with the residual
+    of each measured (2j+1)-square block against its prediction, must stay
+    below ``tol``; otherwise VerificationError is raised with the offending
+    block named and the report attached.
     """
     if tol is None:
         tol = default_tolerance(n)
     basis = build_schur_basis(n, cap)
     rho_n = kron_power(density_matrix(q), n, cap)
-    J = n // 2
+    coords = block_coordinates(basis, rho_n)
 
     block_sum = np.zeros_like(rho_n)
     probabilities: dict[BlockLabel, float] = {}
     post_residuals: dict[BlockLabel, float] = {}
-    for j in basis.j_values():
-        d = basis.multiplicity_of(j)
-        p = block_probability(n, q.lam, j)
-        base_state = _block_output_state(q, j, J, cap)
-        for alpha in range(1, d + 1):
+    for j, rows in basis.spins.items():
+        # copy 1 is Dicke rows followed by singlet pairs; relabelling keeps the block
+        kept = block_state_matrix(q, j, cap) if j > 0 else np.eye(1)
+        dicke = dicke_rows(j)
+        predicted = dicke @ kept @ dicke.T
+        weighted = (block_probability(n, q.lam, j) / rows.shape[0]) * predicted
+        flat = rows.reshape(-1, rows.shape[-1])
+        block_sum += flat.T @ (weighted @ rows).reshape(flat.shape)
+        for alpha, measured in enumerate(coords[j], start=1):
             label = BlockLabel(j, alpha)
-            predicted = move_copy(basis, base_state, j, 1, alpha)
-            block_sum += (p / d) * predicted
-            prob, post = measure_block(rho_n, basis, label)
+            prob = float(np.trace(measured).real)
             probabilities[label] = prob
-            if post is not None:
-                post_residuals[label] = max_abs(post - predicted)
+            if prob >= _PROB_FLOOR:
+                post_residuals[label] = max_abs(measured / prob - predicted)
 
     block_sum_residual = max_abs(block_sum - rho_n)
 
     aligned, anti = qubit_eigenstates(q)
     rot_n = kron_power(np.column_stack([anti, aligned]), n, cap)
-    zeros = n - np.array([bin(i).count("1") for i in range(1 << n)])
+    zeros = n - _popcounts(n)
     weights = q.c0**zeros * q.c1 ** (n - zeros)
     projector_sum = (rot_n * weights) @ rot_n.conj().T
     projector_sum_residual = max_abs(projector_sum - rho_n)
@@ -150,13 +139,7 @@ def verify_decomposition(
         post_state_residuals=post_residuals,
     )
     if report.worst_residual() >= tol:
-        offender = "block_sum"
-        worst = block_sum_residual
-        if projector_sum_residual > worst:
-            offender, worst = "excitation_projectors", projector_sum_residual
-        for label, res in post_residuals.items():
-            if res > worst:
-                offender, worst = f"j={label.j};alpha={label.alpha}", res
+        _, offender, worst = max(report.rows(), key=lambda row: row[2])
         raise VerificationError(
             f"decomposition residual {worst:.3e} >= tol {tol:.3e} at {offender}",
             report=report,
@@ -312,54 +295,54 @@ def optimality_scan(
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _power_coordinates(q: MixedQubit, n: int, cap: int | None) -> dict[int, np.ndarray]:
+    return block_coordinates(build_schur_basis(n, cap), kron_power(density_matrix(q), n, cap))
+
+
 def reversibility_check(
     q: MixedQubit, n: int, label: BlockLabel, cap: int | None = None
 ) -> float:
-    """Undo the protocol on one outcome and compare with the measured state.
+    """Undo the protocol on one outcome and compare with the measured block.
 
-    After measuring block ``label``, relabelling it as the first copy and
-    discarding the singlet pairs, re-appending fresh singlets and
-    relabelling back must reproduce the post-measurement state exactly.
+    Lifting the block of ``label`` onto the first copy, discarding the
+    singlet pairs, re-appending fresh singlets and projecting back must
+    reproduce the block exactly.  The tensor power's block coordinates are
+    computed once per (q, n, cap); the cap is checked on every call.
     """
     basis = build_schur_basis(n, cap)
-    rho_n = kron_power(density_matrix(q), n, cap)
-    prob, post = measure_block(rho_n, basis, label)
-    if post is None:
+    basis.block(label.j, label.alpha)  # label validation
+    measured = _power_coordinates(q, n, cap)[label.j][label.alpha - 1]
+    prob = float(np.trace(measured).real)
+    if prob < _PROB_FLOOR:
         raise ValueError(
             f"block (j={label.j}, alpha={label.alpha}) has probability {prob:.1e}; "
             "post-measurement state undefined"
         )
-    unwound = move_copy(basis, post, label.j, label.alpha, 1)
-    J = n // 2
-    if label.j > 0:
-        kept = partial_trace(unwound, range(1, 2 * label.j + 1))
-    else:
-        kept = np.eye(1, dtype=complex)
-    rebuilt = _singlet_pad(kept, J - label.j)
-    redone = move_copy(basis, rebuilt, label.j, 1, label.alpha)
-    return max_abs(redone - post)
+    post = measured / prob
+    first = basis.block(label.j, 1)
+    unwound = first.T @ post @ first
+    kept = partial_trace(unwound, range(1, 2 * label.j + 1)) if label.j else np.eye(1)
+    singlets = np.ones(1)
+    for _ in range(n // 2 - label.j):
+        singlets = np.kron(singlets, SINGLET)
+    # project kept ⊗ |singlets><singlets| back onto the first copy
+    back = first.reshape(2 * label.j + 1, kept.shape[0], singlets.size) @ singlets
+    return max_abs(back @ kept @ back.conj().T - post)
 
 
 def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndarray]:
     """Unnormalized outputs of the block measurement, keyed by kept-qubit count.
 
-    For each spin j the measurement branch projects onto a copy, relabels
-    it as the first copy and discards the singlet pairs; branches with the
-    same j are summed in block coordinates and lifted onto the first copy
-    once.  Traces give outcome probabilities.
+    Each branch projects onto a copy, relabels it as the first copy and
+    discards the singlet pairs.  Relabelling keeps a copy's block, so the
+    blocks B of one spin sum, and the kept 2j qubits are in D^T B D for
+    the Dicke rows D.  Traces give outcome probabilities.
     """
     outs: dict[int, np.ndarray] = {}
-    for j in basis.j_values():
-        inner = 0.0
-        for alpha in range(1, basis.multiplicity_of(j) + 1):
-            rows = basis.block(j, alpha)
-            inner = inner + rows.conj() @ state @ rows.T
-        first = basis.block(j, 1)
-        acc = first.T @ inner @ first.conj()
-        if j > 0:
-            outs[2 * j] = partial_trace(acc, range(1, 2 * j + 1))
-        else:
-            outs[0] = np.array([[np.trace(acc)]], dtype=complex)
+    for j, blocks in block_coordinates(basis, state).items():
+        rows = dicke_rows(j)
+        outs[2 * j] = rows.T @ blocks.sum(axis=0) @ rows
     return outs
 
 

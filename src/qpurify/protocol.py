@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics
-from .blocks import build_schur_basis, measure_block, move_copy
+from .blocks import _PROB_FLOOR, block_coordinates, build_schur_basis, dicke_rows
 from .core import (
     MixedQubit,
     density_matrix,
@@ -138,33 +138,35 @@ def run_protocol_dense(
 ) -> SimulationSummary:
     """Run the protocol on explicit matrices.
 
-    The tensor power of the input is built once, outcome probabilities
-    come from projector traces, and each outcome's post-measurement state
-    is relabelled as the first copy of its spin sector, whose singlet pairs
-    are discarded, to measure the kept-qubit fidelity by partial trace.
-    Outcome states depend only on the block label, so they are computed
-    once per label and reused across trials.
+    The tensor power of the input is built once and read in block
+    coordinates: the trace of a copy's block B is its probability, and
+    after relabelling it as the first copy and discarding the singlet
+    pairs, the 2j kept qubits are in D^T B D for the Dicke rows D.  Outcome
+    states depend only on the block label, so they are computed once per
+    label and reused across trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     basis = build_schur_basis(n, cap)
-    rho_n = kron_power(density_matrix(q), n, cap)
+    coords = block_coordinates(basis, kron_power(density_matrix(q), n, cap))
     target = qubit_eigenstates(q)[0]
     labels = basis.labels()
 
     probs = np.zeros(len(labels))
     fids = np.zeros(len(labels))
     for i, label in enumerate(labels):
-        prob, post = measure_block(rho_n, basis, label)
+        block = coords[label.j][label.alpha - 1]
+        prob = float(np.trace(block).real)
         probs[i] = max(prob, 0.0)
-        if post is None:
+        if prob < _PROB_FLOOR:
             continue  # never sampled; probability renormalizes to zero
-        state = move_copy(basis, post, label.j, label.alpha, 1)
         if label.j == 0:
             # nothing kept; use the continuity value so averages stay
             # comparable with the fast path
             fids[i] = analytics.block_fidelity(q.lam, 0)
         else:
+            rows = dicke_rows(label.j)
+            state = rows.T @ (block / prob) @ rows
             kept = range(1, 2 * label.j + 1)
             fids[i] = float(
                 np.mean([state_fidelity(partial_trace(state, [k]), target) for k in kept])

@@ -19,8 +19,12 @@ from qpurify import (
     outer,
     seed_vector,
 )
-from qpurify.blocks import SINGLET, move_copy
+from qpurify.blocks import SINGLET, block_coordinates, measure_block
 from qpurify.core import SizeLimitError
+
+
+def _vector_count(basis):
+    return sum(rows.shape[0] * rows.shape[1] for rows in basis.spins.values())
 
 
 class TestDickeState:
@@ -87,13 +91,13 @@ class TestBasisConstruction:
     def test_four_qubit_multiplicities(self):
         basis = build_schur_basis(4)
         assert [basis.multiplicity_of(j) for j in (0, 1, 2)] == [2, 3, 1]
-        assert len(basis.vectors) == 16
+        assert _vector_count(basis) == 16
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_gram_matrix_is_identity(self, n):
         basis = build_schur_basis(n)
         gram = basis.gram_matrix()
-        assert max_abs(gram - np.eye(len(basis.vectors))) < 1e-10
+        assert max_abs(gram - np.eye(_vector_count(basis))) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_counts_and_completeness(self, n):
@@ -125,6 +129,10 @@ class TestBasisConstruction:
             build_schur_basis(5)
         with pytest.raises(SizeLimitError):
             build_schur_basis(2, cap=1)
+
+    def test_memory_check_skipped_without_meminfo(self, monkeypatch):
+        monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)
+        assert build_schur_basis(4).n == 4
 
 
 def test_multiplicity_completeness_identity_exact():
@@ -223,15 +231,36 @@ class TestBlockSwap:
             v4 = kron_power(haar_unitary(rng), 4)
             assert max_abs(mat @ v4 - v4 @ mat) < 1e-9
 
-    def test_move_copy_is_swap_conjugation(self, rng):
-        basis = build_schur_basis(4)
-        for j, alpha in [(0, 2), (1, 1), (1, 3)]:
-            rows = basis.block(j, alpha)
-            a = rng.normal(size=(2 * j + 1,) * 2) + 1j * rng.normal(size=(2 * j + 1,) * 2)
-            state = rows.T @ (a @ a.conj().T) @ rows.conj()
-            swap = block_swap(basis, j, alpha).matrix
-            moved = move_copy(basis, state, j, alpha, 1)
-            assert max_abs(moved - swap @ state @ swap.conj().T) < 1e-12
+
+def _random_state(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    state = a @ a.conj().T
+    return state / np.trace(state).real  # full rank, not a tensor power
+
+
+class TestBlockCoordinates:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_matches_lab_frame_measurement(self, n, rng):
+        basis = build_schur_basis(n)
+        state = _random_state(rng, n)
+        coords = block_coordinates(basis, state)
+        assert sorted(coords) == basis.j_values()
+        for label in basis.labels():
+            rows = basis.block(label.j, label.alpha)
+            prob, post = measure_block(state, basis, label)
+            expected = rows @ (prob * post) @ rows.T
+            assert max_abs(coords[label.j][label.alpha - 1] - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_swap_conjugation_relabels_copy(self, n, rng):
+        basis = build_schur_basis(n)
+        state = _random_state(rng, n)
+        coords = block_coordinates(basis, state)
+        for label in basis.labels():
+            swap = block_swap(basis, label.j, label.alpha).matrix
+            swapped = block_coordinates(basis, swap @ state @ swap.conj().T)
+            got = swapped[label.j][0]
+            assert max_abs(got - coords[label.j][label.alpha - 1]) < 1e-12
 
 
 def test_export_basis_csv_roundtrip():

@@ -79,6 +79,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: SCHUR_CAP") and err.count("\n") == 1
 
+    def test_memory_estimate_usage_error(self, capsys, monkeypatch):
+        # the n = 4 estimate is 8 * 16 * 4^4 bytes = 32 KiB
+        monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 1024)
+        assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=4 needs about") and err.count("\n") == 1
+
     def test_unreachable_tolerance_fails(self, tmp_path):
         path = tmp_path / "verify.csv"
         assert run_cli("verify", "--n", "2", "--lambda", "0.5", "--tol", "1e-20", out=path) == 1

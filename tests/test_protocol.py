@@ -119,12 +119,14 @@ class TestDensePath:
         assert stats.chi2_contingency(table).pvalue > 0.001
 
     def test_fidelities_match_closed_form(self):
-        q = MixedQubit(0.5, (0.6, 0.0, 0.8))
-        summary = run_protocol_dense(q, 4, trials=5000, seed=12, keep_outcomes=True)
         from qpurify import block_fidelity
 
-        for rec in summary.outcomes[:200]:
-            assert rec.fidelity == pytest.approx(block_fidelity(0.5, rec.j), abs=1e-10)
+        for n in (4, 6, 8):
+            q = MixedQubit(0.5, (0.6, 0.0, 0.8))
+            summary = run_protocol_dense(q, n, trials=5000, seed=12, keep_outcomes=True)
+            expected = {j: block_fidelity(0.5, j) for j in range(n // 2 + 1)}
+            for rec in summary.outcomes:
+                assert rec.fidelity == pytest.approx(expected[rec.j], abs=1e-12)
 
     def test_cap_enforced(self):
         from qpurify import SizeLimitError
