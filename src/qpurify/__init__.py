@@ -18,7 +18,6 @@ from .analytics import (
     yield_factor,
 )
 from .blocks import (
-    SINGLET,
     block_projector,
     block_swap,
     build_schur_basis,

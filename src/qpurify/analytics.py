@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MixedQubit, kron_power, outer, qubit_eigenstates
+from .core import MixedQubit, kron_power, qubit_eigenstates
 
 
 def _check_even(n: int) -> None:
@@ -207,19 +207,11 @@ def block_state_matrix(q: MixedQubit, j: int, cap: int | None = None) -> np.ndar
     """
     if j < 1:
         raise ValueError("the kept block needs j >= 1")
-    from .blocks import dicke_state  # deferred: blocks depends on this module
+    from .blocks import dicke_rows  # deferred: blocks depends on this module
 
     aligned, anti = qubit_eigenstates(q)
     rot = np.column_stack([anti, aligned])  # maps |0> -> |0_n>, |1> -> |1_n>
-    rot_n = kron_power(rot, 2 * j, cap)
-    c1, c0 = q.c1, q.c0
-    norm = cross_power_sum(c1, c0, 2 * j)
-    dim = 1 << (2 * j)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for m in range(-j, j + 1):
-        weight = c1 ** (j + m) * c0 ** (j - m) / norm
-        if weight == 0.0:
-            continue
-        vec = rot_n @ dicke_state(j, m)
-        rho += weight * outer(vec)
-    return rho
+    vecs = kron_power(rot, 2 * j, cap) @ dicke_rows(j).T  # rotated Dicke states, m = -j..j
+    ones = np.arange(2 * j + 1)
+    weights = q.c1**ones * q.c0 ** (2 * j - ones) / cross_power_sum(q.c1, q.c0, 2 * j)
+    return (vecs * weights) @ vecs.conj().T

@@ -2,13 +2,13 @@
 
 The basis vectors |j, m, alpha> organise the 2^n computational dimensions
 into blocks: j is the collective spin, m its projection, and alpha counts
-the equivalent copies of the spin-j sector.  The highest-weight vectors of
-each sector are the kernel of the collective raising operator, and the
-basis is kept as one real array per spin.  Dense consumers read each
-copy's (2j+1)-square block of a state (``block_coordinates``), in which
-exchanging copies is a relabelling; block projectors, the lab-frame
-``measure_block`` and the exchange unitary ``block_swap`` are the
-references they are tested against.
+the equivalent copies of the spin-j sector.  Qubit pairs couple one after
+another through Clebsch-Gordan coefficients (Bacon, Chuang & Harrow, PRL
+97, 170502 (2006)), and alpha names the coupling path, the same on every
+machine.  Dense consumers read each copy's (2j+1)-square block of a state
+(``block_coordinates``), in which exchanging copies is a relabelling;
+block projectors, the lab-frame ``measure_block`` and the exchange
+unitary ``block_swap`` are the references they are tested against.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .core import BlockLabel, SizeLimitError, dense_cap
 
-SINGLET = np.zeros(4, dtype=complex)
-SINGLET[0b01] = 1.0 / math.sqrt(2.0)
-SINGLET[0b10] = -1.0 / math.sqrt(2.0)
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 _PROB_FLOOR = 1e-14  # below this an outcome's post-state is undefined
 
@@ -63,10 +62,7 @@ def seed_vector(n: int, j: int, m: int) -> np.ndarray:
     _check_register(n)
     if not 0 <= j <= n // 2:
         raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
-    vec = dicke_state(j, m)
-    for _ in range(n // 2 - j):
-        vec = np.kron(vec, SINGLET)
-    return vec
+    return functools.reduce(np.kron, [SINGLET] * (n // 2 - j), dicke_state(j, m))
 
 
 def collective_lowering(vec: np.ndarray, n: int) -> np.ndarray:
@@ -80,30 +76,43 @@ def collective_lowering(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _highest_weight_vectors(n: int, j: int) -> np.ndarray:
-    """Orthonormal spin-j highest-weight vectors, seed_vector(n, j, j) first.
+def _clebsch_gordan(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
+    """<j1 m1; j2 m2 | j m> for an allowed integer coupling: Racah's form, summed exactly."""
+    f = math.factorial
+    total = sum(
+        Fraction((-1) ** k, f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k) * f(j2 + m2 - k))
+        / (f(j - j2 + m1 + k) * f(j - j1 - m2 + k))
+        for k in range(max(0, j2 - j - m1, j1 - j + m2), min(j1 + j2 - j, j1 - m1, j2 + m2) + 1)
+    )
+    square = Fraction((2 * j + 1) * f(j + j1 - j2) * f(j - j1 + j2) * f(j1 + j2 - j))
+    square *= f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+    return math.copysign(math.sqrt(square / f(j1 + j2 + j + 1) * total**2), total)
 
-    They span the kernel of the collective raising map (|0> -> |1> on each
-    qubit) from the weight space with n/2 + j ones into the one with one
-    more.  The map is onto, so the last rows of its right singular vectors
-    span the kernel; the copies after the seed are the leading left
-    singular vectors of that kernel with the seed projected out.
+
+def _add_pair(spins: dict) -> dict:
+    """Spin arrays of a register grown by one qubit pair of spin k, coupled last.
+
+    Copies of spin t come singlet from s = t first, then triplet from
+    s = t - 1, t, t + 1, each in the smaller register's order.  Each entry
+    is one old entry times one coefficient, so no BLAS order can change it.
     """
-    ones = _popcounts(n)
-    low = np.flatnonzero(ones == n // 2 + j)
-    high = np.flatnonzero(ones == n // 2 + j + 1)
-    raising = np.zeros((high.size, low.size))
-    for k in range(n):
-        bit = 1 << k
-        free = (low & bit) == 0
-        raising[np.searchsorted(high, low[free] | bit), np.flatnonzero(free)] = 1.0
-    kernel = np.linalg.svd(raising)[2][high.size :]
-    seed = seed_vector(n, j, j).real[low]
-    rest = kernel - np.outer(kernel @ seed, seed)
-    others = np.linalg.svd(rest.T, full_matrices=False)[0][:, : len(kernel) - 1]
-    tops = np.zeros((len(kernel), 1 << n))
-    tops[:, low] = np.vstack([seed, others.T])
-    return tops
+    pair = {0: SINGLET.real[None], 1: dicke_rows(1)}  # row k + mu is |k, mu>
+    grown = {}
+    for t in range(len(spins) + 1):
+        steps = ((0, t), (1, t - 1), (1, t), (1, t + 1))
+        paths = [(k, s) for k, s in steps if s in spins and abs(s - k) <= t]
+        rows = np.zeros((sum(len(spins[s]) for _, s in paths), 2 * t + 1, spins[0].shape[-1], 4))
+        start = 0
+        for k, s in paths:
+            copies = rows[start : start + len(spins[s])]
+            for mu in range(-k, k + 1):
+                lo, hi = max(-t, mu - s), min(t, mu + s)
+                cg = np.array([_clebsch_gordan(s, m - mu, k, mu, t, m) for m in range(lo, hi + 1)])
+                old = spins[s][:, lo - mu + s : hi - mu + s + 1, :, None]
+                copies[:, lo + t : hi + t + 1] += old * (cg[:, None, None] * pair[k][k + mu])
+            start += len(spins[s])
+        grown[t] = rows.reshape(len(rows), 2 * t + 1, -1)
+    return grown
 
 
 @dataclass(frozen=True)
@@ -146,14 +155,9 @@ class SchurBasis:
 
 @functools.lru_cache(maxsize=None)
 def _build_basis(n: int) -> SchurBasis:
-    spins: dict[int, np.ndarray] = {}
-    for j in range(n // 2 + 1):
-        ladder = [_highest_weight_vectors(n, j)]
-        for _ in range(2 * j):
-            vecs = collective_lowering(ladder[-1], n)
-            ladder.append(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
-        spins[j] = np.stack(ladder[::-1], axis=1)
-        spins[j].setflags(write=False)
+    spins = _add_pair(_build_basis(n - 2).spins) if n else {0: np.ones((1, 1, 1))}
+    for rows in spins.values():
+        rows.setflags(write=False)
     return SchurBasis(n=n, spins=spins)
 
 
@@ -170,12 +174,12 @@ def _mem_available_bytes() -> int | None:
 def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
     """Full orthonormal block basis of an even register of n qubits.
 
-    Highest-weight vectors span the kernel of the collective raising
-    operator, with seed_vector(n, j, j) as copy 1; lower m values follow by
-    collective lowering, which keeps the copy index consistent across m.
-    Results are cached per n and immutable.  Raises SizeLimitError above
-    the dense cap, or when the dense work that follows, about eight
-    complex 2^n x 2^n matrices, would not fit in the available memory.
+    Qubit pairs couple in register order; alpha numbers the coupling paths
+    as ``_add_pair`` lists them, so copy 1 is seed_vector(n, j, .) and
+    copies 1..d_j(n - 2) are the n - 2 basis followed by a singlet.  Cached
+    per n and immutable.  Raises SizeLimitError above the dense cap, or
+    when the dense work that follows, about eight complex 2^n x 2^n
+    matrices, would not fit in the available memory.
     """
     _check_register(n)
     if n > dense_cap(cap):
@@ -216,12 +220,9 @@ def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:
     the relabelling that ``block_coordinates`` makes of a copy exchange.
     """
     diff = basis.block(j, 1) - basis.block(j, alpha)
-    mat = np.eye(1 << basis.n, dtype=complex)
-    if alpha == 1:
-        return BlockSwap(BlockLabel(j, alpha), mat, True)
     # 1 - sum_m |u_m - w_m><u_m - w_m| for u_m = |j,m,1>, w_m = |j,m,alpha>
-    mat -= diff.T @ diff
-    return BlockSwap(BlockLabel(j, alpha), mat, False)
+    mat = np.eye(1 << basis.n, dtype=complex) - diff.T @ diff
+    return BlockSwap(BlockLabel(j, alpha), mat, alpha == 1)
 
 
 def block_coordinates(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndarray]:
@@ -260,11 +261,9 @@ def measure_block(
 def export_basis_csv(basis: SchurBasis, dest) -> None:
     """Write every amplitude as CSV rows ``j,m,alpha,basis_index,re,im``.
 
-    Copy 1 of each spin is fixed (Dicke states followed by singlet pairs).
-    Copies alpha >= 2 are one orthonormal choice among many: they come from
-    LAPACK singular vectors of a degenerate subspace, so their rows can
-    change with the LAPACK build or its thread count, while every block
-    projector sum, probability and fidelity stays the same.
+    alpha is the coupling path of ``build_schur_basis`` (copy 1 is Dicke
+    states followed by singlet pairs), and every amplitude is a product of
+    Clebsch-Gordan coefficients, so the file is the same on every machine.
     """
     own = isinstance(dest, (str, os.PathLike))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest

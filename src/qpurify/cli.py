@@ -86,6 +86,15 @@ def _parse_lambdas(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _count(d: int) -> str:
+    """An exact integer up to Python's int-to-str limit, <mantissa>e<exponent> above it."""
+    try:
+        return str(d)
+    except ValueError:
+        log = math.log10(d)
+        return f"{_num(10 ** (log - math.floor(log)))}e{math.floor(log)}"
+
+
 def _require_even(n: int | None) -> int:
     if n is None:
         raise UsageError("--n is required")
@@ -101,7 +110,7 @@ def cmd_stats(config: RunConfig) -> int:
     d = config.delim
     config.emit(d.join(("j", "d_j", "p_j", "f_j")))
     for row in spect.rows:
-        config.emit(d.join((str(row.j), str(row.multiplicity), _num(row.probability), _num(row.fidelity))))
+        config.emit(d.join((str(row.j), _count(row.multiplicity), _num(row.probability), _num(row.fidelity))))
     config.emit(f"yield={_num(analytics.yield_factor(n, lam))}")
     config.emit(f"mean_fidelity={_num(analytics.mean_fidelity(n, lam))}")
     config.flush()
@@ -133,15 +142,9 @@ def cmd_verify(config: RunConfig) -> int:
     for j in range(1, n // 2 + 1):
         rows.append(("quadrature", f"j={j}", quadrature_check(q, j)))
 
-    for label, prob in report.block_probabilities.items():
-        if prob < 1e-14:
-            continue  # outcome essentially impossible; post-state undefined
+    for label in report.post_state_residuals:  # the outcomes whose post-state is defined
         rows.append(
-            (
-                "reversibility",
-                f"j={label.j};alpha={label.alpha}",
-                reversibility_check(q, n, label),
-            )
+            ("reversibility", f"j={label.j};alpha={label.alpha}", reversibility_check(q, n, label))
         )
 
     unitaries = [haar_unitary(rng) for _ in range(5)]

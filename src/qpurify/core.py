@@ -17,11 +17,8 @@ import numpy as np
 DEFAULT_QUBIT_CAP = 10
 CAP_ENV_VAR = "SCHUR_CAP"
 
-# Pauli triple matching the index convention above: |1> (index 1) is the +1
-# eigenstate of PAULI_Z, so a Bloch vector along +z purifies onto (0, 1).
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+# Pauli convention matching the index order above: |1> (index 1) is the +1
+# eigenstate of Z = diag(-1, 1), so a Bloch vector along +z purifies onto (0, 1).
 
 
 class SizeLimitError(ValueError):

@@ -102,32 +102,41 @@ def verify_decomposition(
     rho_n = kron_power(density_matrix(q), n, cap)
     coords = block_coordinates(basis, rho_n)
 
-    block_sum = np.zeros_like(rho_n)
+    weighted: dict[int, np.ndarray] = {}
     probabilities: dict[BlockLabel, float] = {}
     post_residuals: dict[BlockLabel, float] = {}
-    for j, rows in basis.spins.items():
+    for j, blocks in coords.items():
         # copy 1 is Dicke rows followed by singlet pairs; relabelling keeps the block
-        kept = block_state_matrix(q, j, cap) if j > 0 else np.eye(1)
         dicke = dicke_rows(j)
-        predicted = dicke @ kept @ dicke.T
-        weighted = (block_probability(n, q.lam, j) / rows.shape[0]) * predicted
-        flat = rows.reshape(-1, rows.shape[-1])
-        block_sum += flat.T @ (weighted @ rows).reshape(flat.shape)
-        for alpha, measured in enumerate(coords[j], start=1):
+        predicted = dicke @ (block_state_matrix(q, j, cap) if j > 0 else np.eye(1)) @ dicke.T
+        weighted[j] = (block_probability(n, q.lam, j) / len(blocks)) * predicted
+        for alpha, measured in enumerate(blocks, start=1):
             label = BlockLabel(j, alpha)
             prob = float(np.trace(measured).real)
             probabilities[label] = prob
             if prob >= _PROB_FLOOR:
                 post_residuals[label] = max_abs(measured / prob - predicted)
 
-    block_sum_residual = max_abs(block_sum - rho_n)
+    # both sums meet rho_n one row slab at a time: at most three full matrices are alive
+    step = max(1, len(rho_n) // 8)
+    slabs = [slice(i, i + step) for i in range(0, len(rho_n), step)]
+    lifted = [
+        (rows.reshape(-1, rows.shape[-1]), weighted[j] @ rows) for j, rows in basis.spins.items()
+    ]
+    block_sum_residual = max(
+        max_abs(sum(flat[:, sl].T @ lift.reshape(flat.shape) for flat, lift in lifted) - rho_n[sl])
+        for sl in slabs
+    )
+    del lifted
 
+    # excitation projectors R diag(weights) R^H with R = (anti, aligned)^(x n), from R^H alone
     aligned, anti = qubit_eigenstates(q)
-    rot_n = kron_power(np.column_stack([anti, aligned]), n, cap)
+    rot_h = kron_power(np.vstack([anti, aligned]).conj(), n, cap)
     zeros = n - _popcounts(n)
     weights = q.c0**zeros * q.c1 ** (n - zeros)
-    projector_sum = (rot_n * weights) @ rot_n.conj().T
-    projector_sum_residual = max_abs(projector_sum - rho_n)
+    projector_sum_residual = max(
+        max_abs((rot_h[:, sl].conj().T * weights) @ rot_h - rho_n[sl]) for sl in slabs
+    )
 
     report = DecompositionReport(
         n=n,
@@ -147,41 +156,49 @@ def verify_decomposition(
     return report
 
 
-def quadrature_check(
-    q: MixedQubit, j: int, nodes: int | None = None, cap: int | None = None
-) -> float:
-    """Rebuild the kept-block state from its pure-component integral.
+def _angular_rule(j: int, nodes: int | None) -> list[tuple[float, float, complex, float]]:
+    """(cos(theta/2), sin(theta/2), e^{i phi}, weight) of the spin-j pure-component rule.
 
-    The block state is a rotation average over 2j-fold copies of a single
-    pure state; the polar integral is Gauss-Legendre in cos(theta) and the
-    azimuthal one a uniform rule, with node counts that integrate the
-    degree-2j trigonometric integrand exactly.  Returns the max-element
-    residual against block_state_matrix.
+    Gauss-Legendre in cos(theta) and a uniform rule in phi, with node
+    counts that integrate the degree-2j trigonometric integrand exactly;
+    the weights sum to one.
     """
     if j < 1:
-        raise ValueError("quadrature check needs j >= 1")
+        raise ValueError("the pure-component integral needs j >= 1")
     minimum = 2 * j + 1
     if nodes is None:
         nodes = minimum + 1
     if nodes < minimum:
         raise ValueError(f"need at least {minimum} polar nodes for an exact integral")
     n_phi = 4 * j + 1
+    phases = np.exp(1j * (2.0 * math.pi * np.arange(n_phi) / n_phi))
+    return [
+        (math.sqrt((1.0 + x) / 2.0), math.sqrt((1.0 - x) / 2.0), phase, w / 2.0 / n_phi)
+        for x, w in zip(*np.polynomial.legendre.leggauss(nodes))
+        for phase in phases
+    ]
 
+
+def quadrature_check(
+    q: MixedQubit, j: int, nodes: int | None = None, cap: int | None = None
+) -> float:
+    """Rebuild the kept-block state from its pure-component integral.
+
+    The block state is a rotation average over 2j-fold copies of a single
+    pure state, integrated by ``_angular_rule``.  Returns the max-element
+    residual against block_state_matrix.
+    """
+    rule = _angular_rule(j, nodes)
     aligned, anti = qubit_eigenstates(q)
     sq1 = math.sqrt(q.c1)
     sq0 = math.sqrt(q.c0)
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(nodes)
     dim = 1 << (2 * j)
     acc = np.zeros((dim, dim), dtype=complex)
-    for x, w in zip(x_nodes, x_weights):
-        cos_half = math.sqrt((1.0 + x) / 2.0)
-        sin_half = math.sqrt((1.0 - x) / 2.0)
-        for step in range(n_phi):
-            phase = np.exp(1j * (2.0 * math.pi * step / n_phi))
-            # unnormalized pure component; its norm^2 supplies the angular weight
-            component = sq1 * cos_half * aligned + sq0 * sin_half * phase * anti
-            psi = kron_power(component, 2 * j, cap)
-            acc += (w / 2.0 / n_phi) * outer(psi)
+    for cos_half, sin_half, phase, weight in rule:
+        # unnormalized pure component; its norm^2 supplies the angular weight
+        component = sq1 * cos_half * aligned + sq0 * sin_half * phase * anti
+        psi = kron_power(component, 2 * j, cap)
+        acc += weight * outer(psi)
     rho_quad = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j) * acc
     return max_abs(rho_quad - block_state_matrix(q, j, cap))
 
@@ -191,37 +208,23 @@ def pure_component_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit moments of the pure-component integral of a spin-j block.
 
-    Quadrature over the same angular decomposition as quadrature_check,
-    but accumulating only the 2x2 outer products of each pure component
+    Quadrature over the same angular rule as quadrature_check, but
+    accumulating only the 2x2 outer products of each pure component
     and of its orthogonal complement.  Both results are expressed in the
     (anti-aligned, aligned) eigenbasis and have unit trace; the aligned
     diagonal of the first one is an independent route to block_fidelity.
     """
-    if j < 1:
-        raise ValueError("pure-component moments need j >= 1")
-    minimum = 2 * j + 1
-    if nodes is None:
-        nodes = minimum + 1
-    if nodes < minimum:
-        raise ValueError(f"need at least {minimum} polar nodes for an exact integral")
-    n_phi = 4 * j + 1
-
+    rule = _angular_rule(j, nodes)
     sq1 = math.sqrt(q.c1)
     sq0 = math.sqrt(q.c0)
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(nodes)
     kept = np.zeros((2, 2), dtype=complex)
     flipped = np.zeros((2, 2), dtype=complex)
-    for x, w in zip(x_nodes, x_weights):
-        cos_half = math.sqrt((1.0 + x) / 2.0)
-        sin_half = math.sqrt((1.0 - x) / 2.0)
-        angular = q.c1 * cos_half**2 + q.c0 * sin_half**2
-        scale = (w / 2.0 / n_phi) * angular ** (2 * j - 1)
-        for step in range(n_phi):
-            phase = np.exp(1j * (2.0 * math.pi * step / n_phi))
-            component = np.array([sq0 * sin_half * phase, sq1 * cos_half])
-            orthogonal = np.array([-np.conj(component[1]), np.conj(component[0])])
-            kept += scale * outer(component)
-            flipped += scale * outer(orthogonal)
+    for cos_half, sin_half, phase, weight in rule:
+        scale = weight * (q.c1 * cos_half**2 + q.c0 * sin_half**2) ** (2 * j - 1)
+        component = np.array([sq0 * sin_half * phase, sq1 * cos_half])
+        orthogonal = np.array([-np.conj(component[1]), np.conj(component[0])])
+        kept += scale * outer(component)
+        flipped += scale * outer(orthogonal)
     prefactor = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j)
     return prefactor * kept, prefactor * flipped
 

@@ -1,9 +1,15 @@
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpurify
 from qpurify import (
     block_projector,
     block_swap,
@@ -133,6 +139,44 @@ class TestBasisConstruction:
     def test_memory_check_skipped_without_meminfo(self, monkeypatch):
         monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)
         assert build_schur_basis(4).n == 4
+
+
+_BASIS_DIGEST = (
+    "import hashlib; from qpurify import build_schur_basis; spins = build_schur_basis(10).spins; "
+    "print(hashlib.sha256(b''.join(spins[j].tobytes() for j in sorted(spins))).hexdigest())"
+)
+
+
+class TestCouplingPaths:
+    def test_same_bytes_for_one_and_two_blas_threads(self):
+        src = str(Path(qpurify.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SCHUR_CAP="10")
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", _BASIS_DIGEST], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        spins = build_schur_basis(10).spins
+        here = hashlib.sha256(b"".join(spins[j].tobytes() for j in sorted(spins))).hexdigest()
+        assert digests == [here, here]
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_lowering_keeps_every_copy(self, n):
+        basis = build_schur_basis(n)
+        for j, rows in basis.spins.items():
+            for m in range(-j + 1, j + 1):
+                lowered = collective_lowering(rows[:, j + m], n)
+                expected = math.sqrt((j + m) * (j - m + 1)) * rows[:, j + m - 1]
+                assert max_abs(lowered - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_leading_copies_are_the_smaller_register_and_a_singlet(self, n):
+        smaller, basis = build_schur_basis(n - 2), build_schur_basis(n)
+        for j, rows in smaller.spins.items():
+            assert np.array_equal(basis.spins[j][: len(rows)], np.kron(rows, SINGLET.real))
 
 
 def test_multiplicity_completeness_identity_exact():

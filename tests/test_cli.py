@@ -1,3 +1,4 @@
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,26 @@ class TestStats:
                 j, d, p, f = line.split(",")
                 assert float(p) == analytics.block_probability(n, 0.37, int(j))
                 assert float(f) == analytics.block_fidelity(0.37, int(j))
+
+    def test_counts_past_the_int_to_str_limit(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        assert run_cli("stats", "--n", "14300", "--lambda", "0.6", out=path) == 0
+        rows = path.read_text().splitlines()[1:-2]
+        spectrum = analytics.block_spectrum(14300, 0.6).rows
+        assert len(rows) == len(spectrum)
+        scientific = 0
+        for line, row in zip(rows, spectrum):
+            j, d = line.split(",")[:2]
+            assert int(j) == row.j
+            if "e" not in d:
+                assert int(d) == row.multiplicity
+                continue
+            scientific += 1
+            mantissa, exponent = d.split("e")
+            assert 1 <= float(mantissa) < 10
+            error = Fraction(mantissa) * 10 ** int(exponent) - row.multiplicity
+            assert abs(error) * 10**9 <= row.multiplicity
+        assert scientific > 0
 
     def test_tsv_format(self, capsys):
         assert run_cli("stats", "--n", "2", "--lambda", "0.5", "--format", "tsv") == 0
