@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MixedQubit, kron_power, qubit_eigenstates
+from .blocks import dicke_power
+from .core import MixedQubit, qubit_eigenstates
 
 
 def _check_even(n: int) -> None:
@@ -199,19 +200,16 @@ def mean_fidelity_asymptote(n: int, lam: float) -> float:
     return 1.0 - (1.0 - lam) / (2.0 * n * lam * lam)
 
 
-def block_state_matrix(q: MixedQubit, j: int, cap: int | None = None) -> np.ndarray:
-    """Density operator of the 2j qubits kept after a spin-j outcome.
+def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
+    """Density operator of the 2j qubits kept after a spin-j outcome, in Dicke coordinates.
 
-    Diagonal in the Dicke basis rotated to the qubit's Bloch direction,
-    with geometric weights built from the eigenvalues (c1, c0).
+    W diag(w) W^H for W = dicke_power(rot, j), rot the rotation to the Bloch
+    direction, and geometric weights w_k ~ c1^k c0^(2j-k); as 2j qubits it is D^T (this) D.
     """
     if j < 1:
         raise ValueError("the kept block needs j >= 1")
-    from .blocks import dicke_rows  # deferred: blocks depends on this module
-
     aligned, anti = qubit_eigenstates(q)
-    rot = np.column_stack([anti, aligned])  # maps |0> -> |0_n>, |1> -> |1_n>
-    vecs = kron_power(rot, 2 * j, cap) @ dicke_rows(j).T  # rotated Dicke states, m = -j..j
+    rot = dicke_power(np.column_stack([anti, aligned]), j)  # |0> -> |0_n>, |1> -> |1_n>
     ones = np.arange(2 * j + 1)
     weights = q.c1**ones * q.c0 ** (2 * j - ones) / cross_power_sum(q.c1, q.c0, 2 * j)
-    return (vecs * weights) @ vecs.conj().T
+    return (rot * weights) @ rot.conj().T

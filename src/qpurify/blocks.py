@@ -50,6 +50,20 @@ def dicke_rows(j: int) -> np.ndarray:
     return rows / np.sqrt(rows.sum(axis=1, keepdims=True))
 
 
+def dicke_power(u: np.ndarray, j: int) -> np.ndarray:
+    """Symmetric power W = D u^(x 2j) D^T of a 2x2 matrix u on the Dicke rows D.
+
+    W[l, k] is the x^l coefficient of (u00 + u10 x)^(2j-k) (u01 + u11 x)^k
+    times sqrt(C(2j,k) / C(2j,l)).  Convolutions keep zero coefficients, so
+    W is (2j+1)-square for any u; W(uv) = W(u) W(v).
+    """
+    u = np.asarray(u, dtype=complex)
+    factors = [[u[:, 0]] * (2 * j - k) + [u[:, 1]] * k for k in range(2 * j + 1)]
+    w = np.column_stack([functools.reduce(np.convolve, f, np.ones(1, dtype=complex)) for f in factors])
+    binom = np.array([math.comb(2 * j, k) for k in range(2 * j + 1)], dtype=float)
+    return w * np.sqrt(binom / binom[:, None])
+
+
 def dicke_state(j: int, m: int) -> np.ndarray:
     """Symmetric state of 2j qubits with j+m ones, equal real amplitudes."""
     if j < 0 or abs(m) > j:

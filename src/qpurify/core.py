@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_QUBIT_CAP = 10
+DEFAULT_QUBIT_CAP = 12
 CAP_ENV_VAR = "SCHUR_CAP"
 
 # Pauli convention matching the index order above: |1> (index 1) is the +1
@@ -29,12 +29,10 @@ def dense_cap(override: int | None = None) -> int:
     """Maximum register size, in qubits, for dense objects.
 
     The SCHUR_CAP environment variable overrides the built-in default of
-    10 qubits; an explicit ``override`` wins over both.  The default is the
-    largest even register at which ``qpurify verify`` finishes in about a
-    minute (7 s at 10 qubits on a 2-core machine).  At 12 qubits ``simulate
-    --dense`` takes 7 s at 0.6 GB, but ``verify`` takes 244 s at 2.1 GB:
-    the angular quadrature, the 924 reversibility lifts and the covariance
-    check each take over a minute there.
+    12 qubits; an explicit ``override`` wins over both.  The default is the
+    largest even register at which ``qpurify verify`` finishes within a
+    minute on a 2-core machine: 1.5 s at 10 qubits, 40 s at 0.8 GB at 12.
+    At 14 qubits one complex 2^14 x 2^14 matrix alone takes 4.3 GB.
     """
     if override is not None:
         return int(override)

@@ -24,11 +24,10 @@ from .analytics import (
     cross_power_sum,
 )
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import dicke_rows, measure_block  # noqa: F401  (measure_block: callers import it here)
+from .blocks import dicke_power, dicke_rows, measure_block  # noqa: F401  (callers import measure_block here)
 from .core import (
     BlockLabel,
     MixedQubit,
-    dense_cap,
     density_matrix,
     haar_unitary,
     kron_power,
@@ -92,7 +91,7 @@ def verify_decomposition(
     (a) as the probability-weighted sum of predicted blocks, lifted once
     per spin, and (b) as a sum of excitation-number projectors in the
     rotated basis.  Both max-element residuals, together with the residual
-    of each measured (2j+1)-square block against its prediction, must stay
+    of each measured (2j+1)-square block against block_state_matrix, must stay
     below ``tol``; otherwise VerificationError is raised with the offending
     block named and the report attached.
     """
@@ -106,9 +105,8 @@ def verify_decomposition(
     probabilities: dict[BlockLabel, float] = {}
     post_residuals: dict[BlockLabel, float] = {}
     for j, blocks in coords.items():
-        # copy 1 is Dicke rows followed by singlet pairs; relabelling keeps the block
-        dicke = dicke_rows(j)
-        predicted = dicke @ (block_state_matrix(q, j, cap) if j > 0 else np.eye(1)) @ dicke.T
+        # every copy's block is the kept 2j-qubit state in Dicke coordinates
+        predicted = block_state_matrix(q, j) if j > 0 else np.eye(1)
         weighted[j] = (block_probability(n, q.lam, j) / len(blocks)) * predicted
         for alpha, measured in enumerate(blocks, start=1):
             label = BlockLabel(j, alpha)
@@ -179,28 +177,26 @@ def _angular_rule(j: int, nodes: int | None) -> list[tuple[float, float, complex
     ]
 
 
-def quadrature_check(
-    q: MixedQubit, j: int, nodes: int | None = None, cap: int | None = None
-) -> float:
+def quadrature_check(q: MixedQubit, j: int, nodes: int | None = None) -> float:
     """Rebuild the kept-block state from its pure-component integral.
 
     The block state is a rotation average over 2j-fold copies of a single
-    pure state, integrated by ``_angular_rule``.  Returns the max-element
-    residual against block_state_matrix.
+    pure state (b0, b1), integrated by ``_angular_rule``.  Each copy is a
+    spin-coherent state with Dicke coordinates sqrt(C(2j,k)) b1^k b0^(2j-k),
+    so every node costs (2j+1)^2.  Returns the max-element residual against
+    block_state_matrix.
     """
     rule = _angular_rule(j, nodes)
     aligned, anti = qubit_eigenstates(q)
-    sq1 = math.sqrt(q.c1)
-    sq0 = math.sqrt(q.c0)
-    dim = 1 << (2 * j)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for cos_half, sin_half, phase, weight in rule:
-        # unnormalized pure component; its norm^2 supplies the angular weight
-        component = sq1 * cos_half * aligned + sq0 * sin_half * phase * anti
-        psi = kron_power(component, 2 * j, cap)
-        acc += weight * outer(psi)
+    cos_half, sin_half, phase, weight = (np.array(col) for col in zip(*rule))
+    # unnormalized pure components (b0, b1), one row per node; their norm^2 supplies the angular weight
+    b = np.outer(math.sqrt(q.c1) * cos_half, aligned) + np.outer(math.sqrt(q.c0) * sin_half * phase, anti)
+    k = np.arange(2 * j + 1)
+    binom = np.array([math.comb(2 * j, i) for i in k], dtype=float)
+    coherent = np.sqrt(binom) * b[:, 1:] ** k * b[:, :1] ** (2 * j - k)
+    acc = (coherent.T * weight) @ coherent.conj()
     rho_quad = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j) * acc
-    return max_abs(rho_quad - block_state_matrix(q, j, cap))
+    return max_abs(rho_quad - block_state_matrix(q, j))
 
 
 def pure_component_moments(
@@ -265,9 +261,7 @@ def covariant_output_fidelity(
     return state_fidelity(out / np.real(np.trace(out)), target)
 
 
-def optimality_scan(
-    q: MixedQubit, j: int, grid: int = 21, nodes: int | None = None, cap: int | None = None
-) -> ScanResult:
+def optimality_scan(q: MixedQubit, j: int, grid: int = 21, nodes: int | None = None) -> ScanResult:
     """Maximize the covariant-map fidelity over the triangle x, y >= 0, x+y <= 1.
 
     Returns the best grid point; the maximum sits on the y = 0 edge where
@@ -275,8 +269,6 @@ def optimality_scan(
     """
     if j < 1:
         raise ValueError("the scan needs j >= 1")
-    if 2 * j > dense_cap(cap):
-        raise ValueError(f"2j = {2 * j} exceeds the dense cap")
     if grid < 11:
         raise ValueError("need a grid of at least 11 points per edge")
     moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
@@ -310,8 +302,10 @@ def reversibility_check(
 
     Lifting the block of ``label`` onto the first copy, discarding the
     singlet pairs, re-appending fresh singlets and projecting back must
-    reproduce the block exactly.  The tensor power's block coordinates are
-    computed once per (q, n, cap); the cap is checked on every call.
+    reproduce the block exactly.  The round trip contracts copy 1's rows as
+    (2j+1, 2^2j kept, 2^(n-2j) discarded), with no 2^n or 2^2j square matrix.
+    The tensor power's block coordinates are computed once per (q, n, cap);
+    the cap is checked on every call.
     """
     basis = build_schur_basis(n, cap)
     basis.block(label.j, label.alpha)  # label validation
@@ -323,15 +317,12 @@ def reversibility_check(
             "post-measurement state undefined"
         )
     post = measured / prob
-    first = basis.block(label.j, 1)
-    unwound = first.T @ post @ first
-    kept = partial_trace(unwound, range(1, 2 * label.j + 1)) if label.j else np.eye(1)
-    singlets = np.ones(1)
-    for _ in range(n // 2 - label.j):
-        singlets = np.kron(singlets, SINGLET)
-    # project kept ⊗ |singlets><singlets| back onto the first copy
-    back = first.reshape(2 * label.j + 1, kept.shape[0], singlets.size) @ singlets
-    return max_abs(back @ kept @ back.conj().T - post)
+    first = basis.block(label.j, 1).reshape(2 * label.j + 1, 4**label.j, -1)
+    singlets = functools.reduce(np.kron, [SINGLET] * (n // 2 - label.j), np.ones(1))
+    back = first @ singlets  # kept ⊗ |singlets> projected back onto the first copy
+    # kept = sum_r first[:, :, r]^T post first[:, :, r]; back kept back^H, one slice r at a time
+    lift = np.einsum("xa,lar->rxl", back, first)
+    return max_abs((lift @ post @ lift.conj().transpose(0, 2, 1)).sum(axis=0) - post)
 
 
 def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndarray]:
@@ -353,22 +344,19 @@ def covariance_residual(q: MixedQubit, n: int, unitaries, cap: int | None = None
     """Max-element residual of the covariance property of the measurement maps.
 
     For each single-qubit unitary U, applying the map to the rotated input
-    must equal rotating the map output, branch by branch.
+    must equal rotating the map output, branch by branch.  In Dicke coordinates
+    the output is the copies' summed block B and U^(x 2j) acts as W = dicke_power(U, j),
+    so the summed blocks of the lab-frame rotated tensor power must equal W B W^H.
     """
     basis = build_schur_basis(n, cap)
     rho1 = density_matrix(q)
-    base_outs = purification_map_outputs(basis, kron_power(rho1, n, cap))
+    base = {j: blocks.sum(axis=0) for j, blocks in _power_coordinates(q, n, cap).items()}
     worst = 0.0
     for u in unitaries:
-        rotated_in = kron_power(u @ rho1 @ u.conj().T, n, cap)
-        lhs = purification_map_outputs(basis, rotated_in)
-        for m_out, sigma in lhs.items():
-            if m_out == 0:
-                rhs = base_outs[0]
-            else:
-                u_m = kron_power(u, m_out, cap)
-                rhs = u_m @ base_outs[m_out] @ u_m.conj().T
-            worst = max(worst, max_abs(sigma - rhs))
+        rotated = block_coordinates(basis, kron_power(u @ rho1 @ u.conj().T, n, cap))
+        for j, blocks in rotated.items():
+            w = dicke_power(u, j)
+            worst = max(worst, max_abs(blocks.sum(axis=0) - w @ base[j] @ w.conj().T))
     return worst
 
 

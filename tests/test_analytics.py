@@ -25,11 +25,18 @@ from qpurify import (
     yield_asymptote,
     yield_factor,
 )
+from qpurify.blocks import dicke_rows
 
 lam_st = st.floats(0.0, 1.0, allow_nan=False)
 even_n_st = st.integers(1, 20).map(lambda k: 2 * k)
 
 LAM_GRID = [i / 20 for i in range(21)]
+
+
+def lab_block_state(q, j):
+    """block_state_matrix lifted from Dicke coordinates to the 2j kept qubits."""
+    dicke = dicke_rows(j)
+    return dicke.T @ block_state_matrix(q, j) @ dicke
 
 
 def exact_probability(n, lam: Fraction, j) -> Fraction:
@@ -278,19 +285,19 @@ class TestBlockStateMatrix:
     def test_pure_input_gives_aligned_product(self, rng):
         q = MixedQubit(1.0, random_direction(rng))
         aligned = qubit_eigenstates(q)[0]
-        got = block_state_matrix(q, 1)
+        got = lab_block_state(q, 1)
         assert max_abs(got - outer(kron_power(aligned, 2))) < 1e-13
 
     def test_maximally_mixed_gives_uniform_triplet(self):
         from qpurify.blocks import SINGLET
 
-        got = block_state_matrix(MixedQubit(0.0), 1)
+        got = lab_block_state(MixedQubit(0.0), 1)
         triplet = np.eye(4) - outer(SINGLET)
         assert max_abs(got - triplet / 3) < 1e-14
 
     def test_z_axis_weights(self):
         q = MixedQubit(0.5, (0, 0, 1))
-        got = block_state_matrix(q, 1)
+        got = lab_block_state(q, 1)
         c1, c0 = 0.75, 0.25
         norm = c0**2 + c0 * c1 + c1**2
         expected = (
@@ -303,7 +310,7 @@ class TestBlockStateMatrix:
     def test_reduced_qubits_identical_with_block_fidelity(self, rng):
         for lam, j in [(0.3, 1), (0.7, 2), (0.5, 3)]:
             q = MixedQubit(lam, random_direction(rng))
-            rho = block_state_matrix(q, j)
+            rho = lab_block_state(q, j)
             aligned = qubit_eigenstates(q)[0]
             first = partial_trace(rho, [1])
             for k in range(1, 2 * j + 1):

@@ -25,8 +25,8 @@ from qpurify import (
     outer,
     seed_vector,
 )
-from qpurify.blocks import SINGLET, block_coordinates, measure_block
-from qpurify.core import SizeLimitError
+from qpurify.blocks import SINGLET, block_coordinates, dicke_power, dicke_rows, measure_block
+from qpurify.core import MixedQubit, SizeLimitError, qubit_eigenstates
 
 
 def _vector_count(basis):
@@ -57,6 +57,37 @@ class TestDickeState:
             dicke_state(1, 2)
         with pytest.raises(ValueError):
             dicke_state(-1, 0)
+
+
+def _dicke_power_inputs(rng):
+    """Matrices dicke_power must serve, zero entries included."""
+    inputs = {
+        "haar": haar_unitary(rng),
+        "non_unitary": rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        "identity": np.eye(2),
+        "phase": np.diag([1.0, np.exp(0.7j)]),
+        "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    }
+    for sign in (1, -1):
+        aligned, anti = qubit_eigenstates(MixedQubit(0.5, (0.0, 0.0, sign)))
+        inputs[f"rot_z{sign:+d}"] = np.column_stack([anti, aligned])
+    return inputs
+
+
+class TestDickePower:
+    @pytest.mark.parametrize("j", range(5))
+    def test_matches_kronecker_power_on_dicke_rows(self, j, rng):
+        dicke = dicke_rows(j)
+        for name, u in _dicke_power_inputs(rng).items():
+            want = dicke @ kron_power(u, 2 * j) @ dicke.T if j else np.eye(1)
+            got = dicke_power(u, j)
+            assert got.shape == (2 * j + 1, 2 * j + 1), name
+            assert max_abs(got - want) < 1e-12, name
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_multiplicative(self, j, rng):
+        u, v = haar_unitary(rng), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert max_abs(dicke_power(u @ v, j) - dicke_power(u, j) @ dicke_power(v, j)) < 1e-12
 
 
 class TestSeedVector:

@@ -28,6 +28,10 @@ from qpurify import (
     symmetrize_and_compare,
     verify_decomposition,
 )
+from qpurify.analytics import cross_power_sum
+from qpurify.blocks import SINGLET, dicke_rows
+from qpurify.core import outer, qubit_eigenstates
+from qpurify.oracle import _angular_rule
 
 from conftest import random_qubit
 
@@ -107,7 +111,8 @@ class TestMeasureBlock:
             swap = block_swap(basis, label.j, label.alpha)
             moved = post if swap.is_identity else swap.matrix @ post @ swap.matrix.conj().T
             kept = partial_trace(moved, range(1, 2 * label.j + 1))
-            assert max_abs(kept - block_state_matrix(q, label.j)) < 1e-10
+            dicke = dicke_rows(label.j)
+            assert max_abs(kept - dicke.T @ block_state_matrix(q, label.j) @ dicke) < 1e-10
 
     def test_vanishing_outcome_flagged(self):
         basis = build_schur_basis(2)
@@ -200,6 +205,69 @@ class TestCovariance:
         outs = purification_map_outputs(basis, kron_power(density_matrix(q), 4))
         total = math.fsum(np.trace(sigma).real for sigma in outs.values())
         assert abs(total - 1.0) < 1e-10
+
+
+class TestKroneckerReferenceRoutes:
+    """The spin-coordinate checks against their former 2^2j and 2^n routes, written out here."""
+
+    @staticmethod
+    def lab_block_state(q, j):
+        # rotated Dicke states as 2^2j vectors, R^(x 2j) D^T
+        aligned, anti = qubit_eigenstates(q)
+        vecs = kron_power(np.column_stack([anti, aligned]), 2 * j) @ dicke_rows(j).T
+        ones = np.arange(2 * j + 1)
+        weights = q.c1**ones * q.c0 ** (2 * j - ones) / cross_power_sum(q.c1, q.c0, 2 * j)
+        return (vecs * weights) @ vecs.conj().T
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_block_state_and_quadrature(self, j, rng):
+        for q in (random_qubit(rng), MixedQubit(0.6), MixedQubit(1.0, (0.0, 0.0, -1.0))):
+            want = self.lab_block_state(q, j)
+            dicke = dicke_rows(j)
+            assert max_abs(dicke.T @ block_state_matrix(q, j) @ dicke - want) < 1e-12
+            aligned, anti = qubit_eigenstates(q)
+            acc = np.zeros_like(want)
+            for cos_half, sin_half, phase, weight in _angular_rule(j, None):
+                component = math.sqrt(q.c1) * cos_half * aligned + math.sqrt(q.c0) * sin_half * phase * anti
+                acc += weight * outer(kron_power(component, 2 * j))
+            old = max_abs((2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j) * acc - want)
+            assert old < 1e-12
+            assert abs(quadrature_check(q, j) - old) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_reversibility(self, n, rng):
+        q = random_qubit(rng)
+        basis = build_schur_basis(n)
+        state = kron_power(density_matrix(q), n)
+        for label in basis.labels():
+            prob, post = measure_block(state, basis, label)
+            if post is None:
+                continue
+            rows, first = basis.block(label.j, label.alpha), basis.block(label.j, 1)
+            measured = rows @ post @ rows.T  # the post-state's block, relabelled as copy 1
+            unwound = first.T @ measured @ first
+            kept = partial_trace(unwound, range(1, 2 * label.j + 1)) if label.j else np.eye(1)
+            singlets = functools.reduce(np.kron, [SINGLET] * (n // 2 - label.j), np.ones(1))
+            back = first.reshape(2 * label.j + 1, kept.shape[0], singlets.size) @ singlets
+            old = max_abs(back @ kept @ back.conj().T - measured)
+            assert old < 1e-12
+            assert abs(reversibility_check(q, n, label) - old) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_covariance(self, n, rng):
+        q = random_qubit(rng)
+        unitaries = [haar_unitary(rng) for _ in range(3)] + [np.diag([1.0, 1j]), np.array([[0, 1], [1, 0]])]
+        basis = build_schur_basis(n)
+        rho1 = density_matrix(q)
+        base = purification_map_outputs(basis, kron_power(rho1, n))
+        old = 0.0
+        for u in unitaries:
+            lhs = purification_map_outputs(basis, kron_power(u @ rho1 @ u.conj().T, n))
+            for m_out, sigma in lhs.items():
+                u_m = kron_power(u, m_out) if m_out else np.eye(1)
+                old = max(old, max_abs(sigma - u_m @ base[m_out] @ u_m.conj().T))
+        assert old < 1e-12
+        assert abs(covariance_residual(q, n, unitaries) - old) < 1e-12
 
 
 class TestSymmetrization:
