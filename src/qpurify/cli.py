@@ -162,14 +162,11 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     n = _require_even(config.n)
     lam = config.lam
-    if config.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    q = MixedQubit(lam)
+    if not 1 <= config.trials < 2**63:
+        raise UsageError(f"--trials must lie in 1..2**63 - 1, got {config.trials}")
     keep = config.dump_trials is not None
-    if config.dense:
-        summary = protocol.run_protocol_dense(q, n, config.trials, config.seed, keep_outcomes=keep)
-    else:
-        summary = protocol.run_protocol(q, n, config.trials, config.seed, keep_outcomes=keep)
+    run = protocol.run_protocol_dense if config.dense else protocol.run_protocol
+    summary = run(MixedQubit(lam), n, config.trials, config.seed, keep_outcomes=keep)
     if keep:
         protocol.write_outcomes_csv(summary.outcomes, config.dump_trials)
 
@@ -193,6 +190,7 @@ def cmd_simulate(config: RunConfig) -> int:
     config.emit(f"fidelity_z={_num(fidelity_z)}")
     hist = ";".join(f"{j}:{count}" for j, count in sorted(summary.histogram.items()))
     config.emit(f"histogram={hist}")
+    config.emit(f"norm_defect={_num(summary.norm_defect)}")
     ok = abs(yield_z) < 4.0 and abs(fidelity_z) < 4.0
     config.emit(f"status={'pass' if ok else 'fail'}")
     config.flush()

@@ -51,53 +51,63 @@ class SimulationSummary:
     yield_se: float
     empirical_mean_fidelity: float
     fidelity_se: float
+    norm_defect: float  # sum of the outcome probabilities minus one; the draw divides it away
     histogram: dict[int, int]
-    label_histogram: dict[tuple[int, int], int]
+    label_histogram: dict[tuple[int, int], int]  # (j, alpha) counts, dense mode only
     outcomes: list[OutcomeRecord] | None = field(default=None, compare=False)
 
 
-def _standard_error(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a sample holding values[i] counts[i] times."""
+    trials = int(counts.sum())
+    mean = math.fsum(counts * values) / trials
+    variance = math.fsum(counts * (values - mean) ** 2) / max(trials - 1, 1)
+    return mean, math.sqrt(variance / trials)
 
 
-def _summarize(
+def _simulate(
     q: MixedQubit,
     n: int,
     trials: int,
     seed: int,
-    mode: str,
-    js: np.ndarray,
-    alphas: list[int],
-    fidelities: np.ndarray,
     keep_outcomes: bool,
+    mode: str,
+    outcome: tuple[np.ndarray, np.ndarray, np.ndarray],
+    alphas,
+    labels=(),
 ) -> SimulationSummary:
-    J = n // 2
-    yields = 2.0 * js / n
-    counts = np.bincount(js, minlength=J + 1)
-    label_hist: dict[tuple[int, int], int] = {}
-    for jv, av in zip(js, alphas):
-        key = (int(jv), int(av))
-        label_hist[key] = label_hist.get(key, 0) + 1
+    """Draw the counts of all outcomes in one multinomial and reduce them exactly.
+
+    Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``alphas(rng,
+    order)`` gives the copy index of each outcome listed in ``order``."""
+    if not 1 <= trials < 2**63:
+        raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
+    js, probs, fids = outcome
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = rng.multinomial(trials, probs / probs.sum())
     outcomes = None
-    if keep_outcomes:
+    if keep_outcomes:  # drawn after the counts, so the summary stays the same
+        order = rng.permutation(np.repeat(np.arange(len(counts)), counts)).tolist()
+        j_of, fid_of = js.tolist(), fids.tolist()
         outcomes = [
-            OutcomeRecord(t, int(jv), int(av), int(2 * jv), float(fv))
-            for t, (jv, av, fv) in enumerate(zip(js, alphas, fidelities))
+            OutcomeRecord(t, j_of[i], alpha, 2 * j_of[i], fid_of[i])
+            for t, (i, alpha) in enumerate(zip(order, alphas(rng, order)))
         ]
+    empirical_yield, yield_se = _moments(counts, 2.0 * js / n)
+    empirical_fidelity, fidelity_se = _moments(counts, fids)
     return SimulationSummary(
         n=n,
         lam=q.lam,
         trials=trials,
         seed=seed,
         mode=mode,
-        empirical_yield=float(np.mean(yields)),
-        yield_se=_standard_error(yields),
-        empirical_mean_fidelity=float(np.mean(fidelities)),
-        fidelity_se=_standard_error(fidelities),
-        histogram={j: int(c) for j, c in enumerate(counts)},
-        label_histogram=dict(sorted(label_hist.items())),
+        empirical_yield=empirical_yield,
+        yield_se=yield_se,
+        empirical_mean_fidelity=empirical_fidelity,
+        fidelity_se=fidelity_se,
+        norm_defect=math.fsum(probs) - 1.0,
+        histogram={j: int(c) for j, c in enumerate(np.bincount(js, counts, n // 2 + 1))},
+        label_histogram={(lab.j, lab.alpha): int(c) for lab, c in zip(labels, counts) if c},
         outcomes=outcomes,
     )
 
@@ -107,25 +117,23 @@ def run_protocol(
 ) -> SimulationSummary:
     """Sample the protocol outcome distribution from the closed forms.
 
-    Each trial draws the total spin j with its block probability and the
-    copy index alpha uniformly among the d_j copies; the kept-qubit count
-    2j and their fidelity follow deterministically.  Results are
-    bit-reproducible for a given seed.
+    The post-measurement state depends only on the total spin j, so one
+    multinomial draw of the j counts gives every average exactly, at a cost
+    that does not grow with ``trials``.  With ``keep_outcomes`` each trial
+    also gets a copy index alpha, uniform among its d_j copies.  Results
+    are bit-reproducible for a given seed.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     spect = analytics.block_spectrum(n, q.lam)
     probs = spect.probabilities()
-    probs = probs / probs.sum()
-    fids = spect.fidelities()
     mults = spect.multiplicities()
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    js = rng.choice(len(probs), size=trials, p=probs)
-    # exact uniform copy indices even when d_j exceeds 64-bit range
-    alpha_rng = pyrandom.Random(int(rng.integers(0, 2**63)))
-    alphas = [alpha_rng.randrange(mults[jv]) + 1 for jv in js]
-    return _summarize(q, n, trials, seed, "fast", js, alphas, fids[js], keep_outcomes)
+    def alphas(rng, order):
+        # exact uniform copy indices even when d_j exceeds 64-bit range
+        alpha_rng = pyrandom.Random(int(rng.integers(0, 2**63)))
+        return [alpha_rng.randrange(mults[j]) + 1 for j in order]
+
+    outcome = (np.arange(len(probs)), probs, spect.fidelities())
+    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, alphas)
 
 
 def run_protocol_dense(
@@ -142,11 +150,9 @@ def run_protocol_dense(
     coordinates: the trace of a copy's block B is its probability, and
     after relabelling it as the first copy and discarding the singlet
     pairs, the 2j kept qubits are in D^T B D for the Dicke rows D.  Outcome
-    states depend only on the block label, so they are computed once per
-    label and reused across trials.
+    states depend only on the block label, so the (j, alpha) label counts
+    come from one multinomial draw over the block traces.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     basis = build_schur_basis(n, cap)
     coords = block_coordinates(basis, kron_power(density_matrix(q), n, cap))
     target = qubit_eigenstates(q)[0]
@@ -157,9 +163,9 @@ def run_protocol_dense(
     for i, label in enumerate(labels):
         block = coords[label.j][label.alpha - 1]
         prob = float(np.trace(block).real)
-        probs[i] = max(prob, 0.0)
         if prob < _PROB_FLOOR:
-            continue  # never sampled; probability renormalizes to zero
+            continue  # never drawn: its probability stays zero
+        probs[i] = prob
         if label.j == 0:
             # nothing kept; use the continuity value so averages stay
             # comparable with the fast path
@@ -172,13 +178,9 @@ def run_protocol_dense(
                 np.mean([state_fidelity(partial_trace(state, [k]), target) for k in kept])
             )
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    picks = rng.choice(len(labels), size=trials, p=probs / probs.sum())
-    label_j = np.array([label.j for label in labels])
-    label_alpha = [label.alpha for label in labels]
-    js = label_j[picks]
-    alphas = [label_alpha[i] for i in picks]
-    return _summarize(q, n, trials, seed, "dense", js, alphas, fids[picks], keep_outcomes)
+    outcome = (np.array([label.j for label in labels]), probs, fids)
+    alphas = lambda rng, order: [labels[i].alpha for i in order]
+    return _simulate(q, n, trials, seed, keep_outcomes, "dense", outcome, alphas, labels)
 
 
 def write_outcomes_csv(outcomes, dest) -> None:

@@ -127,6 +127,15 @@ class TestSimulate:
         assert abs(float(fields["yield_z"])) < 4
         assert abs(float(fields["fidelity_z"])) < 4
         assert fields["status"] == "pass"
+        lines = path.read_text().splitlines()
+        assert lines[-2] == f"norm_defect={fields['norm_defect']}"
+        assert abs(float(fields["norm_defect"])) < 1e-12
+
+    def test_trial_count_out_of_range_usage_error(self, capsys):
+        for trials in ("0", str(2**63)):
+            args = ("simulate", "--n", "4", "--lambda", "0.5", "--trials", trials, "--seed", "1")
+            assert run_cli(*args) == 2
+            assert "--trials must lie in" in capsys.readouterr().err
 
     def test_pure_input_exact_yield(self, tmp_path):
         path = tmp_path / "sim.txt"

@@ -8,6 +8,10 @@ from scipy import stats
 from qpurify import (
     MixedQubit,
     block_probability,
+    block_spectrum,
+    build_schur_basis,
+    density_matrix,
+    kron_power,
     mean_fidelity,
     multiplicity,
     run_protocol,
@@ -58,11 +62,57 @@ class TestFastPath:
 
     def test_copy_index_uniform_within_spin(self):
         n, lam = 4, 0.5
-        summary = run_protocol(MixedQubit(lam), n, trials=200_000, seed=8)
+        summary = run_protocol(MixedQubit(lam), n, trials=200_000, seed=8, keep_outcomes=True)
         for j in (0, 1):
-            d = multiplicity(n, j)
-            counts = [summary.label_histogram.get((j, alpha), 0) for alpha in range(1, d + 1)]
+            alphas = [rec.alpha for rec in summary.outcomes if rec.j == j]
+            counts = np.bincount(alphas, minlength=multiplicity(n, j) + 1)[1:]
+            assert len(counts) == multiplicity(n, j)
             assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_summary_from_counts_matches_per_trial_records(self):
+        for summary in (
+            run_protocol(MixedQubit(0.6), 20, trials=20_000, seed=13, keep_outcomes=True),
+            run_protocol_dense(MixedQubit(0.5, (0.6, 0.0, 0.8)), 6, 5000, 13, keep_outcomes=True),
+        ):
+            yields = np.array([2 * rec.j / summary.n for rec in summary.outcomes])
+            fids = np.array([rec.fidelity for rec in summary.outcomes])
+            root_t = math.sqrt(summary.trials)
+            assert summary.empirical_yield == pytest.approx(np.mean(yields), abs=1e-12)
+            assert summary.yield_se == pytest.approx(np.std(yields, ddof=1) / root_t, abs=1e-12)
+            assert summary.empirical_mean_fidelity == pytest.approx(np.mean(fids), abs=1e-12)
+            assert summary.fidelity_se == pytest.approx(np.std(fids, ddof=1) / root_t, abs=1e-12)
+            assert summary.yield_se > 0 and summary.fidelity_se > 0
+
+    def test_summary_does_not_depend_on_keep_outcomes(self):
+        q = MixedQubit(0.6)
+        kept = run_protocol(q, 30, trials=10_000, seed=17, keep_outcomes=True)
+        plain = run_protocol(q, 30, trials=10_000, seed=17)
+        assert plain == kept
+        assert plain.outcomes is None and len(kept.outcomes) == 10_000
+        assert np.bincount([rec.j for rec in kept.outcomes], minlength=16).tolist() == list(
+            plain.histogram.values()
+        )
+        dense_q = MixedQubit(0.5, (0.6, 0.0, 0.8))
+        assert run_protocol_dense(dense_q, 4, 3000, 17, keep_outcomes=True) == run_protocol_dense(
+            dense_q, 4, 3000, 17
+        )
+
+    def test_billion_trials_in_one_draw(self):
+        n, lam, trials = 1000, 0.6, 10**9
+        summary = run_protocol(MixedQubit(lam), n, trials=trials, seed=1)
+        assert sum(summary.histogram.values()) == trials
+        assert summary.label_histogram == {}
+        assert abs(summary.empirical_yield - yield_factor(n, lam)) < 4 * summary.yield_se
+        assert (
+            abs(summary.empirical_mean_fidelity - mean_fidelity(n, lam))
+            < 4 * summary.fidelity_se
+        )
+
+    def test_norm_defect_is_reported(self):
+        summary = run_protocol(MixedQubit(0.6), 1000, trials=10, seed=1)
+        probs = block_spectrum(1000, 0.6).probabilities()
+        assert summary.norm_defect == math.fsum(probs) - 1.0
+        assert 0 < abs(summary.norm_defect) < 1e-12
 
     def test_records_shape(self):
         summary = run_protocol(MixedQubit(0.5), 4, trials=200, seed=2, keep_outcomes=True)
@@ -80,6 +130,8 @@ class TestFastPath:
             run_protocol(MixedQubit(0.5), 3, trials=10, seed=0)
         with pytest.raises(ValueError):
             run_protocol(MixedQubit(0.5), 4, trials=0, seed=0)
+        with pytest.raises(ValueError):
+            run_protocol(MixedQubit(0.5), 4, trials=2**63, seed=0)
 
 
 class TestDensePath:
@@ -88,6 +140,24 @@ class TestDensePath:
         a = run_protocol_dense(q, 4, trials=2000, seed=21)
         b = run_protocol_dense(q, 4, trials=2000, seed=21)
         assert a == b
+
+    def test_label_histogram_from_counts(self):
+        from qpurify.blocks import block_coordinates
+
+        n, trials = 4, 20_000
+        for q in (MixedQubit(0.5, (0.6, 0.0, 0.8)), MixedQubit(1.0, (0.0, 0.6, 0.8))):
+            summary = run_protocol_dense(q, n, trials=trials, seed=19)
+            coords = block_coordinates(build_schur_basis(n), kron_power(density_matrix(q), n))
+            traces = {
+                (j, a + 1): np.trace(b).real for j, bs in coords.items() for a, b in enumerate(bs)
+            }
+            assert sum(summary.label_histogram.values()) == trials
+            assert all(traces[label] > 1e-14 for label in summary.label_histogram)
+            folded = {j: 0 for j in range(n // 2 + 1)}
+            for (j, _), count in summary.label_histogram.items():
+                folded[j] += count
+            assert folded == summary.histogram
+        assert summary.label_histogram == {(2, 1): trials}
 
     def test_maximally_mixed_two_qubits(self):
         summary = run_protocol_dense(MixedQubit(0.0), 2, trials=100_000, seed=4)
