@@ -162,11 +162,14 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     n = _require_even(config.n)
     lam = config.lam
-    if not 1 <= config.trials < 2**63:
-        raise UsageError(f"--trials must lie in 1..2**63 - 1, got {config.trials}")
     keep = config.dump_trials is not None
     run = protocol.run_protocol_dense if config.dense else protocol.run_protocol
-    summary = run(MixedQubit(lam), n, config.trials, config.seed, keep_outcomes=keep)
+    try:
+        summary = run(MixedQubit(lam), n, config.trials, config.seed, keep_outcomes=keep)
+    except SizeLimitError:
+        raise
+    except ValueError as exc:  # the trial count, checked before any work
+        raise UsageError(f"--{exc}") from exc
     if keep:
         protocol.write_outcomes_csv(summary.outcomes, config.dump_trials)
 

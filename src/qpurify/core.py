@@ -22,7 +22,7 @@ CAP_ENV_VAR = "SCHUR_CAP"
 
 
 class SizeLimitError(ValueError):
-    """A dense 2^N-dimensional object would exceed the cap, or the cap is unreadable."""
+    """A request would exceed the dense cap or the available memory, or the cap is unreadable."""
 
 
 def dense_cap(override: int | None = None) -> int:

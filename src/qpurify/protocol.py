@@ -8,17 +8,20 @@ within the cap.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 import random as pyrandom
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytics
+from . import analytics, blocks
 from .blocks import _PROB_FLOOR, block_coordinates, build_schur_basis, dicke_rows
 from .core import (
     MixedQubit,
+    SizeLimitError,
     density_matrix,
     kron_power,
     partial_trace,
@@ -38,6 +41,58 @@ class OutcomeRecord:
     fidelity: float
 
 
+_CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text
+
+
+@dataclass(frozen=True, eq=False)
+class TrialOutcomes:
+    """The per-trial records of a simulation, made on demand from its outcome order.
+
+    Trial t fell on outcome ``order[t]``, which has spin ``js[i]`` and
+    fidelity ``fids[i]``.  In dense mode ``copies[i]`` is the outcome's copy
+    index; in fast mode it is the multiplicity d_j, and the trials draw
+    their copy indices in trial order, uniform in 1..d_j, from one
+    ``random.Random(alpha_seed)``.  Holds 8 bytes per trial; iteration
+    yields ``OutcomeRecord``s, and indexing walks the draws up to the index.
+    """
+
+    order: np.ndarray
+    js: list[int]
+    fids: list[float]
+    copies: list[int]
+    alpha_seed: int | None
+
+    def _chunks(self):
+        """(trial numbers, outcome indices, copy indices) of consecutive chunks."""
+        draw = None if self.alpha_seed is None else pyrandom.Random(self.alpha_seed).randrange
+        copies = self.copies
+        for start in range(0, len(self.order), _CHUNK):
+            idx = self.order[start : start + _CHUNK].tolist()
+            if draw is None:
+                alphas = [copies[i] for i in idx]
+            else:  # exact uniform copy indices even when d_j exceeds 64-bit range
+                alphas = [draw(copies[i]) + 1 for i in idx]
+            yield range(start, start + len(idx)), idx, alphas
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        js, fids = self.js, self.fids
+        for trials, idx, alphas in self._chunks():
+            for t, i, alpha in zip(trials, idx, alphas):
+                yield OutcomeRecord(t, js[i], alpha, 2 * js[i], fids[i])
+
+    def __getitem__(self, t: int) -> OutcomeRecord:
+        t = range(len(self))[operator.index(t)]  # IndexError outside, negatives count back
+        return next(itertools.islice(self, t, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialOutcomes):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass
 class SimulationSummary:
     """Aggregates of a simulation, reproducible from (n, lam, trials, seed)."""
@@ -54,7 +109,7 @@ class SimulationSummary:
     norm_defect: float  # sum of the outcome probabilities minus one; the draw divides it away
     histogram: dict[int, int]
     label_histogram: dict[tuple[int, int], int]  # (j, alpha) counts, dense mode only
-    outcomes: list[OutcomeRecord] | None = field(default=None, compare=False)
+    outcomes: TrialOutcomes | None = field(default=None, compare=False)
 
 
 def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -65,6 +120,19 @@ def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(variance / trials)
 
 
+def _check_trials(trials: int, keep_outcomes: bool) -> None:
+    """Reject a trial count outside 1..2**63 - 1, or a per-trial outcome
+    order (8 bytes a trial) larger than the available memory."""
+    if not 1 <= trials < 2**63:
+        raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
+    available = blocks._mem_available_bytes() if keep_outcomes else None
+    if available is not None and 8 * trials > available:
+        raise SizeLimitError(
+            f"keeping {trials} trial outcomes needs about {8 * trials / 2**20:.3g} MiB, "
+            f"more than the {available / 2**20:.3g} MiB available"
+        )
+
+
 def _simulate(
     q: MixedQubit,
     n: int,
@@ -73,26 +141,22 @@ def _simulate(
     keep_outcomes: bool,
     mode: str,
     outcome: tuple[np.ndarray, np.ndarray, np.ndarray],
-    alphas,
+    copies: list[int],
     labels=(),
 ) -> SimulationSummary:
     """Draw the counts of all outcomes in one multinomial and reduce them exactly.
 
-    Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``alphas(rng,
-    order)`` gives the copy index of each outcome listed in ``order``."""
-    if not 1 <= trials < 2**63:
-        raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
+    Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``copies``
+    is as in ``TrialOutcomes``."""
     js, probs, fids = outcome
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(trials, probs / probs.sum())
     outcomes = None
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
-        order = rng.permutation(np.repeat(np.arange(len(counts)), counts)).tolist()
-        j_of, fid_of = js.tolist(), fids.tolist()
-        outcomes = [
-            OutcomeRecord(t, j_of[i], alpha, 2 * j_of[i], fid_of[i])
-            for t, (i, alpha) in enumerate(zip(order, alphas(rng, order)))
-        ]
+        order = np.repeat(np.arange(len(counts)), counts)
+        rng.shuffle(order)  # the draws of rng.permutation, without its copy
+        alpha_seed = int(rng.integers(0, 2**63)) if mode == "fast" else None
+        outcomes = TrialOutcomes(order, js.tolist(), fids.tolist(), copies, alpha_seed)
     empirical_yield, yield_se = _moments(counts, 2.0 * js / n)
     empirical_fidelity, fidelity_se = _moments(counts, fids)
     return SimulationSummary(
@@ -120,20 +184,15 @@ def run_protocol(
     The post-measurement state depends only on the total spin j, so one
     multinomial draw of the j counts gives every average exactly, at a cost
     that does not grow with ``trials``.  With ``keep_outcomes`` each trial
-    also gets a copy index alpha, uniform among its d_j copies.  Results
-    are bit-reproducible for a given seed.
+    also gets a copy index alpha, uniform among its d_j copies, and
+    ``outcomes`` holds 8 bytes a trial (SizeLimitError if that exceeds the
+    available memory).  Results are bit-reproducible for a given seed.
     """
+    _check_trials(trials, keep_outcomes)
     spect = analytics.block_spectrum(n, q.lam)
     probs = spect.probabilities()
-    mults = spect.multiplicities()
-
-    def alphas(rng, order):
-        # exact uniform copy indices even when d_j exceeds 64-bit range
-        alpha_rng = pyrandom.Random(int(rng.integers(0, 2**63)))
-        return [alpha_rng.randrange(mults[j]) + 1 for j in order]
-
     outcome = (np.arange(len(probs)), probs, spect.fidelities())
-    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, alphas)
+    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities())
 
 
 def run_protocol_dense(
@@ -153,6 +212,7 @@ def run_protocol_dense(
     states depend only on the block label, so the (j, alpha) label counts
     come from one multinomial draw over the block traces.
     """
+    _check_trials(trials, keep_outcomes)
     basis = build_schur_basis(n, cap)
     coords = block_coordinates(basis, kron_power(density_matrix(q), n, cap))
     target = qubit_eigenstates(q)[0]
@@ -179,20 +239,23 @@ def run_protocol_dense(
             )
 
     outcome = (np.array([label.j for label in labels]), probs, fids)
-    alphas = lambda rng, order: [labels[i].alpha for i in order]
-    return _simulate(q, n, trials, seed, keep_outcomes, "dense", outcome, alphas, labels)
+    copies = [label.alpha for label in labels]
+    return _simulate(q, n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
 
 
-def write_outcomes_csv(outcomes, dest) -> None:
-    """Dump per-trial records as CSV rows ``trial,j,alpha,kept,fidelity``."""
+def write_outcomes_csv(outcomes: TrialOutcomes, dest) -> None:
+    """Dump per-trial records as CSV rows ``trial,j,alpha,kept,fidelity``.
+
+    The text is built and written one chunk of trials at a time, from
+    per-outcome ``,j,`` and ``,kept,fidelity`` strings."""
+    head = [f",{j}," for j in outcomes.js]
+    tail = [f",{2 * j},{fid!r}\n" for j, fid in zip(outcomes.js, outcomes.fids)]
     own = isinstance(dest, (str, os.PathLike))
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         fh.write("trial,j,alpha,kept,fidelity\n")
-        for rec in outcomes:
-            fh.write(
-                f"{rec.trial},{rec.j},{rec.alpha},{rec.kept_qubits},{float(rec.fidelity)!r}\n"
-            )
+        for trials, idx, alphas in outcomes._chunks():
+            fh.write("".join([f"{t}{head[i]}{a}{tail[i]}" for t, i, a in zip(trials, idx, alphas)]))
     finally:
         if own:
             fh.close()

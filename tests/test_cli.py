@@ -137,6 +137,16 @@ class TestSimulate:
             assert run_cli(*args) == 2
             assert "--trials must lie in" in capsys.readouterr().err
 
+    def test_oversized_dump_usage_error(self, tmp_path, capsys):
+        # 8 bytes a trial at 2**62 trials is 32 EiB: refused before anything is allocated
+        dump = tmp_path / "trials.csv"
+        args = ("simulate", "--n", "20", "--lambda", "0.6", "--trials", str(2**62), "--seed", "1")
+        assert run_cli(*args, "--dump-trials", str(dump)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: keeping {2**62} trial outcomes needs about")
+        assert err.count("\n") == 1
+        assert not dump.exists()
+
     def test_pure_input_exact_yield(self, tmp_path):
         path = tmp_path / "sim.txt"
         assert (

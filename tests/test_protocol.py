@@ -1,5 +1,7 @@
+import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy import stats
 
 from qpurify import (
     MixedQubit,
+    SizeLimitError,
     block_probability,
     block_spectrum,
     build_schur_basis,
@@ -199,8 +202,6 @@ class TestDensePath:
                 assert rec.fidelity == pytest.approx(expected[rec.j], abs=1e-12)
 
     def test_cap_enforced(self):
-        from qpurify import SizeLimitError
-
         with pytest.raises(SizeLimitError):
             run_protocol_dense(MixedQubit(0.5), 14, trials=10, seed=0)
 
@@ -216,3 +217,57 @@ def test_outcome_csv_roundtrip():
     rec = summary.outcomes[0]
     assert (int(trial), int(j), int(alpha), int(kept)) == (0, rec.j, rec.alpha, rec.kept_qubits)
     assert float(fid) == rec.fidelity  # loss-free round trip
+
+
+@pytest.mark.parametrize(
+    ("n", "trials", "seed", "dense", "digest"),
+    [
+        (20, 5000, 9, False, "0c2de38423b6b236"),
+        (100, 100_000, 3, False, "91ab2ef9835596e4"),
+        (4, 500, 2, True, "458c9afdff419372"),
+    ],
+)
+def test_outcome_csv_golden(n, trials, seed, dense, digest):
+    # sha256 prefixes of `simulate --lambda 0.6 ... --dump-trials`, pinning the seed -> CSV mapping
+    run = run_protocol_dense if dense else run_protocol
+    buf = io.StringIO()
+    write_outcomes_csv(run(MixedQubit(0.6), n, trials, seed, keep_outcomes=True).outcomes, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == digest
+
+
+def test_outcomes_iterate_and_index_repeatably():
+    for summary in (
+        run_protocol(MixedQubit(0.6), 100, 70_000, 5, keep_outcomes=True),
+        run_protocol_dense(MixedQubit(0.6), 4, 300, 5, keep_outcomes=True),
+    ):
+        first = list(summary.outcomes)
+        assert list(summary.outcomes) == first and len(first) == summary.trials
+        assert [rec.trial for rec in first] == list(range(summary.trials))
+        assert summary.outcomes[-1] == first[-1] and summary.outcomes[70] == first[70]
+        with pytest.raises(IndexError):
+            summary.outcomes[summary.trials]
+
+
+def test_outcome_dump_memory_is_bounded(tmp_path):
+    # one 8-byte index per trial plus one chunk of text; a list of records reached 195 MB
+    tracemalloc.start()
+    try:
+        summary = run_protocol(MixedQubit(0.6), 100, 10**6, 3, keep_outcomes=True)
+        write_outcomes_csv(summary.outcomes, tmp_path / "trials.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert len(summary.outcomes) == 10**6
+
+
+def test_kept_outcomes_must_fit_in_memory(monkeypatch):
+    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 8 * 999)
+    with pytest.raises(SizeLimitError):
+        run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True)
+    with pytest.raises(SizeLimitError):
+        run_protocol_dense(MixedQubit(0.6), 4, 1000, 1, keep_outcomes=True)
+    assert run_protocol(MixedQubit(0.6), 20, 1000, 1).outcomes is None
+    assert len(run_protocol(MixedQubit(0.6), 20, 999, 1, keep_outcomes=True).outcomes) == 999
+    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)
+    assert len(run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True).outcomes) == 1000
