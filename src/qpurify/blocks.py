@@ -185,7 +185,7 @@ def _mem_available_bytes() -> int | None:
         return None
 
 
-def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
+def build_schur_basis(n: int) -> SchurBasis:
     """Full orthonormal block basis of an even register of n qubits.
 
     Qubit pairs couple in register order; alpha numbers the coupling paths
@@ -196,8 +196,8 @@ def build_schur_basis(n: int, cap: int | None = None) -> SchurBasis:
     matrices, would not fit in the available memory.
     """
     _check_register(n)
-    if n > dense_cap(cap):
-        raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap(cap)} qubits")
+    if n > dense_cap():
+        raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap()} qubits")
     needed, available = 8 * 16 * 4**n, _mem_available_bytes()
     if available is not None and needed > available:
         raise SizeLimitError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,46 +30,6 @@ class UsageError(ValueError):
     """Bad command-line configuration (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    """Validated per-command configuration."""
-
-    command: str
-    n: int | None = None
-    m: float | None = None
-    lams: tuple[float, ...] = ()
-    trials: int = 0
-    seed: int = 0
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    dense: bool = False
-    plot: str | None = None
-    dump_trials: str | None = None
-    lines: list[str] = field(default_factory=list, repr=False)
-
-    @property
-    def delim(self) -> str:
-        return "\t" if self.fmt == "tsv" else ","
-
-    @property
-    def lam(self) -> float:
-        if len(self.lams) != 1:
-            raise UsageError("this command takes a single --lambda value")
-        return self.lams[0]
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-
-    def flush(self) -> None:
-        text = "".join(line + "\n" for line in self.lines)
-        if self.out:
-            with open(self.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-
 def _num(x) -> str:
     return repr(float(x))
 
@@ -86,6 +45,15 @@ def _parse_lambdas(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_clones(raw: str) -> float:
+    if raw.lower() in ("inf", "infinity"):
+        return math.inf
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise UsageError(f"--m must be an integer or 'inf', got {raw!r}") from exc
+
+
 def _count(d: int) -> str:
     """An exact integer up to Python's int-to-str limit, <mantissa>e<exponent> above it."""
     try:
@@ -95,42 +63,37 @@ def _count(d: int) -> str:
         return f"{_num(10 ** (log - math.floor(log)))}e{math.floor(log)}"
 
 
-def _require_even(n: int | None) -> int:
-    if n is None:
-        raise UsageError("--n is required")
+def _require_even(n: int) -> int:
     if n < 2 or n % 2:
         raise UsageError(f"N must be even and positive, got {n}")
     return n
 
 
-def cmd_stats(config: RunConfig) -> int:
-    n = _require_even(config.n)
-    lam = config.lam
+def _register(n: int, lams: tuple[float, ...]) -> tuple[int, float]:
+    """The even register size and the one Bloch length of a single-input command."""
+    n = _require_even(n)
+    if len(lams) != 1:
+        raise UsageError("this command takes a single --lambda value")
+    return n, lams[0]
+
+
+def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    n, lam = _register(args.n, _parse_lambdas(args.lam))
     spect = analytics.block_spectrum(n, lam)
-    d = config.delim
-    config.emit(d.join(("j", "d_j", "p_j", "f_j")))
+    lines = [d.join(("j", "d_j", "p_j", "f_j"))]
     for row in spect.rows:
-        config.emit(d.join((str(row.j), _count(row.multiplicity), _num(row.probability), _num(row.fidelity))))
-    config.emit(f"yield={_num(analytics.yield_factor(n, lam))}")
-    config.emit(f"mean_fidelity={_num(analytics.mean_fidelity(n, lam))}")
-    config.flush()
-    return 0
+        lines.append(d.join((str(row.j), _count(row.multiplicity), _num(row.probability), _num(row.fidelity))))
+    lines.append(f"yield={_num(analytics.yield_factor(n, lam))}")
+    lines.append(f"mean_fidelity={_num(analytics.mean_fidelity(n, lam))}")
+    return 0, lines
 
 
-def cmd_verify(config: RunConfig) -> int:
-    n = _require_even(config.n)
-    lam = config.lam
-    tol = config.tol if config.tol is not None else default_tolerance(n)
-    rng = np.random.Generator(np.random.Philox(config.seed))
+def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    n, lam = _register(args.n, _parse_lambdas(args.lam))
+    tol = args.tol if args.tol is not None else default_tolerance(n)
+    rng = np.random.Generator(np.random.Philox(args.seed))
     direction = random_direction(rng)
     q = MixedQubit(lam, direction)
-    d = config.delim
-
-    config.emit(
-        f"# n={n} lambda={_num(lam)} direction=({_num(direction[0])},{_num(direction[1])},"
-        f"{_num(direction[2])}) tol={_num(tol)} seed={config.seed}"
-    )
-    config.emit(d.join(("check", "label", "residual")))
 
     rows: list[tuple[str, str, float]] = []
     try:
@@ -150,54 +113,53 @@ def cmd_verify(config: RunConfig) -> int:
     unitaries = [haar_unitary(rng) for _ in range(5)]
     rows.append(("covariance", "max_over_5_unitaries", covariance_residual(q, n, unitaries)))
 
-    ok = True
-    for check, label, residual in rows:
-        config.emit(d.join((check, label, _num(residual))))
-        ok = ok and residual < tol
-    config.emit(f"status={'pass' if ok else 'fail'}")
-    config.flush()
-    return 0 if ok else 1
+    ok = all(residual < tol for _, _, residual in rows)
+    return 0 if ok else 1, [
+        f"# n={n} lambda={_num(lam)} direction=({_num(direction[0])},{_num(direction[1])},"
+        f"{_num(direction[2])}) tol={_num(tol)} seed={args.seed}",
+        d.join(("check", "label", "residual")),
+        *(d.join((check, label, _num(residual))) for check, label, residual in rows),
+        f"status={'pass' if ok else 'fail'}",
+    ]
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    n = _require_even(config.n)
-    lam = config.lam
-    keep = config.dump_trials is not None
-    run = protocol.run_protocol_dense if config.dense else protocol.run_protocol
+def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    n, lam = _register(args.n, _parse_lambdas(args.lam))
+    keep = args.dump_trials is not None
+    run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     try:
-        summary = run(MixedQubit(lam), n, config.trials, config.seed, keep_outcomes=keep)
+        summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
     except SizeLimitError:
         raise
     except ValueError as exc:  # the trial count, checked before any work
         raise UsageError(f"--{exc}") from exc
     if keep:
-        protocol.write_outcomes_csv(summary.outcomes, config.dump_trials)
+        protocol.write_outcomes_csv(summary.outcomes, args.dump_trials)
 
     yield_target = analytics.yield_factor(n, lam)
     fidelity_target = analytics.mean_fidelity(n, lam)
     yield_z = _z_score(summary.empirical_yield, yield_target, summary.yield_se)
     fidelity_z = _z_score(summary.empirical_mean_fidelity, fidelity_target, summary.fidelity_se)
-
-    config.emit(f"n={n}")
-    config.emit(f"lambda={_num(lam)}")
-    config.emit(f"trials={config.trials}")
-    config.emit(f"seed={config.seed}")
-    config.emit(f"mode={summary.mode}")
-    config.emit(f"empirical_yield={_num(summary.empirical_yield)}")
-    config.emit(f"yield_se={_num(summary.yield_se)}")
-    config.emit(f"yield_target={_num(yield_target)}")
-    config.emit(f"yield_z={_num(yield_z)}")
-    config.emit(f"empirical_mean_fidelity={_num(summary.empirical_mean_fidelity)}")
-    config.emit(f"fidelity_se={_num(summary.fidelity_se)}")
-    config.emit(f"fidelity_target={_num(fidelity_target)}")
-    config.emit(f"fidelity_z={_num(fidelity_z)}")
     hist = ";".join(f"{j}:{count}" for j, count in sorted(summary.histogram.items()))
-    config.emit(f"histogram={hist}")
-    config.emit(f"norm_defect={_num(summary.norm_defect)}")
     ok = abs(yield_z) < 4.0 and abs(fidelity_z) < 4.0
-    config.emit(f"status={'pass' if ok else 'fail'}")
-    config.flush()
-    return 0 if ok else 1
+    return 0 if ok else 1, [
+        f"n={n}",
+        f"lambda={_num(lam)}",
+        f"trials={args.trials}",
+        f"seed={args.seed}",
+        f"mode={summary.mode}",
+        f"empirical_yield={_num(summary.empirical_yield)}",
+        f"yield_se={_num(summary.yield_se)}",
+        f"yield_target={_num(yield_target)}",
+        f"yield_z={_num(yield_z)}",
+        f"empirical_mean_fidelity={_num(summary.empirical_mean_fidelity)}",
+        f"fidelity_se={_num(summary.fidelity_se)}",
+        f"fidelity_target={_num(fidelity_target)}",
+        f"fidelity_z={_num(fidelity_z)}",
+        f"histogram={hist}",
+        f"norm_defect={_num(summary.norm_defect)}",
+        f"status={'pass' if ok else 'fail'}",
+    ]
 
 
 def _z_score(value: float, target: float, se: float) -> float:
@@ -207,22 +169,16 @@ def _z_score(value: float, target: float, se: float) -> float:
     return diff / se
 
 
-def cmd_figure1(config: RunConfig) -> int:
-    n_max = _require_even(config.n if config.n is not None else 40)
-    lams = config.lams or (0.2, 0.4, 0.6, 0.8, 1.0)
-    d = config.delim
-    config.emit(d.join(("N", "lambda", "lambda_mix_inf")))
-    curves = {}
-    n_values = list(range(2, n_max + 1, 2))
+def cmd_figure1(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    lams = _parse_lambdas(args.lam)
+    n_values = list(range(2, _require_even(args.n) + 1, 2))
+    curves = {lam: [cloning.estimation_lambda(n, lam) for n in n_values] for lam in lams}
+    if args.plot:
+        _render_figure1(args.plot, n_values, curves)
+    lines = [d.join(("N", "lambda", "lambda_mix_inf"))]
     for lam in lams:
-        curve = [cloning.estimation_lambda(n, lam) for n in n_values]
-        curves[lam] = curve
-        for n, value in zip(n_values, curve):
-            config.emit(d.join((str(n), _num(lam), _num(value))))
-    config.flush()
-    if config.plot:
-        _render_figure1(config.plot, n_values, curves)
-    return 0
+        lines.extend(d.join((str(n), _num(lam), _num(value))) for n, value in zip(n_values, curves[lam]))
+    return 0, lines
 
 
 def _render_figure1(path: str, n_values, curves) -> None:
@@ -245,30 +201,26 @@ def _render_figure1(path: str, n_values, curves) -> None:
     plt.close(fig)
 
 
-def cmd_clone(config: RunConfig) -> int:
-    n = _require_even(config.n)
-    lam = config.lam
-    if config.m is None:
-        raise UsageError("--m is required (an integer or 'inf')")
+def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    lams = _parse_lambdas(args.lam)
+    m_out = _parse_clones(args.m)
+    n, lam = _register(args.n, lams)
     try:
-        settings = cloning.CloneSettings(n_in=n, m_out=config.m, lam=lam)
+        settings = cloning.CloneSettings(n_in=n, m_out=m_out, lam=lam)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    spect = analytics.block_spectrum(n, lam)
-    d = config.delim
-    config.emit(d.join(("j", "p_j", "f_j", "f_pur", "term")))
-    for row in spect.rows:
-        f_pure = cloning.pure_cloning_fidelity(row.j, settings.m_out)
-        term = row.probability * (f_pure * row.fidelity + (1 - f_pure) * (1 - row.fidelity))
-        config.emit(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
+    lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
+    for row in analytics.block_spectrum(n, lam).rows:
+        f_pure = cloning.pure_cloning_fidelity(row.j, m_out)
+        term = cloning.block_clone_term(row, f_pure)
+        lines.append(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
     f_mix = cloning.mixed_cloning_fidelity(settings)
-    config.emit(f"F_mix={_num(f_mix)}")
-    config.emit(f"lambda_mix={_num(2.0 * f_mix - 1.0)}")
-    config.emit(f"lambda_mix_inf={_num(cloning.estimation_lambda(n, lam))}")
-    if not math.isinf(settings.m_out):
-        config.emit(f"scaling_residual={_num(cloning.scaling_relation_check(settings))}")
-    config.flush()
-    return 0
+    lines.append(f"F_mix={_num(f_mix)}")
+    lines.append(f"lambda_mix={_num(2.0 * f_mix - 1.0)}")
+    lines.append(f"lambda_mix_inf={_num(cloning.estimation_lambda(n, lam))}")
+    if not math.isinf(m_out):
+        lines.append(f"scaling_residual={_num(cloning.scaling_relation_check(settings))}")
+    return 0, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,21 +231,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def finish(p: argparse.ArgumentParser, func) -> None:
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("csv", "tsv"), default="csv", dest="fmt")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="per-block multiplicity/probability/fidelity table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
+    finish(p, cmd_stats)
 
     p = sub.add_parser("verify", help="run the dense verification suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    finish(p, cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol simulation")
     p.add_argument("--n", type=int, required=True)
@@ -302,73 +255,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dense", action="store_true", help="simulate on explicit matrices")
     p.add_argument("--dump-trials", dest="dump_trials", help="write per-trial CSV here")
-    common(p)
+    finish(p, cmd_simulate)
 
     p = sub.add_parser("figure1", help="achievable Bloch length vs input copies")
     p.add_argument("--n", type=int, default=40, help="largest even N (default 40)")
     p.add_argument("--lambda", dest="lam", default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--plot", help="also render the curves to this image file")
-    common(p)
+    finish(p, cmd_figure1)
 
     p = sub.add_parser("clone", help="optimal mixed-state cloning fidelities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", required=True, help="clone count, or 'inf'")
     p.add_argument("--lambda", dest="lam", required=True)
-    common(p)
+    finish(p, cmd_clone)
 
     return parser
 
 
-_COMMANDS = {
-    "stats": cmd_stats,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "figure1": cmd_figure1,
-    "clone": cmd_clone,
-}
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.n = getattr(args, "n", None)
-    config.out = getattr(args, "out", None)
-    config.fmt = getattr(args, "fmt", "csv")
-    config.seed = getattr(args, "seed", 0)
-    config.trials = getattr(args, "trials", 0) or 0
-    config.tol = getattr(args, "tol", None)
-    config.dense = getattr(args, "dense", False)
-    config.plot = getattr(args, "plot", None)
-    config.dump_trials = getattr(args, "dump_trials", None)
-    lam_raw = getattr(args, "lam", None)
-    if lam_raw is not None:
-        config.lams = _parse_lambdas(lam_raw)
-    m_raw = getattr(args, "m", None)
-    if m_raw is not None:
-        if str(m_raw).lower() in ("inf", "infinity"):
-            config.m = math.inf
-        else:
-            try:
-                config.m = int(m_raw)
-            except ValueError as exc:
-                raise UsageError(f"--m must be an integer or 'inf', got {m_raw!r}") from exc
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        code, lines = args.func(args, "\t" if args.fmt == "tsv" else ",")
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    text = "".join(line + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -58,13 +58,18 @@ def mixed_cloning_fidelity(settings: CloneSettings) -> float:
     with the complementary weight landing on the orthogonal state.
     """
     spect = analytics.block_spectrum(settings.n_in, settings.lam)
-    terms = []
-    for row in spect.rows:
-        f_pure = pure_cloning_fidelity(row.j, settings.m_out)
-        terms.append(
-            row.probability * (f_pure * row.fidelity + (1.0 - f_pure) * (1.0 - row.fidelity))
-        )
-    return math.fsum(terms)
+    return math.fsum(
+        block_clone_term(row, pure_cloning_fidelity(row.j, settings.m_out)) for row in spect.rows
+    )
+
+
+def block_clone_term(row: analytics.SpectrumRow, f_pure: float) -> float:
+    """One block's share of the mixed cloning fidelity.
+
+    A clone matches the block's kept qubit with probability f_pure and its
+    orthogonal state otherwise, weighted by the block probability.
+    """
+    return row.probability * (f_pure * row.fidelity + (1.0 - f_pure) * (1.0 - row.fidelity))
 
 
 def estimation_lambda(n: int, lam: float) -> float:

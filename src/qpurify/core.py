@@ -25,17 +25,15 @@ class SizeLimitError(ValueError):
     """A request would exceed the dense cap or the available memory, or the cap is unreadable."""
 
 
-def dense_cap(override: int | None = None) -> int:
+def dense_cap() -> int:
     """Maximum register size, in qubits, for dense objects.
 
     The SCHUR_CAP environment variable overrides the built-in default of
-    12 qubits; an explicit ``override`` wins over both.  The default is the
-    largest even register at which ``qpurify verify`` finishes within a
-    minute on a 2-core machine: 1.5 s at 10 qubits, 40 s at 0.8 GB at 12.
+    12 qubits, the largest even register at which ``qpurify verify``
+    finishes within a minute on a 2-core machine: 1.5 s at 10 qubits, 40 s
+    at 0.8 GB at 12.
     At 14 qubits one complex 2^14 x 2^14 matrix alone takes 4.3 GB.
     """
-    if override is not None:
-        return int(override)
     env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_QUBIT_CAP)
     try:
         return int(env)
@@ -128,7 +126,7 @@ def density_matrix(q: MixedQubit) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def kron_power(a: np.ndarray, n: int, cap: int | None = None) -> np.ndarray:
+def kron_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold tensor power of a vector or square matrix.
 
     The first factor is the most significant one, so for qubit operators
@@ -142,10 +140,10 @@ def kron_power(a: np.ndarray, n: int, cap: int | None = None) -> np.ndarray:
         raise ValueError("matrix factor must be square")
     if a.ndim not in (1, 2):
         raise ValueError("factor must be a vector or a matrix")
-    if a.shape[0] ** n > 2 ** dense_cap(cap):
+    if a.shape[0] ** n > 2 ** dense_cap():
         raise SizeLimitError(
             f"{n} factors of dimension {a.shape[0]} exceed the dense cap "
-            f"of {dense_cap(cap)} qubits"
+            f"of {dense_cap()} qubits"
         )
     out = a
     for _ in range(n - 1):

@@ -83,9 +83,7 @@ class DecompositionReport:
         return out
 
 
-def verify_decomposition(
-    q: MixedQubit, n: int, tol: float | None = None, cap: int | None = None
-) -> DecompositionReport:
+def verify_decomposition(q: MixedQubit, n: int, tol: float | None = None) -> DecompositionReport:
     """Reassemble the n-fold tensor power of ``q`` in two independent ways.
 
     (a) as the probability-weighted sum of predicted blocks, lifted once
@@ -97,8 +95,8 @@ def verify_decomposition(
     """
     if tol is None:
         tol = default_tolerance(n)
-    basis = build_schur_basis(n, cap)
-    rho_n = kron_power(density_matrix(q), n, cap)
+    basis = build_schur_basis(n)
+    rho_n = kron_power(density_matrix(q), n)
     coords = block_coordinates(basis, rho_n)
 
     weighted: dict[int, np.ndarray] = {}
@@ -129,7 +127,7 @@ def verify_decomposition(
 
     # excitation projectors R diag(weights) R^H with R = (anti, aligned)^(x n), from R^H alone
     aligned, anti = qubit_eigenstates(q)
-    rot_h = kron_power(np.vstack([anti, aligned]).conj(), n, cap)
+    rot_h = kron_power(np.vstack([anti, aligned]).conj(), n)
     zeros = n - _popcounts(n)
     weights = q.c0**zeros * q.c1 ** (n - zeros)
     projector_sum_residual = max(
@@ -291,25 +289,29 @@ def optimality_scan(q: MixedQubit, j: int, grid: int = 21, nodes: int | None = N
 
 
 @functools.lru_cache(maxsize=1)
-def _power_coordinates(q: MixedQubit, n: int, cap: int | None) -> dict[int, np.ndarray]:
-    return block_coordinates(build_schur_basis(n, cap), kron_power(density_matrix(q), n, cap))
+def _power_coordinates(q: MixedQubit, n: int) -> dict[int, np.ndarray]:
+    return block_coordinates(build_schur_basis(n), kron_power(density_matrix(q), n))
 
 
-def reversibility_check(
-    q: MixedQubit, n: int, label: BlockLabel, cap: int | None = None
-) -> float:
+def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     """Undo the protocol on one outcome and compare with the measured block.
 
     Lifting the block of ``label`` onto the first copy, discarding the
     singlet pairs, re-appending fresh singlets and projecting back must
     reproduce the block exactly.  The round trip contracts copy 1's rows as
     (2j+1, 2^2j kept, 2^(n-2j) discarded), with no 2^n or 2^2j square matrix.
-    The tensor power's block coordinates are computed once per (q, n, cap);
+    The tensor power's block coordinates are computed once per (q, n);
     the cap is checked on every call.
+
+    build_schur_basis makes copy 1 the Dicke rows followed by singlet
+    pairs, so the lift is the Dicke rows times the singlet amplitudes s and
+    the round trip returns sum(s^2) * post = post for any block.  The check
+    therefore tests that factorisation of the basis, once per label; it
+    cannot fail for a measured block.
     """
-    basis = build_schur_basis(n, cap)
+    basis = build_schur_basis(n)
     basis.block(label.j, label.alpha)  # label validation
-    measured = _power_coordinates(q, n, cap)[label.j][label.alpha - 1]
+    measured = _power_coordinates(q, n)[label.j][label.alpha - 1]
     prob = float(np.trace(measured).real)
     if prob < _PROB_FLOOR:
         raise ValueError(
@@ -340,7 +342,7 @@ def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, 
     return outs
 
 
-def covariance_residual(q: MixedQubit, n: int, unitaries, cap: int | None = None) -> float:
+def covariance_residual(q: MixedQubit, n: int, unitaries) -> float:
     """Max-element residual of the covariance property of the measurement maps.
 
     For each single-qubit unitary U, applying the map to the rotated input
@@ -348,12 +350,12 @@ def covariance_residual(q: MixedQubit, n: int, unitaries, cap: int | None = None
     the output is the copies' summed block B and U^(x 2j) acts as W = dicke_power(U, j),
     so the summed blocks of the lab-frame rotated tensor power must equal W B W^H.
     """
-    basis = build_schur_basis(n, cap)
+    basis = build_schur_basis(n)
     rho1 = density_matrix(q)
-    base = {j: blocks.sum(axis=0) for j, blocks in _power_coordinates(q, n, cap).items()}
+    base = {j: blocks.sum(axis=0) for j, blocks in _power_coordinates(q, n).items()}
     worst = 0.0
     for u in unitaries:
-        rotated = block_coordinates(basis, kron_power(u @ rho1 @ u.conj().T, n, cap))
+        rotated = block_coordinates(basis, kron_power(u @ rho1 @ u.conj().T, n))
         for j, blocks in rotated.items():
             w = dicke_power(u, j)
             worst = max(worst, max_abs(blocks.sum(axis=0) - w @ base[j] @ w.conj().T))
@@ -434,7 +436,7 @@ def _weighted_stats(probs: list[float], fids: list[float]) -> tuple[float, float
 
 
 def symmetrize_and_compare(
-    procedure, q: MixedQubit, n: int, samples: int, seed: int = 0, cap: int | None = None
+    procedure, q: MixedQubit, n: int, samples: int, seed: int = 0
 ) -> SymmetrizationReport:
     """Monte Carlo check that symmetrizing a procedure preserves its averages.
 
@@ -457,14 +459,14 @@ def symmetrize_and_compare(
 
     for _ in range(samples):
         u = haar_unitary(rng)
-        outs = procedure(kron_power(u @ rho1 @ u.conj().T, n, cap))
+        outs = procedure(kron_power(u @ rho1 @ u.conj().T, n))
         for m_out in sorted(outs):
             sigma = outs[m_out]
             prob = float(np.real(np.trace(sigma)))
             sym_probs.setdefault(m_out, []).append(prob)
             if m_out == 0:
                 continue
-            u_m = kron_power(u, m_out, cap)
+            u_m = kron_power(u, m_out)
             back = u_m.conj().T @ sigma @ u_m
             back = _permute_qubits(back, rng.permutation(m_out))
             if prob >= _PROB_FLOOR:
@@ -476,7 +478,7 @@ def symmetrize_and_compare(
 
         axis = random_direction(rng)
         q_dir = MixedQubit(q.lam, axis)
-        outs = procedure(kron_power(density_matrix(q_dir), n, cap))
+        outs = procedure(kron_power(density_matrix(q_dir), n))
         target_dir = qubit_eigenstates(q_dir)[0]
         for m_out in sorted(outs):
             sigma = outs[m_out]

@@ -201,7 +201,6 @@ def run_protocol_dense(
     trials: int,
     seed: int,
     keep_outcomes: bool = False,
-    cap: int | None = None,
 ) -> SimulationSummary:
     """Run the protocol on explicit matrices.
 
@@ -213,8 +212,8 @@ def run_protocol_dense(
     come from one multinomial draw over the block traces.
     """
     _check_trials(trials, keep_outcomes)
-    basis = build_schur_basis(n, cap)
-    coords = block_coordinates(basis, kron_power(density_matrix(q), n, cap))
+    basis = build_schur_basis(n)
+    coords = block_coordinates(basis, kron_power(density_matrix(q), n))
     target = qubit_eigenstates(q)[0]
     labels = basis.labels()
 

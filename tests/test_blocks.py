@@ -161,11 +161,12 @@ class TestBasisConstruction:
                 lowered = collective_lowering(basis.vector(j, -j, alpha), n)
                 assert np.linalg.norm(lowered) < 1e-10
 
-    def test_rejects_odd_or_oversized(self):
+    def test_rejects_odd_or_oversized(self, monkeypatch):
         with pytest.raises(ValueError):
             build_schur_basis(5)
+        monkeypatch.setenv("SCHUR_CAP", "1")
         with pytest.raises(SizeLimitError):
-            build_schur_basis(2, cap=1)
+            build_schur_basis(2)
 
     def test_memory_check_skipped_without_meminfo(self, monkeypatch):
         monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,60 @@ class TestClone:
 
 def test_unknown_command_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("stats --n 8 --lambda 0.5", "f6650a580304f38f"),
+        ("stats --n 8 --lambda 0.5 --format tsv", "fe2c292b886f9a3a"),
+        ("clone --n 4 --m 8 --lambda 0.5", "11d67a8429c74771"),
+        ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
+        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "b3ac676e525e9013"),
+        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "66f24b800b4631f0"),
+    ],
+)
+def test_output_bytes_golden(argv, digest, capsys):
+    # sha256 prefixes of the stdout, taken with numpy 2.4.6
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+def test_verify_rows_golden(capsys):
+    # the residual digits are BLAS round-off, so only the check and label columns are pinned
+    assert main("verify --n 4 --lambda 0.37 --tol 1e-9".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "check,label,residual" and lines[-1] == "status=pass"
+    post = ["j=0;alpha=1", "j=0;alpha=2", "j=1;alpha=1", "j=1;alpha=2", "j=1;alpha=3", "j=2;alpha=1"]
+    assert [tuple(line.split(",")[:2]) for line in lines[2:-1]] == [
+        ("decomposition", "block_sum"),
+        ("decomposition", "excitation_projectors"),
+        *(("post_state", label) for label in post),
+        ("quadrature", "j=1"),
+        ("quadrature", "j=2"),
+        *(("reversibility", label) for label in post),
+        ("covariance", "max_over_5_unitaries"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        ("stats --n 3 --lambda 0.5", {}),
+        ("figure1 --n 7", {}),
+        ("stats --n 8 --lambda 1.5", {}),
+        ("stats --n 8 --lambda zebra", {}),
+        ("stats --n 8 --lambda 0.2,0.4", {}),
+        ("clone --n 4 --m four --lambda 0.5", {}),
+        ("clone --n 4 --m 2 --lambda 0.5", {}),
+        ("simulate --n 20 --lambda 0.6 --trials 0 --seed 1", {}),
+        ("verify --n 4 --lambda 0.5", {"SCHUR_CAP": "abc"}),
+    ],
+)
+def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -135,7 +135,6 @@ class TestKronPower:
         assert dense_cap() == 4
         with pytest.raises(SizeLimitError):
             kron_power(np.eye(2), 5)
-        assert dense_cap(override=6) == 6
 
 
 class TestPartialTrace:
