@@ -18,17 +18,12 @@ from .analytics import (
     yield_factor,
 )
 from .blocks import (
-    block_projector,
     block_swap,
     build_schur_basis,
-    collective_lowering,
     dicke_state,
-    export_basis_csv,
     measure_block,
-    seed_vector,
 )
 from .cloning import (
-    INFINITE_CLONES,
     CloneSettings,
     estimation_lambda,
     mixed_cloning_fidelity,
@@ -42,8 +37,6 @@ from .core import (
     dense_cap,
     density_matrix,
     haar_unitary,
-    is_hermitian,
-    is_unitary,
     kron_power,
     max_abs,
     outer,
@@ -62,7 +55,6 @@ from .oracle import (
     purification_map_outputs,
     quadrature_check,
     reversibility_check,
-    symmetrize_and_compare,
     verify_decomposition,
 )
 from .protocol import (

@@ -7,15 +7,14 @@ another through Clebsch-Gordan coefficients (Bacon, Chuang & Harrow, PRL
 97, 170502 (2006)), and alpha names the coupling path, the same on every
 machine.  Dense consumers read each copy's (2j+1)-square block of a state
 (``block_coordinates``), in which exchanging copies is a relabelling;
-block projectors, the lab-frame ``measure_block`` and the exchange
-unitary ``block_swap`` are the references they are tested against.
+the lab-frame ``measure_block`` and the exchange unitary ``block_swap``
+are the references they are tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,22 +207,10 @@ def build_schur_basis(n: int) -> SchurBasis:
 
 
 @dataclass(frozen=True)
-class BlockProjector:
-    label: BlockLabel
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class BlockSwap:
     label: BlockLabel
     matrix: np.ndarray
     is_identity: bool
-
-
-def block_projector(basis: SchurBasis, j: int, alpha: int) -> BlockProjector:
-    """Orthogonal projector onto span{|j, m, alpha>: m = -j..j}."""
-    rows = basis.block(j, alpha)
-    return BlockProjector(BlockLabel(j, alpha), (rows.T @ rows).astype(complex))
 
 
 def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:
@@ -271,21 +258,3 @@ def measure_block(
     post = rows.T @ inner @ rows / prob
     return prob, post
 
-
-def export_basis_csv(basis: SchurBasis, dest) -> None:
-    """Write every amplitude as CSV rows ``j,m,alpha,basis_index,re,im``.
-
-    alpha is the coupling path of ``build_schur_basis`` (copy 1 is Dicke
-    states followed by singlet pairs), and every amplitude is a product of
-    Clebsch-Gordan coefficients, so the file is the same on every machine.
-    """
-    own = isinstance(dest, (str, os.PathLike))
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        fh.write("j,m,alpha,basis_index,re,im\n")
-        for j, rows in basis.spins.items():
-            for (i, a, idx), amp in np.ndenumerate(rows.transpose(1, 0, 2)):
-                fh.write(f"{j},{i - j},{a + 1},{idx},{float(amp)!r},0.0\n")
-    finally:
-        if own:
-            fh.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -69,6 +70,16 @@ def _require_even(n: int) -> int:
     return n
 
 
+def _check_writable(option: str, path: str | None) -> None:
+    """Refuse an output path whose file cannot be opened for writing, before any work."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write the {option} file {path!r}")
+
+
 def _register(n: int, lams: tuple[float, ...]) -> tuple[int, float]:
     """The even register size and the one Bloch length of a single-input command."""
     n = _require_even(n)
@@ -125,6 +136,7 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     n, lam = _register(args.n, _parse_lambdas(args.lam))
+    _check_writable("--dump-trials", args.dump_trials)
     keep = args.dump_trials is not None
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     try:
@@ -278,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_writable("--out", args.out)
         code, lines = args.func(args, "\t" if args.fmt == "tsv" else ",")
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from . import analytics
 
-INFINITE_CLONES = math.inf
-
 
 @dataclass(frozen=True)
 class CloneSettings:

@@ -192,16 +192,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    return max_abs(a - a.conj().T) < tol
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    return max_abs(a @ a.conj().T - np.eye(a.shape[0])) < tol
-
-
 def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Haar-distributed unitary: complex Ginibre QR with the phase fix."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

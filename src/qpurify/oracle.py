@@ -24,18 +24,15 @@ from .analytics import (
     cross_power_sum,
 )
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import dicke_power, dicke_rows, measure_block  # noqa: F401  (callers import measure_block here)
+from .blocks import dicke_power, dicke_rows
 from .core import (
     BlockLabel,
     MixedQubit,
     density_matrix,
-    haar_unitary,
     kron_power,
     max_abs,
     outer,
-    partial_trace,
     qubit_eigenstates,
-    random_direction,
     state_fidelity,
 )
 
@@ -360,156 +357,3 @@ def covariance_residual(q: MixedQubit, n: int, unitaries) -> float:
             w = dicke_power(u, j)
             worst = max(worst, max_abs(blocks.sum(axis=0) - w @ base[j] @ w.conj().T))
     return worst
-
-
-def _permute_qubits(a: np.ndarray, order: np.ndarray) -> np.ndarray:
-    m = len(order)
-    if m <= 1:
-        return a
-    tensor = a.reshape((2,) * (2 * m))
-    axes = list(order) + [m + int(k) for k in order]
-    return tensor.transpose(axes).reshape(a.shape)
-
-
-def _mean_qubit_fidelity(sigma: np.ndarray, target: np.ndarray, m: int) -> float:
-    vals = [state_fidelity(partial_trace(sigma, [k]), target) for k in range(1, m + 1)]
-    return float(np.mean(vals))
-
-
-@dataclass
-class SymmetrizationRow:
-    m_out: int
-    sym_prob: float
-    sym_prob_se: float
-    raw_prob: float
-    raw_prob_se: float
-    sym_fid: float | None
-    sym_fid_se: float | None
-    raw_fid: float | None
-    raw_fid_se: float | None
-
-
-@dataclass
-class SymmetrizationReport:
-    """Monte Carlo comparison of a procedure with its symmetrized version."""
-
-    n: int
-    lam: float
-    samples: int
-    seed: int
-    rows: list[SymmetrizationRow]
-
-    @staticmethod
-    def _sigma(a: float, sa: float, b: float, sb: float) -> float:
-        diff = abs(a - b)
-        if diff < 1e-9:
-            return 0.0
-        combined = math.hypot(sa, sb)
-        return diff / combined if combined > 0.0 else math.inf
-
-    def max_sigma_distance(self) -> float:
-        worst = 0.0
-        for row in self.rows:
-            worst = max(
-                worst, self._sigma(row.sym_prob, row.sym_prob_se, row.raw_prob, row.raw_prob_se)
-            )
-            if row.sym_fid is not None and row.raw_fid is not None:
-                worst = max(
-                    worst, self._sigma(row.sym_fid, row.sym_fid_se, row.raw_fid, row.raw_fid_se)
-                )
-        return worst
-
-    def consistent(self, n_sigma: float = 3.0) -> bool:
-        return self.max_sigma_distance() <= n_sigma
-
-
-def _weighted_stats(probs: list[float], fids: list[float]) -> tuple[float, float]:
-    p = np.asarray(probs)
-    f = np.asarray(fids)
-    total = float(p.sum())
-    if total <= 0.0:
-        return math.nan, math.nan
-    mean = float((p * f).sum() / total)
-    # standard error of the probability-weighted ratio estimator
-    se = float(math.sqrt(((p * (f - mean)) ** 2).sum()) / total)
-    return mean, se
-
-
-def symmetrize_and_compare(
-    procedure, q: MixedQubit, n: int, samples: int, seed: int = 0
-) -> SymmetrizationReport:
-    """Monte Carlo check that symmetrizing a procedure preserves its averages.
-
-    The symmetrized run rotates all inputs by a Haar unitary, applies the
-    procedure, rotates the outputs back and permutes them randomly; its
-    sampled outcome probabilities and mean fidelities are compared with
-    the direction-averaged figures of the raw procedure.  ``procedure``
-    maps an n-qubit density matrix to {kept_count: unnormalized state}.
-    """
-    if samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    rng = np.random.Generator(np.random.Philox(seed))
-    rho1 = density_matrix(q)
-    target = qubit_eigenstates(q)[0]
-
-    sym_probs: dict[int, list[float]] = {}
-    sym_fids: dict[int, list[float]] = {}
-    raw_probs: dict[int, list[float]] = {}
-    raw_fids: dict[int, list[float]] = {}
-
-    for _ in range(samples):
-        u = haar_unitary(rng)
-        outs = procedure(kron_power(u @ rho1 @ u.conj().T, n))
-        for m_out in sorted(outs):
-            sigma = outs[m_out]
-            prob = float(np.real(np.trace(sigma)))
-            sym_probs.setdefault(m_out, []).append(prob)
-            if m_out == 0:
-                continue
-            u_m = kron_power(u, m_out)
-            back = u_m.conj().T @ sigma @ u_m
-            back = _permute_qubits(back, rng.permutation(m_out))
-            if prob >= _PROB_FLOOR:
-                sym_fids.setdefault(m_out, []).append(
-                    _mean_qubit_fidelity(back / prob, target, m_out)
-                )
-            else:
-                sym_fids.setdefault(m_out, []).append(0.0)
-
-        axis = random_direction(rng)
-        q_dir = MixedQubit(q.lam, axis)
-        outs = procedure(kron_power(density_matrix(q_dir), n))
-        target_dir = qubit_eigenstates(q_dir)[0]
-        for m_out in sorted(outs):
-            sigma = outs[m_out]
-            prob = float(np.real(np.trace(sigma)))
-            raw_probs.setdefault(m_out, []).append(prob)
-            if m_out == 0:
-                continue
-            if prob >= _PROB_FLOOR:
-                raw_fids.setdefault(m_out, []).append(
-                    _mean_qubit_fidelity(sigma / prob, target_dir, m_out)
-                )
-            else:
-                raw_fids.setdefault(m_out, []).append(0.0)
-
-    rows = []
-    for m_out in sorted(sym_probs):
-        sp = np.asarray(sym_probs[m_out])
-        rp = np.asarray(raw_probs.get(m_out, [math.nan]))
-        row = SymmetrizationRow(
-            m_out=m_out,
-            sym_prob=float(sp.mean()),
-            sym_prob_se=float(sp.std(ddof=1) / math.sqrt(len(sp))),
-            raw_prob=float(rp.mean()),
-            raw_prob_se=float(rp.std(ddof=1) / math.sqrt(len(rp))),
-            sym_fid=None,
-            sym_fid_se=None,
-            raw_fid=None,
-            raw_fid_se=None,
-        )
-        if m_out in sym_fids:
-            row.sym_fid, row.sym_fid_se = _weighted_stats(sym_probs[m_out], sym_fids[m_out])
-            row.raw_fid, row.raw_fid_se = _weighted_stats(raw_probs[m_out], raw_fids[m_out])
-        rows.append(row)
-    return SymmetrizationReport(n=n, lam=q.lam, samples=samples, seed=seed, rows=rows)

@@ -36,10 +36,10 @@ from qpurify import (
     yield_asymptote,
     yield_factor,
 )
+from qpurify.blocks import measure_block
 from qpurify.cli import main as cli_main
 from qpurify.cloning import CloneSettings
 from qpurify.core import density_matrix
-from qpurify.oracle import measure_block
 
 
 def report(number: int, ok: bool, detail: str = "") -> bool:

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 import os
 import subprocess
@@ -11,21 +10,23 @@ import pytest
 
 import qpurify
 from qpurify import (
-    block_projector,
     block_swap,
     build_schur_basis,
-    collective_lowering,
     dicke_state,
-    export_basis_csv,
     haar_unitary,
-    is_hermitian,
     kron_power,
     max_abs,
     multiplicity,
-    outer,
+)
+from qpurify.blocks import (
+    SINGLET,
+    block_coordinates,
+    collective_lowering,
+    dicke_power,
+    dicke_rows,
+    measure_block,
     seed_vector,
 )
-from qpurify.blocks import SINGLET, block_coordinates, dicke_power, dicke_rows, measure_block
 from qpurify.core import MixedQubit, SizeLimitError, qubit_eigenstates
 
 
@@ -218,8 +219,8 @@ def test_multiplicity_completeness_identity_exact():
 
 
 class TestRotationStructure:
-    def test_tensor_rotation_stays_in_copy_span(self, rng):
-        n = 4
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_tensor_rotation_stays_in_copy_span(self, n, rng):
         basis = build_schur_basis(n)
         for _ in range(5):
             u_n = kron_power(haar_unitary(rng), n)
@@ -235,45 +236,14 @@ class TestRotationStructure:
                     # the coefficient matrix is a spin-j rotation, hence unitary
                     assert max_abs(coeff @ coeff.conj().T - np.eye(2 * j + 1)) < 1e-9
 
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_projectors_commute_with_collective_rotations(self, n, rng):
-        basis = build_schur_basis(n)
-        projectors = [
-            block_projector(basis, j, alpha).matrix
-            for j in basis.j_values()
-            for alpha in range(1, basis.multiplicity_of(j) + 1)
-        ]
-        for _ in range(20):
-            u_n = kron_power(haar_unitary(rng), n)
-            for proj in projectors:
-                assert max_abs(proj @ u_n - u_n @ proj) < 1e-10
-
 
 class TestBlockProjector:
-    def test_singlet_projector_rank_one(self):
-        basis = build_schur_basis(2)
-        proj = block_projector(basis, 0, 1).matrix
-        assert max_abs(proj - outer(SINGLET)) < 1e-14
-
-    @pytest.mark.parametrize("n", [2, 4, 6, 8])
-    def test_idempotent_hermitian_complete(self, n):
-        basis = build_schur_basis(n)
-        total = np.zeros((2**n, 2**n), dtype=complex)
-        for j in basis.j_values():
-            for alpha in range(1, basis.multiplicity_of(j) + 1):
-                proj = block_projector(basis, j, alpha).matrix
-                assert is_hermitian(proj, tol=1e-12)
-                assert max_abs(proj @ proj - proj) < 1e-10
-                assert np.trace(proj).real == pytest.approx(2 * j + 1, abs=1e-10)
-                total += proj
-        assert max_abs(total - np.eye(2**n)) < 1e-10
-
     def test_invalid_label(self):
         basis = build_schur_basis(4)
         with pytest.raises(ValueError):
-            block_projector(basis, 1, 4)
+            basis.block(1, 4)
         with pytest.raises(ValueError):
-            block_projector(basis, 5, 1)
+            basis.block(5, 1)
 
 
 class TestBlockSwap:
@@ -338,18 +308,3 @@ class TestBlockCoordinates:
             got = swapped[label.j][0]
             assert max_abs(got - coords[label.j][label.alpha - 1]) < 1e-12
 
-
-def test_export_basis_csv_roundtrip():
-    basis = build_schur_basis(2)
-    buf = io.StringIO()
-    export_basis_csv(basis, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "j,m,alpha,basis_index,re,im"
-    assert len(lines) == 1 + 4 * 4
-    parsed = {}
-    for line in lines[1:]:
-        j, m, alpha, idx, re, im = line.split(",")
-        parsed[(int(j), int(m), int(alpha), int(idx))] = complex(float(re), float(im))
-    singlet = basis.vector(0, 0, 1)
-    for idx in range(4):
-        assert parsed[(0, 0, 1, idx)] == singlet[idx]

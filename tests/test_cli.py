@@ -299,12 +299,14 @@ def test_verify_rows_golden(capsys):
         ("clone --n 4 --m 2 --lambda 0.5", {}),
         ("simulate --n 20 --lambda 0.6 --trials 0 --seed 1", {}),
         ("verify --n 4 --lambda 0.5", {"SCHUR_CAP": "abc"}),
+        ("stats --n 4 --lambda 0.5 --out {missing}/x.csv", {}),
+        ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials {missing}/d.csv", {}),
     ],
 )
-def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch):
+def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert main(argv.split()) == 2
+    assert main(argv.format(missing=tmp_path / "missing").split()) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpurify import (
-    INFINITE_CLONES,
     CloneSettings,
     CovariantMapParams,
     MixedQubit,
@@ -37,8 +36,8 @@ class TestPureCloningFidelity:
         assert pure_cloning_fidelity(1, 4) == pytest.approx(14 / 16, abs=1e-15)
 
     def test_estimation_limit(self):
-        assert pure_cloning_fidelity(1, INFINITE_CLONES) == pytest.approx(3 / 4, abs=1e-15)
-        assert pure_cloning_fidelity(0, INFINITE_CLONES) == 0.5
+        assert pure_cloning_fidelity(1, math.inf) == pytest.approx(3 / 4, abs=1e-15)
+        assert pure_cloning_fidelity(0, math.inf) == 0.5
 
     def test_rejects_too_few_clones(self):
         with pytest.raises(ValueError):
@@ -59,16 +58,16 @@ class TestMixedCloningFidelity:
 
     def test_pure_estimation_limit(self):
         for n in (2, 4, 10):
-            f = mixed_cloning_fidelity(CloneSettings(n, INFINITE_CLONES, 1.0))
+            f = mixed_cloning_fidelity(CloneSettings(n, math.inf, 1.0))
             assert 2 * f - 1 == pytest.approx(n / (n + 2), abs=1e-13)
 
     def test_two_copies_match_scaling_relation(self):
-        settings = CloneSettings(2, INFINITE_CLONES, 0.5)
+        settings = CloneSettings(2, math.inf, 0.5)
         f = mixed_cloning_fidelity(settings)
         assert 2 * f - 1 == pytest.approx(estimation_lambda(2, 0.5), abs=1e-14)
 
     def test_monotone_toward_estimation_limit(self):
-        limit = mixed_cloning_fidelity(CloneSettings(4, INFINITE_CLONES, 0.5))
+        limit = mixed_cloning_fidelity(CloneSettings(4, math.inf, 0.5))
         values = [mixed_cloning_fidelity(CloneSettings(4, m, 0.5)) for m in (4, 6, 10, 40, 400)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > limit for v in values)
@@ -196,7 +195,7 @@ class TestScalingRelation:
 
     def test_requires_finite_output(self):
         with pytest.raises(ValueError):
-            scaling_relation_check(CloneSettings(2, INFINITE_CLONES, 0.5))
+            scaling_relation_check(CloneSettings(2, math.inf, 0.5))
 
 
 class TestCovariantMap:

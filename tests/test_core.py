@@ -12,8 +12,6 @@ from qpurify import (
     dense_cap,
     density_matrix,
     haar_unitary,
-    is_hermitian,
-    is_unitary,
     kron_power,
     max_abs,
     outer,
@@ -107,7 +105,7 @@ class TestDensityMatrix:
     @settings(max_examples=60, deadline=None)
     def test_spectrum_and_trace(self, lam, direction):
         rho = density_matrix(MixedQubit(lam, direction))
-        assert is_hermitian(rho)
+        assert max_abs(rho - rho.conj().T) < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-14
         eig = np.sort(np.linalg.eigvalsh(rho))
         assert max_abs(eig - np.array([(1 - lam) / 2, (1 + lam) / 2])) < 1e-12
@@ -170,7 +168,8 @@ class TestPartialTrace:
 
 def test_haar_unitary_is_unitary(rng):
     for _ in range(25):
-        assert is_unitary(haar_unitary(rng), tol=1e-12)
+        u = haar_unitary(rng)
+        assert max_abs(u @ u.conj().T - np.eye(2)) < 1e-12
 
 
 def test_random_direction_is_unit(rng):

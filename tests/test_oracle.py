@@ -25,7 +25,6 @@ from qpurify import (
     quadrature_check,
     random_direction,
     reversibility_check,
-    symmetrize_and_compare,
     verify_decomposition,
 )
 from qpurify.analytics import cross_power_sum
@@ -269,26 +268,3 @@ class TestKroneckerReferenceRoutes:
         assert old < 1e-12
         assert abs(covariance_residual(q, n, unitaries) - old) < 1e-12
 
-
-class TestSymmetrization:
-    def test_block_measurement_already_symmetric(self, rng):
-        q = random_qubit(rng, lam=0.5)
-        basis = build_schur_basis(4)
-        proc = functools.partial(purification_map_outputs, basis)
-        report = symmetrize_and_compare(proc, q, 4, samples=40, seed=11)
-        assert report.consistent(3.0)
-        assert report.max_sigma_distance() == 0.0  # covariant: exact agreement
-
-    def test_keep_first_qubit_fidelity_is_c1(self, rng):
-        q = random_qubit(rng, lam=0.4)
-
-        def keep_first(state):
-            return {1: partial_trace(state, [1])}
-
-        report = symmetrize_and_compare(keep_first, q, 4, samples=40, seed=13)
-        assert report.consistent(3.0)
-        row = report.rows[-1]
-        assert row.m_out == 1
-        assert row.sym_fid == pytest.approx(q.c1, abs=1e-9)
-        assert row.raw_fid == pytest.approx(q.c1, abs=1e-9)
-        assert row.sym_prob == pytest.approx(1.0, abs=1e-12)
