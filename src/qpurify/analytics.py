@@ -132,10 +132,6 @@ class BlockSpectrum:
     lam: float
     rows: tuple[SpectrumRow, ...]
 
-    @property
-    def total_spin_max(self) -> int:
-        return self.n // 2
-
     def probabilities(self) -> np.ndarray:
         return np.array([row.probability for row in self.rows])
 
@@ -156,10 +152,10 @@ def block_spectrum(n: int, lam: float) -> BlockSpectrum:
 
 
 def yield_factor(n: int, lam: float) -> float:
-    """Expected fraction of qubits kept by the block measurement."""
+    """Expected fraction of qubits kept by the block measurement, over the fsum of the p_j."""
     spect = block_spectrum(n, lam)
     J = n // 2
-    return math.fsum(row.probability * row.j / J for row in spect.rows)
+    return math.fsum(row.probability * row.j / J for row in spect.rows) / math.fsum(spect.probabilities())
 
 
 def mean_fidelity(n: int, lam: float, include_j0: bool = True) -> float:
@@ -167,13 +163,14 @@ def mean_fidelity(n: int, lam: float, include_j0: bool = True) -> float:
 
     The spin-0 outcome keeps no qubits; by default its weight multiplies
     the continuity value block_fidelity(lam, 0) so the sum runs over every
-    j, and ``include_j0=False`` drops that term instead.
+    j, and ``include_j0=False`` drops that term instead.  Divided by the
+    fsum of all the p_j, as the simulator's draw is.
     """
     spect = block_spectrum(n, lam)
     terms = [row.probability * row.fidelity for row in spect.rows if row.j >= 1]
     if include_j0:
         terms.append(spect.rows[0].probability * spect.rows[0].fidelity)
-    return math.fsum(terms)
+    return math.fsum(terms) / math.fsum(spect.probabilities())
 
 
 def yield_asymptote(n: int, lam: float) -> float:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockLabel, SizeLimitError, dense_cap
+from .core import BlockLabel, SizeLimitError, dense_cap, kron_power
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
@@ -161,10 +161,6 @@ class SchurBasis:
             raise ValueError(f"alpha must lie in 1..{d} for j={j}, got {alpha}")
         return self.spins[j][alpha - 1]
 
-    def gram_matrix(self) -> np.ndarray:
-        mat = np.concatenate([rows.reshape(-1, 1 << self.n) for rows in self.spins.values()])
-        return mat @ mat.T
-
 
 @functools.lru_cache(maxsize=None)
 def _build_basis(n: int) -> SchurBasis:
@@ -191,8 +187,8 @@ def build_schur_basis(n: int) -> SchurBasis:
     as ``_add_pair`` lists them, so copy 1 is seed_vector(n, j, .) and
     copies 1..d_j(n - 2) are the n - 2 basis followed by a singlet.  Cached
     per n and immutable.  Raises SizeLimitError above the dense cap, or
-    when the dense work that follows, about eight complex 2^n x 2^n
-    matrices, would not fit in the available memory.
+    when eight complex 2^n x 2^n matrices, a generous bound on the dense
+    work that follows, would not fit in the available memory.
     """
     _check_register(n)
     if n > dense_cap():
@@ -238,6 +234,21 @@ def block_coordinates(basis: SchurBasis, state: np.ndarray) -> dict[int, np.ndar
     coords = {}
     for j, rows in basis.spins.items():
         half = (rows.reshape(-1, rows.shape[-1]) @ pairs).view(complex).reshape(rows.shape)
+        coords[j] = half @ rows.transpose(0, 2, 1)
+    return coords
+
+
+def power_coordinates(basis: SchurBasis, rho: np.ndarray) -> dict[int, np.ndarray]:
+    """``block_coordinates(basis, kron_power(rho, basis.n))`` without the 2^n-square power.
+
+    A row r read as the 2^(n/2)-square matrix R of its two qubit halves
+    has r rho^(x n) = K^T R K for K = rho^(x n/2); each copy's block is
+    then one (2j+1)-square product, as in ``block_coordinates``.
+    """
+    k = kron_power(rho, basis.n // 2)
+    coords = {}
+    for j, rows in basis.spins.items():
+        half = (k.T @ rows.reshape(-1, len(k), len(k)) @ k).reshape(rows.shape)
         coords[j] = half @ rows.transpose(0, 2, 1)
     return coords
 

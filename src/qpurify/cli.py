@@ -71,12 +71,12 @@ def _require_even(n: int) -> int:
 
 
 def _check_writable(option: str, path: str | None) -> None:
-    """Refuse an output path whose file cannot be opened for writing, before any work."""
-    if not path:
+    """Refuse an empty output path, or one whose file cannot be opened for writing, before any work."""
+    if path is None:
         return
     folder = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else folder
-    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
         raise UsageError(f"cannot write the {option} file {path!r}")
 
 
@@ -296,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = "".join(line + "\n" for line in lines)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:

@@ -29,10 +29,8 @@ def dense_cap() -> int:
     """Maximum register size, in qubits, for dense objects.
 
     The SCHUR_CAP environment variable overrides the built-in default of
-    12 qubits, the largest even register at which ``qpurify verify``
-    finishes within a minute on a 2-core machine: 1.5 s at 10 qubits, 40 s
-    at 0.8 GB at 12.
-    At 14 qubits one complex 2^14 x 2^14 matrix alone takes 4.3 GB.
+    12 qubits.  On a 2-core machine ``qpurify verify`` takes 0.6 s at 10
+    qubits and 6.5 s at 0.5 GB at 12; at 14 the real basis alone takes 2.1 GB.
     """
     env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_QUBIT_CAP)
     try:

@@ -1,12 +1,14 @@
-"""Brute-force verification of the block structure on explicit matrices.
+"""Brute-force verification of the block structure on explicit bases and blocks.
 
 Every closed-form claim made by :mod:`qpurify.analytics` is re-derived
-here at matrix level for small registers: the tensor power of the input
-state is reconstructed from the blocks and, independently, from
-excitation-number projectors; block states are rebuilt by quadrature over
-pure components; the measurement maps are checked for rotation
-covariance and reversibility; and a scan over rotation-covariant
-single-qubit maps locates the optimal one.
+here for small registers from the blocks of the tensor power, which
+``power_coordinates`` reads off the basis rows without the 2^n-square
+power: the basis is orthonormal weight by weight, the blocks carry the
+whole weight of the power, and each copy's trace and normalised block
+match the closed forms; block states are rebuilt by quadrature over pure
+components; the measurement maps are checked for rotation covariance and
+reversibility; and a scan over rotation-covariant single-qubit maps
+locates the optimal one.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .analytics import (
     cross_power_sum,
 )
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import dicke_power, dicke_rows
+from .blocks import dicke_power, dicke_rows, power_coordinates
 from .core import (
     BlockLabel,
     MixedQubit,
     density_matrix,
-    kron_power,
     max_abs,
     outer,
     qubit_eigenstates,
@@ -52,26 +53,26 @@ def default_tolerance(n: int) -> float:
 
 @dataclass
 class DecompositionReport:
-    """Residuals from reconstructing a tensor-power state from its blocks."""
+    """Residuals of the block decomposition of a tensor-power state, read in block coordinates."""
 
     n: int
     lam: float
     direction: tuple[float, float, float]
     block_probabilities: dict
-    block_sum_residual: float
-    projector_sum_residual: float
+    orthonormality: float
+    off_block_weight: float
+    copy_traces: float
     post_state_residuals: dict = field(default_factory=dict)
 
     def worst_residual(self) -> float:
-        residuals = [self.block_sum_residual, self.projector_sum_residual]
-        residuals.extend(self.post_state_residuals.values())
-        return max(residuals)
+        return max(row[2] for row in self.rows())
 
     def rows(self) -> list[tuple[str, str, float]]:
         """Flat (check, label, residual) rows for reporting."""
         out = [
-            ("decomposition", "block_sum", self.block_sum_residual),
-            ("decomposition", "excitation_projectors", self.projector_sum_residual),
+            ("decomposition", "orthonormality", self.orthonormality),
+            ("decomposition", "off_block_weight", self.off_block_weight),
+            ("decomposition", "copy_traces", self.copy_traces),
         ]
         for label in sorted(self.post_state_residuals):
             out.append(
@@ -80,64 +81,66 @@ class DecompositionReport:
         return out
 
 
-def verify_decomposition(q: MixedQubit, n: int, tol: float | None = None) -> DecompositionReport:
-    """Reassemble the n-fold tensor power of ``q`` in two independent ways.
+def orthonormality_residual(basis: SchurBasis) -> float:
+    """Largest defect of the basis rows from orthonormality, one Hamming weight at a time.
 
-    (a) as the probability-weighted sum of predicted blocks, lifted once
-    per spin, and (b) as a sum of excitation-number projectors in the
-    rotated basis.  Both max-element residuals, together with the residual
-    of each measured (2j+1)-square block against block_state_matrix, must stay
-    below ``tol``; otherwise VerificationError is raised with the offending
-    block named and the report attached.
+    |j, m, alpha> must vanish off the basis states with n/2 + m ones, and
+    the rows of each weight must be orthonormal there: C(n, w)-square Gram
+    matrices instead of one 2^n-square one.
+    """
+    weight = _popcounts(basis.n)
+    worst = 0.0
+    for w in range(basis.n + 1):
+        m = w - basis.n // 2
+        rows = np.concatenate([r[:, j + m] for j, r in basis.spins.items() if abs(m) <= j])
+        on = rows[:, weight == w]
+        worst = max(worst, max_abs(rows[:, weight != w]), max_abs(on @ on.T - np.eye(len(on))))
+    return worst
+
+
+@functools.lru_cache(maxsize=1)
+def _power_coordinates(q: MixedQubit, n: int) -> dict[int, np.ndarray]:
+    return power_coordinates(build_schur_basis(n), density_matrix(q))
+
+
+def verify_decomposition(q: MixedQubit, n: int, tol: float | None = None) -> DecompositionReport:
+    """Check rho^(x n) = sum_j p_j rho_j (x) 1_{d_j} on the blocks of ``q``'s tensor power.
+
+    Four residuals, all in block coordinates: the basis rows are
+    orthonormal (``orthonormality_residual``); the blocks B hold the whole
+    weight, |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis
+    vanishes exactly when every off-diagonal block does; each copy's trace
+    is p_j / d_j; and each normalised block is block_state_matrix.  Any
+    residual at or above ``tol`` raises VerificationError with the
+    offending row named and the report attached.
     """
     if tol is None:
         tol = default_tolerance(n)
-    basis = build_schur_basis(n)
-    rho_n = kron_power(density_matrix(q), n)
-    coords = block_coordinates(basis, rho_n)
-
-    weighted: dict[int, np.ndarray] = {}
+    coords = _power_coordinates(q, n)
     probabilities: dict[BlockLabel, float] = {}
     post_residuals: dict[BlockLabel, float] = {}
+    copy_traces = 0.0
     for j, blocks in coords.items():
         # every copy's block is the kept 2j-qubit state in Dicke coordinates
         predicted = block_state_matrix(q, j) if j > 0 else np.eye(1)
-        weighted[j] = (block_probability(n, q.lam, j) / len(blocks)) * predicted
+        share = block_probability(n, q.lam, j) / len(blocks)
         for alpha, measured in enumerate(blocks, start=1):
             label = BlockLabel(j, alpha)
             prob = float(np.trace(measured).real)
             probabilities[label] = prob
+            copy_traces = max(copy_traces, abs(prob - share))
             if prob >= _PROB_FLOOR:
                 post_residuals[label] = max_abs(measured / prob - predicted)
-
-    # both sums meet rho_n one row slab at a time: at most three full matrices are alive
-    step = max(1, len(rho_n) // 8)
-    slabs = [slice(i, i + step) for i in range(0, len(rho_n), step)]
-    lifted = [
-        (rows.reshape(-1, rows.shape[-1]), weighted[j] @ rows) for j, rows in basis.spins.items()
-    ]
-    block_sum_residual = max(
-        max_abs(sum(flat[:, sl].T @ lift.reshape(flat.shape) for flat, lift in lifted) - rho_n[sl])
-        for sl in slabs
-    )
-    del lifted
-
-    # excitation projectors R diag(weights) R^H with R = (anti, aligned)^(x n), from R^H alone
-    aligned, anti = qubit_eigenstates(q)
-    rot_h = kron_power(np.vstack([anti, aligned]).conj(), n)
-    zeros = n - _popcounts(n)
-    weights = q.c0**zeros * q.c1 ** (n - zeros)
-    projector_sum_residual = max(
-        max_abs((rot_h[:, sl].conj().T * weights) @ rot_h - rho_n[sl]) for sl in slabs
-    )
+    weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
 
     report = DecompositionReport(
         n=n,
         lam=q.lam,
         direction=q.direction,
         block_probabilities=probabilities,
-        block_sum_residual=block_sum_residual,
-        projector_sum_residual=projector_sum_residual,
+        orthonormality=orthonormality_residual(build_schur_basis(n)),
+        off_block_weight=abs(weight - (q.c0**2 + q.c1**2) ** n),
+        copy_traces=copy_traces,
         post_state_residuals=post_residuals,
     )
     if report.worst_residual() >= tol:
@@ -285,11 +288,6 @@ def optimality_scan(q: MixedQubit, j: int, grid: int = 21, nodes: int | None = N
     return best
 
 
-@functools.lru_cache(maxsize=1)
-def _power_coordinates(q: MixedQubit, n: int) -> dict[int, np.ndarray]:
-    return block_coordinates(build_schur_basis(n), kron_power(density_matrix(q), n))
-
-
 def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     """Undo the protocol on one outcome and compare with the measured block.
 
@@ -352,7 +350,7 @@ def covariance_residual(q: MixedQubit, n: int, unitaries) -> float:
     base = {j: blocks.sum(axis=0) for j, blocks in _power_coordinates(q, n).items()}
     worst = 0.0
     for u in unitaries:
-        rotated = block_coordinates(basis, kron_power(u @ rho1 @ u.conj().T, n))
+        rotated = power_coordinates(basis, u @ rho1 @ u.conj().T)
         for j, blocks in rotated.items():
             w = dicke_power(u, j)
             worst = max(worst, max_abs(blocks.sum(axis=0) - w @ base[j] @ w.conj().T))

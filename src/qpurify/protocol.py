@@ -2,8 +2,8 @@
 
 Two paths give the same outcome distribution: a fast one that samples the
 closed-form probabilities directly (usable for hundreds of qubits), and a
-dense one that runs the measurement on explicit matrices for registers
-within the cap.
+dense one that runs the measurement on the blocks of the input's tensor
+power for registers within the cap.
 """
 
 from __future__ import annotations
@@ -18,16 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, blocks
-from .blocks import _PROB_FLOOR, block_coordinates, build_schur_basis, dicke_rows
-from .core import (
-    MixedQubit,
-    SizeLimitError,
-    density_matrix,
-    kron_power,
-    partial_trace,
-    qubit_eigenstates,
-    state_fidelity,
-)
+from .blocks import _PROB_FLOOR, build_schur_basis, dicke_power, power_coordinates
+from .core import MixedQubit, SizeLimitError, density_matrix, qubit_eigenstates
 
 
 @dataclass(frozen=True)
@@ -202,19 +194,22 @@ def run_protocol_dense(
     seed: int,
     keep_outcomes: bool = False,
 ) -> SimulationSummary:
-    """Run the protocol on explicit matrices.
+    """Run the protocol on the blocks of the input's tensor power.
 
-    The tensor power of the input is built once and read in block
-    coordinates: the trace of a copy's block B is its probability, and
-    after relabelling it as the first copy and discarding the singlet
-    pairs, the 2j kept qubits are in D^T B D for the Dicke rows D.  Outcome
+    The blocks come from ``power_coordinates``: the trace of a copy's
+    block B is its probability, and after relabelling it as the first copy
+    and discarding the singlet pairs, the 2j kept qubits are B in Dicke
+    coordinates.  In the eigenbasis of the input, W B W^H for W =
+    dicke_power of the basis change, diagonal entry k is the weight of k
+    aligned qubits, so the mean kept-qubit fidelity is <k> / 2j.  Outcome
     states depend only on the block label, so the (j, alpha) label counts
     come from one multinomial draw over the block traces.
     """
     _check_trials(trials, keep_outcomes)
     basis = build_schur_basis(n)
-    coords = block_coordinates(basis, kron_power(density_matrix(q), n))
-    target = qubit_eigenstates(q)[0]
+    coords = power_coordinates(basis, density_matrix(q))
+    aligned, anti = qubit_eigenstates(q)
+    to_eigenbasis = {j: dicke_power(np.vstack([anti, aligned]).conj(), j) for j in coords}
     labels = basis.labels()
 
     probs = np.zeros(len(labels))
@@ -230,12 +225,9 @@ def run_protocol_dense(
             # comparable with the fast path
             fids[i] = analytics.block_fidelity(q.lam, 0)
         else:
-            rows = dicke_rows(label.j)
-            state = rows.T @ (block / prob) @ rows
-            kept = range(1, 2 * label.j + 1)
-            fids[i] = float(
-                np.mean([state_fidelity(partial_trace(state, [k]), target) for k in kept])
-            )
+            w = to_eigenbasis[label.j]
+            aligned_counts = (w @ block @ w.conj().T).diagonal().real
+            fids[i] = float(np.arange(2 * label.j + 1) @ aligned_counts) / (2 * label.j * prob)
 
     outcome = (np.array([label.j for label in labels]), probs, fids)
     copies = [label.alpha for label in labels]

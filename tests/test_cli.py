@@ -1,4 +1,5 @@
 import hashlib
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -256,12 +257,12 @@ def test_unknown_command_exits_two():
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        ("stats --n 8 --lambda 0.5", "f6650a580304f38f"),
-        ("stats --n 8 --lambda 0.5 --format tsv", "fe2c292b886f9a3a"),
+        ("stats --n 8 --lambda 0.5", "3a900cd197fdbdf6"),
+        ("stats --n 8 --lambda 0.5 --format tsv", "cc3a690f5a9ab3e6"),
         ("clone --n 4 --m 8 --lambda 0.5", "11d67a8429c74771"),
         ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
         ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "b3ac676e525e9013"),
-        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "66f24b800b4631f0"),
+        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "7efeb5f8f13e2b3f"),
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):
@@ -277,8 +278,9 @@ def test_verify_rows_golden(capsys):
     assert lines[1] == "check,label,residual" and lines[-1] == "status=pass"
     post = ["j=0;alpha=1", "j=0;alpha=2", "j=1;alpha=1", "j=1;alpha=2", "j=1;alpha=3", "j=2;alpha=1"]
     assert [tuple(line.split(",")[:2]) for line in lines[2:-1]] == [
-        ("decomposition", "block_sum"),
-        ("decomposition", "excitation_projectors"),
+        ("decomposition", "orthonormality"),
+        ("decomposition", "off_block_weight"),
+        ("decomposition", "copy_traces"),
         *(("post_state", label) for label in post),
         ("quadrature", "j=1"),
         ("quadrature", "j=2"),
@@ -301,12 +303,14 @@ def test_verify_rows_golden(capsys):
         ("verify --n 4 --lambda 0.5", {"SCHUR_CAP": "abc"}),
         ("stats --n 4 --lambda 0.5 --out {missing}/x.csv", {}),
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials {missing}/d.csv", {}),
+        ("stats --n 4 --lambda 0.5 --out ''", {}),
+        ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials ''", {}),
     ],
 )
 def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert main(argv.format(missing=tmp_path / "missing").split()) == 2
+    assert main(shlex.split(argv.format(missing=tmp_path / "missing"))) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

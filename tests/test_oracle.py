@@ -27,8 +27,9 @@ from qpurify import (
     reversibility_check,
     verify_decomposition,
 )
+from qpurify import oracle
 from qpurify.analytics import cross_power_sum
-from qpurify.blocks import SINGLET, dicke_rows
+from qpurify.blocks import SINGLET, SchurBasis, dicke_rows
 from qpurify.core import outer, qubit_eigenstates
 from qpurify.oracle import _angular_rule
 
@@ -75,6 +76,35 @@ class TestVerifyDecomposition:
         report = verify_decomposition(random_qubit(rng), 2)
         kinds = {row[0] for row in report.rows()}
         assert kinds == {"decomposition", "post_state"}
+
+
+def _mix_spins(spins):  # 0.1 rad rotation of |2,0,1> with |1,0,1>
+    c, s = math.cos(0.1), math.sin(0.1)
+    a, b = spins[2][0, 2].copy(), spins[1][0, 1].copy()
+    spins[2][0, 2], spins[1][0, 1] = c * a - s * b, s * a + c * b
+
+
+def _flip_sign(spins):  # |2,0,1> -> -|2,0,1>
+    spins[2][0, 2] *= -1
+
+
+def _swap_m(spins):  # |2,-1,1> <-> |2,0,1>
+    spins[2][0, [1, 2]] = spins[2][0, [2, 1]]
+
+
+@pytest.mark.parametrize("mutate", [_mix_spins, _flip_sign, _swap_m])
+def test_verify_fails_a_mutated_basis(mutate, monkeypatch):
+    n = 8
+    spins = {j: np.array(rows) for j, rows in build_schur_basis(n).spins.items()}
+    mutate(spins)
+    monkeypatch.setattr(oracle, "build_schur_basis", lambda size: SchurBasis(size, spins))
+    oracle._power_coordinates.cache_clear()
+    try:
+        with pytest.raises(VerificationError) as err:
+            verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
+    finally:
+        oracle._power_coordinates.cache_clear()
+    assert err.value.report.worst_residual() >= 1e-9
 
 
 class TestMeasureBlock:

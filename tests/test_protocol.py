@@ -224,7 +224,7 @@ def test_outcome_csv_roundtrip():
     [
         (20, 5000, 9, False, "0c2de38423b6b236"),
         (100, 100_000, 3, False, "91ab2ef9835596e4"),
-        (4, 500, 2, True, "458c9afdff419372"),
+        (4, 500, 2, True, "a2bbfdbabd5b2bf3"),
     ],
 )
 def test_outcome_csv_golden(n, trials, seed, dense, digest):
