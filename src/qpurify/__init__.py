@@ -24,7 +24,6 @@ from .blocks import (
     measure_block,
 )
 from .cloning import (
-    CloneSettings,
     estimation_lambda,
     mixed_cloning_fidelity,
     pure_cloning_fidelity,
@@ -47,7 +46,6 @@ from .core import (
 )
 from .oracle import (
     CovariantMapParams,
-    VerificationError,
     covariance_residual,
     covariant_output_fidelity,
     optimality_scan,

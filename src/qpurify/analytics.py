@@ -13,12 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import dicke_power
-from .core import MixedQubit, qubit_eigenstates
-
-
-def _check_even(n: int) -> None:
-    if n < 2 or n % 2:
-        raise ValueError(f"register size must be a positive even integer, got {n}")
+from .core import MixedQubit, _check_register, qubit_eigenstates
 
 
 def _check_lambda(lam: float) -> None:
@@ -28,7 +23,7 @@ def _check_lambda(lam: float) -> None:
 
 def multiplicity(n: int, j: int) -> int:
     """Number of equivalent spin-j blocks in n qubits (exact integer)."""
-    _check_even(n)
+    _check_register(n)
     J = n // 2
     if not 0 <= j <= J:
         raise ValueError(f"total spin must lie in 0..{J}, got {j}")
@@ -65,7 +60,7 @@ def _spectrum_columns(n: int, lam: float) -> tuple[list[int], np.ndarray, np.nda
     c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
     indicator.
     """
-    _check_even(n)
+    _check_register(n)
     J = n // 2
     s0, fids = _prefix_sums(lam, J)
     mults = []
@@ -158,19 +153,15 @@ def yield_factor(n: int, lam: float) -> float:
     return math.fsum(row.probability * row.j / J for row in spect.rows) / math.fsum(spect.probabilities())
 
 
-def mean_fidelity(n: int, lam: float, include_j0: bool = True) -> float:
+def mean_fidelity(n: int, lam: float) -> float:
     """Probability-weighted kept-qubit fidelity.
 
-    The spin-0 outcome keeps no qubits; by default its weight multiplies
-    the continuity value block_fidelity(lam, 0) so the sum runs over every
-    j, and ``include_j0=False`` drops that term instead.  Divided by the
-    fsum of all the p_j, as the simulator's draw is.
+    The spin-0 outcome keeps no qubits; its weight multiplies the
+    continuity value block_fidelity(lam, 0) so the sum runs over every j.
+    Divided by the fsum of all the p_j, as the simulator's draw is.
     """
     spect = block_spectrum(n, lam)
-    terms = [row.probability * row.fidelity for row in spect.rows if row.j >= 1]
-    if include_j0:
-        terms.append(spect.rows[0].probability * spect.rows[0].fidelity)
-    return math.fsum(terms) / math.fsum(spect.probabilities())
+    return math.fsum(row.probability * row.fidelity for row in spect.rows) / math.fsum(spect.probabilities())
 
 
 def yield_asymptote(n: int, lam: float) -> float:

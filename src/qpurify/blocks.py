@@ -20,19 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockLabel, SizeLimitError, dense_cap, kron_power
+from .core import BlockLabel, SizeLimitError, _check_register, dense_cap, kron_power
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 _PROB_FLOOR = 1e-14  # below this an outcome's post-state is undefined
-
-
-def _check_register(n: int) -> None:
-    if n < 2 or n % 2:
-        raise ValueError(
-            f"register size must be a positive even integer, got {n} "
-            "(odd sizes are not supported)"
-        )
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -187,16 +179,21 @@ def build_schur_basis(n: int) -> SchurBasis:
     as ``_add_pair`` lists them, so copy 1 is seed_vector(n, j, .) and
     copies 1..d_j(n - 2) are the n - 2 basis followed by a singlet.  Cached
     per n and immutable.  Raises SizeLimitError above the dense cap, or
-    when eight complex 2^n x 2^n matrices, a generous bound on the dense
-    work that follows, would not fit in the available memory.
+    when the dense work would not fit in the available memory: the real
+    basis (8 4^n bytes), four complex copies of the largest spin sector
+    for the temporaries of ``power_coordinates``, and 64 MiB for buffers
+    and allocator slack.  At 12 qubits that is 536 MiB, above the 508 MiB
+    peak of ``qpurify verify``.
     """
     _check_register(n)
     if n > dense_cap():
         raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap()} qubits")
-    needed, available = 8 * 16 * 4**n, _mem_available_bytes()
+    J = n // 2
+    sector = max(math.comb(n, J - j) * (2 * j + 1) ** 2 // (J + j + 1) for j in range(J + 1))  # d_j (2j+1)
+    needed, available = 8 * 4**n + 4 * 16 * sector * 2**n + 2**26, _mem_available_bytes()
     if available is not None and needed > available:
         raise SizeLimitError(
-            f"n={n} needs about {needed / 2**20:.3g} MiB of dense matrices, "
+            f"n={n} needs about {needed / 2**20:.3g} MiB of dense arrays, "
             f"more than the {available / 2**20:.3g} MiB available"
         )
     return _build_basis(n)

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import analytics, cloning, protocol
 from .core import MixedQubit, SizeLimitError, haar_unitary, random_direction
-from .oracle import (
-    VerificationError,
-    covariance_residual,
-    default_tolerance,
-    quadrature_check,
-    reversibility_check,
-    verify_decomposition,
-)
+from .oracle import covariance_residual, quadrature_check, reversibility_check, verify_decomposition
 
 
 class UsageError(ValueError):
@@ -46,13 +39,16 @@ def _parse_lambdas(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_clones(raw: str) -> float:
+def _parse_clones(raw: str, n: int) -> float:
     if raw.lower() in ("inf", "infinity"):
         return math.inf
     try:
-        return int(raw)
+        m_out = int(raw)
     except ValueError as exc:
         raise UsageError(f"--m must be an integer or 'inf', got {raw!r}") from exc
+    if m_out < n:
+        raise UsageError(f"--m must be at least --n = {n}, got {m_out}")
+    return m_out
 
 
 def _count(d: int) -> str:
@@ -68,6 +64,12 @@ def _require_even(n: int) -> int:
     if n < 2 or n % 2:
         raise UsageError(f"N must be even and positive, got {n}")
     return n
+
+
+def _require_seed(seed: int) -> int:
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _check_writable(option: str, path: str | None) -> None:
@@ -101,17 +103,15 @@ def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     n, lam = _register(args.n, _parse_lambdas(args.lam))
-    tol = args.tol if args.tol is not None else default_tolerance(n)
-    rng = np.random.Generator(np.random.Philox(args.seed))
+    tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
+    if not 0.0 < tol < math.inf:  # also refuses nan
+        raise UsageError(f"--tol must be a positive finite number, got {tol}")
+    rng = np.random.Generator(np.random.Philox(_require_seed(args.seed)))
     direction = random_direction(rng)
     q = MixedQubit(lam, direction)
 
-    rows: list[tuple[str, str, float]] = []
-    try:
-        report = verify_decomposition(q, n, tol=tol)
-    except VerificationError as exc:
-        report = exc.report
-    rows.extend(report.rows())
+    report = verify_decomposition(q, n)
+    rows = report.rows()
 
     for j in range(1, n // 2 + 1):
         rows.append(("quadrature", f"j={j}", quadrature_check(q, j)))
@@ -136,15 +136,13 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     n, lam = _register(args.n, _parse_lambdas(args.lam))
+    if not 1 <= args.trials < 2**63:
+        raise UsageError(f"--trials must lie in 1..2**63 - 1, got {args.trials}")
+    _require_seed(args.seed)
     _check_writable("--dump-trials", args.dump_trials)
     keep = args.dump_trials is not None
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
-    try:
-        summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
-    except SizeLimitError:
-        raise
-    except ValueError as exc:  # the trial count, checked before any work
-        raise UsageError(f"--{exc}") from exc
+    summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
     if keep:
         protocol.write_outcomes_csv(summary.outcomes, args.dump_trials)
 
@@ -214,24 +212,19 @@ def _render_figure1(path: str, n_values, curves) -> None:
 
 
 def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    lams = _parse_lambdas(args.lam)
-    m_out = _parse_clones(args.m)
-    n, lam = _register(args.n, lams)
-    try:
-        settings = cloning.CloneSettings(n_in=n, m_out=m_out, lam=lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    n, lam = _register(args.n, _parse_lambdas(args.lam))
+    m_out = _parse_clones(args.m, n)
     lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
     for row in analytics.block_spectrum(n, lam).rows:
         f_pure = cloning.pure_cloning_fidelity(row.j, m_out)
         term = cloning.block_clone_term(row, f_pure)
         lines.append(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
-    f_mix = cloning.mixed_cloning_fidelity(settings)
+    f_mix = cloning.mixed_cloning_fidelity(n, m_out, lam)
     lines.append(f"F_mix={_num(f_mix)}")
     lines.append(f"lambda_mix={_num(2.0 * f_mix - 1.0)}")
     lines.append(f"lambda_mix_inf={_num(cloning.estimation_lambda(n, lam))}")
     if not math.isinf(m_out):
-        lines.append(f"scaling_residual={_num(cloning.scaling_relation_check(settings))}")
+        lines.append(f"scaling_residual={_num(cloning.scaling_relation_check(n, m_out, lam))}")
     return 0, lines
 
 

@@ -4,33 +4,17 @@ The N -> M cloning fidelity of a mixed input decomposes over the spin
 blocks: each block clones like 2j pure copies, degraded by the block
 fidelity.  The M -> infinity limit doubles as the best achievable
 state-estimation fidelity, conveniently expressed as a Bloch length.
+Both averages divide by the fsum of the p_j, as ``analytics.yield_factor``
+and ``analytics.mean_fidelity`` do.  The inputs are checked where they
+are used: the spectrum rejects an odd n and lam outside [0, 1], and
+``pure_cloning_fidelity`` rejects m_out < 2j, so m_out < n at j = n/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import analytics
-
-
-@dataclass(frozen=True)
-class CloneSettings:
-    """Cloning task: n_in identical copies in, m_out clones out."""
-
-    n_in: int
-    m_out: float  # integer count, or math.inf for the estimation limit
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.n_in < 2 or self.n_in % 2:
-            raise ValueError(f"n_in must be a positive even integer, got {self.n_in}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"Bloch length must lie in [0, 1], got {self.lam}")
-        if math.isinf(self.m_out):
-            return
-        if self.m_out != int(self.m_out) or self.m_out < self.n_in:
-            raise ValueError(f"m_out must be an integer >= n_in or infinity, got {self.m_out}")
 
 
 def pure_cloning_fidelity(j: int, m_out: float) -> float:
@@ -49,16 +33,15 @@ def pure_cloning_fidelity(j: int, m_out: float) -> float:
     return (m * (2 * j + 1) + 2 * j) / (m * (2 * j + 2))
 
 
-def mixed_cloning_fidelity(settings: CloneSettings) -> float:
-    """Optimal per-clone fidelity for n_in mixed copies cloned to m_out.
+def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
+    """Optimal per-clone fidelity for n_in mixed copies cloned to m_out (an integer or math.inf).
 
     Block-probability average of the pure bound applied to each block,
     with the complementary weight landing on the orthogonal state.
     """
-    spect = analytics.block_spectrum(settings.n_in, settings.lam)
-    return math.fsum(
-        block_clone_term(row, pure_cloning_fidelity(row.j, settings.m_out)) for row in spect.rows
-    )
+    spect = analytics.block_spectrum(n_in, lam)
+    terms = (block_clone_term(row, pure_cloning_fidelity(row.j, m_out)) for row in spect.rows)
+    return math.fsum(terms) / math.fsum(spect.probabilities())
 
 
 def block_clone_term(row: analytics.SpectrumRow, f_pure: float) -> float:
@@ -80,17 +63,13 @@ def estimation_lambda(n: int, lam: float) -> float:
     purification map, so it never exceeds 2 mean_fidelity(n, lam) - 1.
     """
     spect = analytics.block_spectrum(n, lam)
-    return math.fsum(
-        row.probability * (2.0 * row.fidelity - 1.0) * row.j / (row.j + 1)
-        for row in spect.rows
-        if row.j >= 1
-    )
+    terms = (row.probability * (2.0 * row.fidelity - 1.0) * row.j / (row.j + 1) for row in spect.rows[1:])
+    return math.fsum(terms) / math.fsum(spect.probabilities())
 
 
-def scaling_relation_check(settings: CloneSettings) -> float:
+def scaling_relation_check(n_in: int, m_out: float, lam: float) -> float:
     """Residual of the finite-M identity 2F - 1 = (2F_inf - 1)(M + 2)/M."""
-    if math.isinf(settings.m_out):
+    if math.isinf(m_out):
         raise ValueError("the scaling relation needs a finite m_out")
-    lhs = 2.0 * mixed_cloning_fidelity(settings) - 1.0
-    rhs = estimation_lambda(settings.n_in, settings.lam) * (settings.m_out + 2.0) / settings.m_out
-    return abs(lhs - rhs)
+    lhs = 2.0 * mixed_cloning_fidelity(n_in, m_out, lam) - 1.0
+    return abs(lhs - estimation_lambda(n_in, lam) * (m_out + 2.0) / m_out)

@@ -25,12 +25,19 @@ class SizeLimitError(ValueError):
     """A request would exceed the dense cap or the available memory, or the cap is unreadable."""
 
 
+def _check_register(n: int) -> None:
+    if n < 2 or n % 2:
+        raise ValueError(f"register size must be a positive even integer, got {n}")
+
+
 def dense_cap() -> int:
     """Maximum register size, in qubits, for dense objects.
 
     The SCHUR_CAP environment variable overrides the built-in default of
     12 qubits.  On a 2-core machine ``qpurify verify`` takes 0.6 s at 10
-    qubits and 6.5 s at 0.5 GB at 12; at 14 the real basis alone takes 2.1 GB.
+    qubits and 6.5 s at 0.5 GB at 12.  At 14 the real basis alone takes
+    2.1 GB, and ``build_schur_basis`` estimates 7.0 GiB for the whole
+    dense route, so it also needs that much available memory.
     """
     env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_QUBIT_CAP)
     try:

@@ -38,7 +38,6 @@ from qpurify import (
 )
 from qpurify.blocks import measure_block
 from qpurify.cli import main as cli_main
-from qpurify.cloning import CloneSettings
 from qpurify.core import density_matrix
 
 
@@ -70,7 +69,7 @@ def test_criterion_02_decomposition_identity():
     for n in (2, 4, 6, 8):
         for _ in range(10):
             q = MixedQubit(float(rng.uniform(0, 1)), random_direction(rng))
-            rep = verify_decomposition(q, n, tol=1e-9)
+            rep = verify_decomposition(q, n)
             worst = max(worst, rep.worst_residual())
     ok = worst < 1e-9
     assert report(2, ok, f"worst reconstruction residual {worst:.2e}"), worst
@@ -245,7 +244,7 @@ def test_criterion_09_cloning_identities():
     for n in range(2, 21, 2):
         for m in (n, n + 13, 100):
             for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-                worst_scaling = max(worst_scaling, scaling_relation_check(CloneSettings(n, m, lam)))
+                worst_scaling = max(worst_scaling, scaling_relation_check(n, m, lam))
     ok = worst_pure < 1e-13 and worst_scaling < 1e-12
     assert report(
         9, ok, f"pure identity {worst_pure:.2e}, scaling relation {worst_scaling:.2e}"

@@ -216,10 +216,8 @@ class TestAverages:
         assert mean_fidelity(12, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_mean_fidelity_two_qubits_split(self):
-        without = mean_fidelity(2, 0.5, include_j0=False)
-        assert without == pytest.approx(0.65625, abs=1e-14)  # 13/16 * 21/26
-        with_term = mean_fidelity(2, 0.5, include_j0=True)
-        assert with_term == pytest.approx(0.65625 + 0.1875 * block_fidelity(0.5, 0), abs=1e-14)
+        # p_1 f_1 = 13/16 * 21/26, and the spin-0 weight takes the continuity value
+        assert mean_fidelity(2, 0.5) == pytest.approx(0.65625 + 0.1875 * block_fidelity(0.5, 0), abs=1e-14)
 
     def test_yield_tracks_asymptote(self):
         # the residual against lam + (1-lam)/(n lam) decays faster than 1/n^2

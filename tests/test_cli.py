@@ -103,7 +103,7 @@ class TestVerify:
         assert err.startswith("error: SCHUR_CAP") and err.count("\n") == 1
 
     def test_memory_estimate_usage_error(self, capsys, monkeypatch):
-        # the n = 4 estimate is 8 * 16 * 4^4 bytes = 32 KiB
+        # the n = 4 estimate is about 64 MiB, nearly all of it the fixed allowance
         monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 1024)
         assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 2
         err = capsys.readouterr().err
@@ -138,6 +138,11 @@ class TestSimulate:
             args = ("simulate", "--n", "4", "--lambda", "0.5", "--trials", trials, "--seed", "1")
             assert run_cli(*args) == 2
             assert "--trials must lie in" in capsys.readouterr().err
+
+    def test_negative_seed_usage_error(self, capsys):
+        for command in (("simulate", "--trials", "10"), ("verify",)):
+            assert run_cli(*command, "--n", "4", "--lambda", "0.5", "--seed", "-1") == 2
+            assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_oversized_dump_usage_error(self, tmp_path, capsys):
         # 8 bytes a trial at 2**62 trials is 32 EiB: refused before anything is allocated
@@ -261,7 +266,7 @@ def test_unknown_command_exits_two():
         ("stats --n 8 --lambda 0.5 --format tsv", "cc3a690f5a9ab3e6"),
         ("clone --n 4 --m 8 --lambda 0.5", "11d67a8429c74771"),
         ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
-        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "b3ac676e525e9013"),
+        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "abeba5aceb302964"),
         ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "7efeb5f8f13e2b3f"),
     ],
 )
@@ -305,6 +310,13 @@ def test_verify_rows_golden(capsys):
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials {missing}/d.csv", {}),
         ("stats --n 4 --lambda 0.5 --out ''", {}),
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials ''", {}),
+        ("clone --n 4 --m 3 --lambda 0.5", {}),
+        ("simulate --n 4 --lambda 0.5 --trials 10 --seed -1", {}),
+        ("verify --n 4 --lambda 0.5 --seed -1", {}),
+        ("verify --n 4 --lambda 0.5 --tol nan", {}),
+        ("verify --n 4 --lambda 0.5 --tol inf", {}),
+        ("verify --n 4 --lambda 0.5 --tol 0", {}),
+        ("verify --n 4 --lambda 0.5 --tol -1", {}),
     ],
 )
 def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpurify import (
-    CloneSettings,
     CovariantMapParams,
     MixedQubit,
     block_fidelity,
@@ -25,6 +25,28 @@ from qpurify import (
 )
 
 from conftest import random_qubit
+
+
+EXACT_LAMS = (Fraction(3, 10), Fraction(3, 5), Fraction(9, 10))
+
+
+def exact_estimation_lambda(n: int, lam: Fraction) -> Fraction:
+    """sum_{j>=1} p_j (2 f_j - 1) j/(j+1) in integers, for lam = a/b.
+
+    With u = b + a, v = b - a, g = sum_k u^(2j-k) v^k and h = sum_k k u^(2j-k) v^k
+    over the k anti-aligned qubits of the block, p_j = d_j (uv)^(J-j) g / (2b)^n
+    and 2 f_j - 1 = (j g - h) / (j g).
+    """
+    a, b = lam.numerator, lam.denominator
+    u, v = b + a, b - a
+    J = n // 2
+    g, h, total = 1, 0, Fraction(0)
+    for j in range(1, J + 1):
+        for m in (2 * j - 1, 2 * j):
+            g, h = u * g + v**m, u * h + m * v**m
+        d = math.comb(n, J - j) * (2 * j + 1) // (J + j + 1)
+        total += Fraction(d * (u * v) ** (J - j) * (j * g - h), j + 1)
+    return total / (2 * b) ** n
 
 
 class TestPureCloningFidelity:
@@ -54,32 +76,41 @@ class TestPureCloningFidelity:
 
 class TestMixedCloningFidelity:
     def test_pure_identity_cloning(self):
-        assert mixed_cloning_fidelity(CloneSettings(4, 4, 1.0)) == pytest.approx(1.0, abs=1e-14)
+        assert mixed_cloning_fidelity(4, 4, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_pure_estimation_limit(self):
         for n in (2, 4, 10):
-            f = mixed_cloning_fidelity(CloneSettings(n, math.inf, 1.0))
+            f = mixed_cloning_fidelity(n, math.inf, 1.0)
             assert 2 * f - 1 == pytest.approx(n / (n + 2), abs=1e-13)
 
     def test_two_copies_match_scaling_relation(self):
-        settings = CloneSettings(2, math.inf, 0.5)
-        f = mixed_cloning_fidelity(settings)
+        f = mixed_cloning_fidelity(2, math.inf, 0.5)
         assert 2 * f - 1 == pytest.approx(estimation_lambda(2, 0.5), abs=1e-14)
 
     def test_monotone_toward_estimation_limit(self):
-        limit = mixed_cloning_fidelity(CloneSettings(4, math.inf, 0.5))
-        values = [mixed_cloning_fidelity(CloneSettings(4, m, 0.5)) for m in (4, 6, 10, 40, 400)]
+        limit = mixed_cloning_fidelity(4, math.inf, 0.5)
+        values = [mixed_cloning_fidelity(4, m, 0.5) for m in (4, 6, 10, 40, 400)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > limit for v in values)
         assert values[-1] == pytest.approx(limit, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [8, 200, 2000])
+    def test_matches_exact_rationals(self, n):
+        # 2F - 1 = lambda_inf (M + 2)/M exactly once the p_j sum to one
+        for lam in EXACT_LAMS:
+            lam_inf = exact_estimation_lambda(n, lam)
+            for m in (n, n + 7, math.inf):
+                gain = 1 if math.isinf(m) else Fraction(m + 2, m)
+                exact = float(Fraction(1, 2) + lam_inf * gain / 2)
+                assert abs(mixed_cloning_fidelity(n, m, float(lam)) - exact) <= 5e-16 * exact, (lam, m)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            CloneSettings(3, 4, 0.5)
+            mixed_cloning_fidelity(3, 4, 0.5)
         with pytest.raises(ValueError):
-            CloneSettings(4, 2, 0.5)
+            mixed_cloning_fidelity(4, 2, 0.5)
         with pytest.raises(ValueError):
-            CloneSettings(4, 4, 1.5)
+            mixed_cloning_fidelity(4, 4, 1.5)
 
 
 class TestEstimationLambda:
@@ -90,6 +121,12 @@ class TestEstimationLambda:
         assert estimation_lambda(2, 1.0) == pytest.approx(0.5, abs=1e-15)
         assert estimation_lambda(4, 1.0) == pytest.approx(2 / 3, abs=1e-15)
         assert estimation_lambda(40, 1.0) == pytest.approx(40 / 42, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 200, 2000])
+    def test_matches_exact_rationals(self, n):
+        for lam in EXACT_LAMS:
+            exact = float(exact_estimation_lambda(n, lam))
+            assert abs(estimation_lambda(n, float(lam)) - exact) <= 5e-16 * exact, lam
 
     def test_two_copy_value_is_half_lambda(self):
         # exact identity: the symmetric-block weight times its length gain
@@ -185,17 +222,17 @@ class TestScalingRelation:
         "n,m,lam", [(2, 2, 0.7), (8, 16, 0.3), (4, 4, 1.0), (20, 100, 0.9)]
     )
     def test_residual_vanishes(self, n, m, lam):
-        assert scaling_relation_check(CloneSettings(n, m, lam)) < 1e-12
+        assert scaling_relation_check(n, m, lam) < 1e-12
 
     def test_sweep(self):
         for n in range(2, 21, 2):
             for m in (n, n + 7, 100):
                 for lam in (0.05, 0.35, 0.65, 0.95):
-                    assert scaling_relation_check(CloneSettings(n, m, lam)) < 1e-12
+                    assert scaling_relation_check(n, m, lam) < 1e-12
 
     def test_requires_finite_output(self):
         with pytest.raises(ValueError):
-            scaling_relation_check(CloneSettings(2, math.inf, 0.5))
+            scaling_relation_check(2, math.inf, 0.5)
 
 
 class TestCovariantMap:

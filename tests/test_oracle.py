@@ -7,7 +7,6 @@ import pytest
 from qpurify import (
     BlockLabel,
     MixedQubit,
-    VerificationError,
     block_fidelity,
     block_probability,
     block_state_matrix,
@@ -66,12 +65,6 @@ class TestVerifyDecomposition:
                 block_probability(6, report.lam, j) / multiplicity(6, j), abs=1e-10
             )
 
-    def test_failure_raises_with_report(self, rng):
-        with pytest.raises(VerificationError) as err:
-            verify_decomposition(random_qubit(rng), 4, tol=1e-30)
-        assert err.value.report is not None
-        assert err.value.report.worst_residual() < 1e-9  # genuine residual is tiny
-
     def test_report_rows_shape(self, rng):
         report = verify_decomposition(random_qubit(rng), 2)
         kinds = {row[0] for row in report.rows()}
@@ -100,11 +93,10 @@ def test_verify_fails_a_mutated_basis(mutate, monkeypatch):
     monkeypatch.setattr(oracle, "build_schur_basis", lambda size: SchurBasis(size, spins))
     oracle._power_coordinates.cache_clear()
     try:
-        with pytest.raises(VerificationError) as err:
-            verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
+        report = verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
     finally:
         oracle._power_coordinates.cache_clear()
-    assert err.value.report.worst_residual() >= 1e-9
+    assert report.worst_residual() >= 1e-9
 
 
 class TestMeasureBlock:
