@@ -42,13 +42,9 @@ from .core import (
     partial_trace,
     qubit_eigenstates,
     random_direction,
-    state_fidelity,
 )
 from .oracle import (
-    CovariantMapParams,
     covariance_residual,
-    covariant_output_fidelity,
-    optimality_scan,
     pure_component_moments,
     purification_map_outputs,
     quadrature_check,

@@ -141,11 +141,6 @@ class SchurBasis:
     def labels(self) -> list[BlockLabel]:
         return [BlockLabel(j, a) for j in self.j_values() for a in range(1, len(self.spins[j]) + 1)]
 
-    def vector(self, j: int, m: int, alpha: int) -> np.ndarray:
-        if abs(m) > j:
-            raise ValueError(f"no basis vector (j={j}, m={m}, alpha={alpha})")
-        return self.block(j, alpha)[j + m]
-
     def block(self, j: int, alpha: int) -> np.ndarray:
         """View of the block vectors; row i is |j, m, alpha> with m = -j + i."""
         d = self.multiplicity_of(j)

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +83,14 @@ def _check_writable(option: str, path: str | None) -> None:
         raise UsageError(f"cannot write the {option} file {path!r}")
 
 
+def _write(option: str, path: str, write) -> None:
+    """Run ``write(path)``; a failed write, say on a full device, is a usage error naming the file."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write the {option} file {path!r}: {exc.strerror or exc}") from exc
+
+
 def _register(n: int, lams: tuple[float, ...]) -> tuple[int, float]:
     """The even register size and the one Bloch length of a single-input command."""
     n = _require_even(n)
@@ -144,7 +153,7 @@ def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
     if keep:
-        protocol.write_outcomes_csv(summary.outcomes, args.dump_trials)
+        _write("--dump-trials", args.dump_trials, lambda path: protocol.write_outcomes_csv(summary.outcomes, path))
 
     yield_target = analytics.yield_factor(n, lam)
     fidelity_target = analytics.mean_fidelity(n, lam)
@@ -285,15 +294,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_writable("--out", args.out)
         code, lines = args.func(args, "\t" if args.fmt == "tsv" else ",")
+        text = "".join(line + "\n" for line in lines)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write("--out", args.out, lambda path: Path(path).write_text(text, encoding="utf-8", newline=""))
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "".join(line + "\n" for line in lines)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -187,11 +187,6 @@ def partial_trace(a: np.ndarray, keep) -> np.ndarray:
     return reduced.reshape(d, d)
 
 
-def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Overlap <psi| rho |psi> (real part)."""
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0

@@ -6,9 +6,9 @@ here for small registers from the blocks of the tensor power, which
 power: the basis is orthonormal weight by weight, the blocks carry the
 whole weight of the power, and each copy's trace and normalised block
 match the closed forms; block states are rebuilt by quadrature over pure
-components; the measurement maps are checked for rotation covariance and
-reversibility; and a scan over rotation-covariant single-qubit maps
-locates the optimal one.  Each check returns its residuals and never
+components, whose single-qubit moments are an independent route to the
+kept-qubit fidelity; and the measurement maps are checked for rotation
+covariance and reversibility.  Each check returns its residuals and never
 raises on their size: the tolerance and the verdict belong to the caller,
 ``qpurify verify``.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .core import (
     max_abs,
     outer,
     qubit_eigenstates,
-    state_fidelity,
 )
 
 
@@ -131,30 +129,25 @@ def verify_decomposition(q: MixedQubit, n: int) -> DecompositionReport:
     )
 
 
-def _angular_rule(j: int, nodes: int | None) -> list[tuple[float, float, complex, float]]:
+def _angular_rule(j: int) -> list[tuple[float, float, complex, float]]:
     """(cos(theta/2), sin(theta/2), e^{i phi}, weight) of the spin-j pure-component rule.
 
-    Gauss-Legendre in cos(theta) and a uniform rule in phi, with node
-    counts that integrate the degree-2j trigonometric integrand exactly;
-    the weights sum to one.
+    Gauss-Legendre in cos(theta) with 2j + 2 nodes and a uniform rule in
+    phi with 4j + 1, which integrate the degree-2j trigonometric integrand
+    exactly; the weights sum to one.
     """
     if j < 1:
         raise ValueError("the pure-component integral needs j >= 1")
-    minimum = 2 * j + 1
-    if nodes is None:
-        nodes = minimum + 1
-    if nodes < minimum:
-        raise ValueError(f"need at least {minimum} polar nodes for an exact integral")
     n_phi = 4 * j + 1
     phases = np.exp(1j * (2.0 * math.pi * np.arange(n_phi) / n_phi))
     return [
         (math.sqrt((1.0 + x) / 2.0), math.sqrt((1.0 - x) / 2.0), phase, w / 2.0 / n_phi)
-        for x, w in zip(*np.polynomial.legendre.leggauss(nodes))
+        for x, w in zip(*np.polynomial.legendre.leggauss(2 * j + 2))
         for phase in phases
     ]
 
 
-def quadrature_check(q: MixedQubit, j: int, nodes: int | None = None) -> float:
+def quadrature_check(q: MixedQubit, j: int) -> float:
     """Rebuild the kept-block state from its pure-component integral.
 
     The block state is a rotation average over 2j-fold copies of a single
@@ -163,7 +156,7 @@ def quadrature_check(q: MixedQubit, j: int, nodes: int | None = None) -> float:
     so every node costs (2j+1)^2.  Returns the max-element residual against
     block_state_matrix.
     """
-    rule = _angular_rule(j, nodes)
+    rule = _angular_rule(j)
     aligned, anti = qubit_eigenstates(q)
     cos_half, sin_half, phase, weight = (np.array(col) for col in zip(*rule))
     # unnormalized pure components (b0, b1), one row per node; their norm^2 supplies the angular weight
@@ -176,18 +169,19 @@ def quadrature_check(q: MixedQubit, j: int, nodes: int | None = None) -> float:
     return max_abs(rho_quad - block_state_matrix(q, j))
 
 
-def pure_component_moments(
-    q: MixedQubit, j: int, nodes: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pure_component_moments(q: MixedQubit, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-qubit moments of the pure-component integral of a spin-j block.
 
     Quadrature over the same angular rule as quadrature_check, but
     accumulating only the 2x2 outer products of each pure component
     and of its orthogonal complement.  Both results are expressed in the
     (anti-aligned, aligned) eigenbasis and have unit trace; the aligned
-    diagonal of the first one is an independent route to block_fidelity.
+    diagonal K of the first one is an independent route to block_fidelity.
+    A rotation-covariant map with weights (x, y) on the two moments has
+    fidelity (x K + y F) / (x + y), F the aligned diagonal of the second,
+    so keeping the component is the optimal covariant map when K > F.
     """
-    rule = _angular_rule(j, nodes)
+    rule = _angular_rule(j)
     sq1 = math.sqrt(q.c1)
     sq0 = math.sqrt(q.c0)
     kept = np.zeros((2, 2), dtype=complex)
@@ -200,70 +194,6 @@ def pure_component_moments(
         flipped += scale * outer(orthogonal)
     prefactor = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j)
     return prefactor * kept, prefactor * flipped
-
-
-@dataclass(frozen=True)
-class CovariantMapParams:
-    """Weights (x, y) of a rotation-covariant single-output map."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.x < 0.0 or self.y < 0.0 or self.x + self.y > 1.0 + 1e-12:
-            raise ValueError(f"need x, y >= 0 with x + y <= 1, got ({self.x}, {self.y})")
-
-
-class ScanResult(NamedTuple):
-    x: float
-    y: float
-    fidelity: float
-
-
-def covariant_output_fidelity(
-    q: MixedQubit, j: int, params: CovariantMapParams, nodes: int | None = None
-) -> float:
-    """Fidelity of a covariant (x, y)-map applied to the spin-j block state.
-
-    Evaluated through the pure-component integral of the block state, not
-    through any closed-form shortcut, so it independently tests the block
-    fidelity formula.
-    """
-    if params.x + params.y <= 0.0:
-        raise ValueError("need x + y > 0 for a normalizable output")
-    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
-    out = params.x * moment_kept + params.y * moment_flipped
-    target = np.array([0.0, 1.0], dtype=complex)
-    # moments are expressed in the (anti, aligned) eigenbasis
-    return state_fidelity(out / np.real(np.trace(out)), target)
-
-
-def optimality_scan(q: MixedQubit, j: int, grid: int = 21, nodes: int | None = None) -> ScanResult:
-    """Maximize the covariant-map fidelity over the triangle x, y >= 0, x+y <= 1.
-
-    Returns the best grid point; the maximum sits on the y = 0 edge where
-    the map keeps the component aligned with the input block.
-    """
-    if j < 1:
-        raise ValueError("the scan needs j >= 1")
-    if grid < 11:
-        raise ValueError("need a grid of at least 11 points per edge")
-    moment_kept, moment_flipped = pure_component_moments(q, j, nodes)
-    target = np.array([0.0, 1.0], dtype=complex)
-    kept_term = state_fidelity(moment_kept, target)
-    flipped_term = state_fidelity(moment_flipped, target)
-    best = ScanResult(math.nan, math.nan, -math.inf)
-    steps = grid - 1
-    for ix in range(grid):
-        x = ix / steps
-        for iy in range(grid - ix):
-            y = iy / steps
-            if x + y == 0.0:
-                continue
-            fid = (x * kept_term + y * flipped_term) / (x + y)
-            if fid > best.fidelity:
-                best = ScanResult(x, y, fid)
-    return best
 
 
 def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:

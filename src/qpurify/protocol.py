@@ -8,9 +8,7 @@ power for registers within the cap.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import os
 import random as pyrandom
 from dataclasses import dataclass, field
@@ -22,30 +20,19 @@ from .blocks import _PROB_FLOOR, build_schur_basis, dicke_power, power_coordinat
 from .core import MixedQubit, SizeLimitError, density_matrix, qubit_eigenstates
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One protocol run: the sampled block and resulting kept-qubit data."""
-
-    trial: int
-    j: int
-    alpha: int
-    kept_qubits: int
-    fidelity: float
-
-
 _CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text
 
 
 @dataclass(frozen=True, eq=False)
 class TrialOutcomes:
-    """The per-trial records of a simulation, made on demand from its outcome order.
+    """The per-trial outcomes of a simulation, held as its outcome order.
 
     Trial t fell on outcome ``order[t]``, which has spin ``js[i]`` and
     fidelity ``fids[i]``.  In dense mode ``copies[i]`` is the outcome's copy
     index; in fast mode it is the multiplicity d_j, and the trials draw
     their copy indices in trial order, uniform in 1..d_j, from one
-    ``random.Random(alpha_seed)``.  Holds 8 bytes per trial; iteration
-    yields ``OutcomeRecord``s, and indexing walks the draws up to the index.
+    ``random.Random(alpha_seed)``.  Holds 8 bytes per trial; its one
+    reader, ``write_outcomes_csv``, makes the rows a chunk at a time.
     """
 
     order: np.ndarray
@@ -69,21 +56,6 @@ class TrialOutcomes:
     def __len__(self) -> int:
         return len(self.order)
 
-    def __iter__(self):
-        js, fids = self.js, self.fids
-        for trials, idx, alphas in self._chunks():
-            for t, i, alpha in zip(trials, idx, alphas):
-                yield OutcomeRecord(t, js[i], alpha, 2 * js[i], fids[i])
-
-    def __getitem__(self, t: int) -> OutcomeRecord:
-        t = range(len(self))[operator.index(t)]  # IndexError outside, negatives count back
-        return next(itertools.islice(self, t, None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrialOutcomes):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
 
 @dataclass
 class SimulationSummary:
@@ -104,11 +76,22 @@ class SimulationSummary:
     outcomes: TrialOutcomes | None = field(default=None, compare=False)
 
 
-def _moments(counts: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a sample holding values[i] counts[i] times."""
+def _moments(counts: np.ndarray, values: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a sample holding values[i] counts[i] times.
+
+    A sample on one value has no spread, which is no evidence of certainty:
+    its standard error is then the one that the drawn distribution p
+    implies, sqrt(sum_i p_i (values[i] - mean_p)^2 / trials), and 0 only
+    when every outcome p can draw has that one value.
+    """
     trials = int(counts.sum())
     mean = math.fsum(counts * values) / trials
-    variance = math.fsum(counts * (values - mean) ** 2) / max(trials - 1, 1)
+    if np.ptp(values[counts > 0]) > 0:
+        variance = math.fsum(counts * (values - mean) ** 2) / (trials - 1)  # spread needs two trials
+    elif np.ptp(values[p > 0]) > 0:
+        variance = math.fsum(p * (values - math.fsum(p * values)) ** 2)
+    else:
+        variance = 0.0
     return mean, math.sqrt(variance / trials)
 
 
@@ -142,15 +125,16 @@ def _simulate(
     is as in ``TrialOutcomes``."""
     js, probs, fids = outcome
     rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(trials, probs / probs.sum())
+    p = probs / probs.sum()
+    counts = rng.multinomial(trials, p)
     outcomes = None
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
         order = np.repeat(np.arange(len(counts)), counts)
         rng.shuffle(order)  # the draws of rng.permutation, without its copy
         alpha_seed = int(rng.integers(0, 2**63)) if mode == "fast" else None
         outcomes = TrialOutcomes(order, js.tolist(), fids.tolist(), copies, alpha_seed)
-    empirical_yield, yield_se = _moments(counts, 2.0 * js / n)
-    empirical_fidelity, fidelity_se = _moments(counts, fids)
+    empirical_yield, yield_se = _moments(counts, 2.0 * js / n, p)
+    empirical_fidelity, fidelity_se = _moments(counts, fids, p)
     return SimulationSummary(
         n=n,
         lam=q.lam,
@@ -235,7 +219,7 @@ def run_protocol_dense(
 
 
 def write_outcomes_csv(outcomes: TrialOutcomes, dest) -> None:
-    """Dump per-trial records as CSV rows ``trial,j,alpha,kept,fidelity``.
+    """Dump per-trial outcomes as CSV rows ``trial,j,alpha,kept,fidelity``.
 
     The text is built and written one chunk of trials at a time, from
     per-outcome ``,j,`` and ``,kept,fidelity`` strings."""

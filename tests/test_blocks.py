@@ -126,7 +126,7 @@ class TestBasisConstruction:
         basis = build_schur_basis(2)
         assert basis.j_values() == [0, 1]
         assert basis.multiplicity_of(0) == 1 and basis.multiplicity_of(1) == 1
-        assert np.allclose(basis.vector(0, 0, 1), SINGLET)
+        assert np.allclose(basis.block(0, 1)[0], SINGLET)
 
     def test_four_qubit_multiplicities(self):
         basis = build_schur_basis(4)
@@ -150,7 +150,7 @@ class TestBasisConstruction:
         basis = build_schur_basis(n)
         for j in basis.j_values():
             for m in range(-j, j + 1):
-                assert max_abs(basis.vector(j, m, 1) - seed_vector(n, j, m)) < 1e-13
+                assert max_abs(basis.block(j, 1)[j + m] - seed_vector(n, j, m)) < 1e-13
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_lowest_weight_is_annihilated(self, n):
@@ -159,7 +159,7 @@ class TestBasisConstruction:
         basis = build_schur_basis(n)
         for j in basis.j_values():
             for alpha in range(1, basis.multiplicity_of(j) + 1):
-                lowered = collective_lowering(basis.vector(j, -j, alpha), n)
+                lowered = collective_lowering(basis.block(j, alpha)[0], n)
                 assert np.linalg.norm(lowered) < 1e-10
 
     def test_rejects_odd_or_oversized(self, monkeypatch):
@@ -235,7 +235,7 @@ class TestRotationStructure:
                     rows = basis.block(j, alpha)
                     coeff = np.empty((2 * j + 1, 2 * j + 1), dtype=complex)
                     for col, m in enumerate(range(-j, j + 1)):
-                        rotated = u_n @ basis.vector(j, m, alpha)
+                        rotated = u_n @ basis.block(j, alpha)[j + m]
                         coeff[:, col] = rows.conj() @ rotated
                         residual = rotated - rows.T @ coeff[:, col]
                         assert np.linalg.norm(residual) < 1e-9
@@ -269,12 +269,9 @@ class TestBlockSwap:
     def test_swaps_named_copies_and_fixes_others(self):
         basis = build_schur_basis(4)
         mat = block_swap(basis, 1, 2).matrix
-        for m in (-1, 0, 1):
-            assert max_abs(mat @ basis.vector(1, m, 2) - basis.vector(1, m, 1)) < 1e-12
-            assert max_abs(mat @ basis.vector(1, m, 1) - basis.vector(1, m, 2)) < 1e-12
-            assert max_abs(mat @ basis.vector(1, m, 3) - basis.vector(1, m, 3)) < 1e-12
-        for m in (-2, 0, 2):
-            assert max_abs(mat @ basis.vector(2, m, 1) - basis.vector(2, m, 1)) < 1e-12
+        # rows are |j, m, alpha>, so block @ mat.T applies the swap to every m at once
+        for moved, expected in [((1, 2), (1, 1)), ((1, 1), (1, 2)), ((1, 3), (1, 3)), ((2, 1), (2, 1))]:
+            assert max_abs(basis.block(*moved) @ mat.T - basis.block(*expected)) < 1e-12
 
     def test_commutes_with_collective_rotation(self, rng):
         basis = build_schur_basis(4)

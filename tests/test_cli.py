@@ -1,4 +1,5 @@
 import hashlib
+import os
 import shlex
 from fractions import Fraction
 
@@ -163,6 +164,21 @@ class TestSimulate:
         fields = dict(line.split("=", 1) for line in path.read_text().splitlines())
         assert float(fields["empirical_yield"]) == 1.0
 
+    def test_sample_without_spread_uses_the_drawn_distribution(self, capsys):
+        # all 5 trials land in j = 1 (probability 0.75**5): the sample SE is 0, the drawn one is not
+        assert run_cli("simulate", "--n", "2", "--lambda", "0", "--trials", "5", "--seed", "1") == 0
+        fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["histogram"] == "0:0;1:5"
+        assert float(fields["yield_se"]) == pytest.approx((0.75 * 0.25 / 5) ** 0.5, rel=1e-12)
+        assert abs(float(fields["yield_z"])) < 4 and fields["status"] == "pass"
+
+    def test_wrong_target_fails_without_spread(self, monkeypatch, capsys):
+        # at lambda = 1 every trial keeps all qubits and the drawn distribution has no spread either
+        monkeypatch.setattr("qpurify.analytics.yield_factor", lambda n, lam: 0.9)
+        assert run_cli("simulate", "--n", "4", "--lambda", "1", "--trials", "10", "--seed", "1") == 1
+        fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["yield_se"] == "0.0" and fields["status"] == "fail"
+
     def test_byte_identical_repetition(self, capsys):
         args = ("simulate", "--n", "6", "--lambda", "0.5", "--trials", "2000", "--seed", "3")
         assert run_cli(*args) == 0
@@ -317,6 +333,14 @@ def test_verify_rows_golden(capsys):
         ("verify --n 4 --lambda 0.5 --tol inf", {}),
         ("verify --n 4 --lambda 0.5 --tol 0", {}),
         ("verify --n 4 --lambda 0.5 --tol -1", {}),
+        *(
+            pytest.param(argv, {}, marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"))
+            for argv in (
+                "stats --n 4 --lambda 0.5 --out /dev/full",
+                "verify --n 4 --lambda 0.5 --out /dev/full",
+                "simulate --n 4 --lambda 0.5 --trials 10 --seed 1 --dump-trials /dev/full",
+            )
+        ),
     ],
 )
 def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path):

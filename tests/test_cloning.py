@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpurify import (
-    CovariantMapParams,
     MixedQubit,
     block_fidelity,
     build_schur_basis,
-    covariant_output_fidelity,
     density_matrix,
     estimation_lambda,
     kron_power,
     mixed_cloning_fidelity,
-    optimality_scan,
     pure_cloning_fidelity,
+    pure_component_moments,
     purification_map_outputs,
     random_direction,
     scaling_relation_check,
@@ -235,48 +233,13 @@ class TestScalingRelation:
             scaling_relation_check(2, math.inf, 0.5)
 
 
-class TestCovariantMap:
-    def test_params_validation(self):
-        CovariantMapParams(0.5, 0.5)
-        with pytest.raises(ValueError):
-            CovariantMapParams(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            CovariantMapParams(0.7, 0.7)
-
-    def test_keep_weight_reproduces_block_fidelity(self, rng):
-        for lam, j in [(0.3, 1), (0.7, 2)]:
-            q = random_qubit(rng, lam=lam)
-            got = covariant_output_fidelity(q, j, CovariantMapParams(1.0, 0.0))
-            assert got == pytest.approx(block_fidelity(lam, j), abs=1e-12)
-
-    def test_flip_weight_reproduces_complement(self, rng):
-        q = random_qubit(rng, lam=0.5)
-        got = covariant_output_fidelity(q, 1, CovariantMapParams(0.0, 1.0))
-        assert got == pytest.approx(1 - block_fidelity(0.5, 1), abs=1e-12)
-
-    def test_pure_input_ratio(self, rng):
-        q = random_qubit(rng, lam=1.0)
-        got = covariant_output_fidelity(q, 2, CovariantMapParams(0.5, 0.3))
-        assert got == pytest.approx(0.5 / 0.8, abs=1e-12)
-
-
 class TestOptimalityScan:
+    """The best rotation-covariant map (x, y), read off the two pure-component moments without a grid."""
+
     @pytest.mark.parametrize("lam", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_maximum_on_keep_edge(self, lam, j, rng):
-        q = MixedQubit(lam, random_direction(rng))
-        best = optimality_scan(q, j, grid=13)
-        assert best.y == 0.0
-        assert best.fidelity == pytest.approx(block_fidelity(lam, j), abs=1e-9)
-
-    def test_grid_validation(self, rng):
-        with pytest.raises(ValueError):
-            optimality_scan(random_qubit(rng), 1, grid=5)
-        with pytest.raises(ValueError):
-            optimality_scan(random_qubit(rng), 0)
-
-    def test_scan_beats_every_interior_point(self, rng):
-        q = random_qubit(rng, lam=0.6)
-        best = optimality_scan(q, 2, grid=11)
-        interior = covariant_output_fidelity(q, 2, CovariantMapParams(0.5, 0.4))
-        assert best.fidelity > interior
+        # (x K + y F) / (x + y) is largest at y = 0 exactly when K > F, and is then K
+        kept, flipped = pure_component_moments(MixedQubit(lam, random_direction(rng)), j)
+        assert kept[1, 1].real > flipped[1, 1].real
+        assert kept[1, 1].real == pytest.approx(block_fidelity(lam, j), abs=1e-9)

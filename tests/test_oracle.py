@@ -155,14 +155,12 @@ class TestQuadrature:
         q = random_qubit(rng, lam=1.0)
         assert quadrature_check(q, 2) < 1e-9
 
-    def test_insufficient_nodes_rejected(self, rng):
-        with pytest.raises(ValueError):
-            quadrature_check(random_qubit(rng), 2, nodes=4)
+    def test_spin_zero_rejected(self, rng):
         with pytest.raises(ValueError):
             quadrature_check(random_qubit(rng), 0)
 
     def test_moments_reproduce_block_fidelity(self, rng):
-        for lam, j in [(0.3, 1), (0.5, 2), (0.9, 4)]:
+        for lam, j in [(0.3, 1), (0.5, 2), (0.9, 4), (1.0, 2)]:
             q = random_qubit(rng, lam=lam)
             kept, flipped = pure_component_moments(q, j)
             assert abs(np.trace(kept).real - 1.0) < 1e-12
@@ -248,7 +246,7 @@ class TestKroneckerReferenceRoutes:
             assert max_abs(dicke.T @ block_state_matrix(q, j) @ dicke - want) < 1e-12
             aligned, anti = qubit_eigenstates(q)
             acc = np.zeros_like(want)
-            for cos_half, sin_half, phase, weight in _angular_rule(j, None):
+            for cos_half, sin_half, phase, weight in _angular_rule(j):
                 component = math.sqrt(q.c1) * cos_half * aligned + math.sqrt(q.c0) * sin_half * phase * anti
                 acc += weight * outer(kron_power(component, 2 * j))
             old = max_abs((2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j) * acc - want)

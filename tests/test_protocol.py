@@ -24,13 +24,26 @@ from qpurify import (
 )
 
 
+def dumped_csv(outcomes) -> str:
+    buf = io.StringIO()
+    write_outcomes_csv(outcomes, buf)
+    return buf.getvalue()
+
+
+def dumped_rows(outcomes) -> list[tuple[int, int, int, int, float]]:
+    """The (trial, j, alpha, kept, fidelity) rows of the per-trial CSV, parsed back."""
+    header, *lines = dumped_csv(outcomes).splitlines()
+    assert header == "trial,j,alpha,kept,fidelity"
+    return [(int(t), int(j), int(a), int(k), float(f)) for t, j, a, k, f in (line.split(",") for line in lines)]
+
+
 class TestFastPath:
     def test_seed_determinism(self):
         q = MixedQubit(0.6)
         a = run_protocol(q, 20, trials=5000, seed=9, keep_outcomes=True)
         b = run_protocol(q, 20, trials=5000, seed=9, keep_outcomes=True)
         assert a == b
-        assert a.outcomes == b.outcomes
+        assert dumped_csv(a.outcomes) == dumped_csv(b.outcomes)
         c = run_protocol(q, 20, trials=5000, seed=10)
         assert c != a
 
@@ -40,6 +53,17 @@ class TestFastPath:
         assert summary.empirical_yield == 1.0
         assert summary.empirical_mean_fidelity == 1.0
         assert summary.yield_se == 0.0
+
+    def test_sample_on_one_value_takes_the_drawn_spread(self):
+        # all 10 trials in j = 2: the sample fidelity SE is 0 in exact arithmetic but 3.7e-17 in
+        # floating point, so neither may stand for it
+        n, lam, trials = 4, 0.9, 10
+        summary = run_protocol(MixedQubit(lam), n, trials, seed=1)
+        assert summary.histogram == {0: 0, 1: 0, 2: trials}
+        spect = block_spectrum(n, lam)
+        p = spect.probabilities() / math.fsum(spect.probabilities())
+        for se, values in ((summary.yield_se, np.arange(3) / 2), (summary.fidelity_se, spect.fidelities())):
+            assert se == pytest.approx(math.sqrt(p @ (values - p @ values) ** 2 / trials), rel=1e-12)
 
     def test_two_qubit_yield_within_three_sigma(self):
         summary = run_protocol(MixedQubit(0.5), 2, trials=100_000, seed=5)
@@ -67,7 +91,7 @@ class TestFastPath:
         n, lam = 4, 0.5
         summary = run_protocol(MixedQubit(lam), n, trials=200_000, seed=8, keep_outcomes=True)
         for j in (0, 1):
-            alphas = [rec.alpha for rec in summary.outcomes if rec.j == j]
+            alphas = [alpha for _, jj, alpha, _, _ in dumped_rows(summary.outcomes) if jj == j]
             counts = np.bincount(alphas, minlength=multiplicity(n, j) + 1)[1:]
             assert len(counts) == multiplicity(n, j)
             assert stats.chisquare(counts).pvalue > 0.001
@@ -77,8 +101,9 @@ class TestFastPath:
             run_protocol(MixedQubit(0.6), 20, trials=20_000, seed=13, keep_outcomes=True),
             run_protocol_dense(MixedQubit(0.5, (0.6, 0.0, 0.8)), 6, 5000, 13, keep_outcomes=True),
         ):
-            yields = np.array([2 * rec.j / summary.n for rec in summary.outcomes])
-            fids = np.array([rec.fidelity for rec in summary.outcomes])
+            rows = dumped_rows(summary.outcomes)
+            yields = np.array([2 * j / summary.n for _, j, _, _, _ in rows])
+            fids = np.array([fid for *_, fid in rows])
             root_t = math.sqrt(summary.trials)
             assert summary.empirical_yield == pytest.approx(np.mean(yields), abs=1e-12)
             assert summary.yield_se == pytest.approx(np.std(yields, ddof=1) / root_t, abs=1e-12)
@@ -92,9 +117,8 @@ class TestFastPath:
         plain = run_protocol(q, 30, trials=10_000, seed=17)
         assert plain == kept
         assert plain.outcomes is None and len(kept.outcomes) == 10_000
-        assert np.bincount([rec.j for rec in kept.outcomes], minlength=16).tolist() == list(
-            plain.histogram.values()
-        )
+        js = [j for _, j, _, _, _ in dumped_rows(kept.outcomes)]
+        assert np.bincount(js, minlength=16).tolist() == list(plain.histogram.values())
         dense_q = MixedQubit(0.5, (0.6, 0.0, 0.8))
         assert run_protocol_dense(dense_q, 4, 3000, 17, keep_outcomes=True) == run_protocol_dense(
             dense_q, 4, 3000, 17
@@ -121,12 +145,13 @@ class TestFastPath:
         summary = run_protocol(MixedQubit(0.5), 4, trials=200, seed=2, keep_outcomes=True)
         assert len(summary.outcomes) == 200
         assert sum(summary.histogram.values()) == 200
-        for rec in summary.outcomes:
-            assert rec.kept_qubits == 2 * rec.j
-            assert rec.kept_qubits % 2 == 0
-            assert 1 <= rec.alpha <= multiplicity(4, rec.j)
-            if rec.j >= 1:
-                assert 0.5 <= rec.fidelity <= 1.0
+        rows = dumped_rows(summary.outcomes)
+        assert [trial for trial, *_ in rows] == list(range(200))
+        for _, j, alpha, kept, fid in rows:
+            assert kept == 2 * j
+            assert 1 <= alpha <= multiplicity(4, j)
+            if j >= 1:
+                assert 0.5 <= fid <= 1.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -198,8 +223,8 @@ class TestDensePath:
             q = MixedQubit(0.5, (0.6, 0.0, 0.8))
             summary = run_protocol_dense(q, n, trials=5000, seed=12, keep_outcomes=True)
             expected = {j: block_fidelity(0.5, j) for j in range(n // 2 + 1)}
-            for rec in summary.outcomes:
-                assert rec.fidelity == pytest.approx(expected[rec.j], abs=1e-12)
+            for _, j, _, _, fid in dumped_rows(summary.outcomes):
+                assert fid == pytest.approx(expected[j], abs=1e-12)
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -207,16 +232,12 @@ class TestDensePath:
 
 
 def test_outcome_csv_roundtrip():
-    summary = run_protocol(MixedQubit(0.5), 4, trials=50, seed=15, keep_outcomes=True)
-    buf = io.StringIO()
-    write_outcomes_csv(summary.outcomes, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "trial,j,alpha,kept,fidelity"
-    assert len(lines) == 51
-    trial, j, alpha, kept, fid = lines[1].split(",")
-    rec = summary.outcomes[0]
-    assert (int(trial), int(j), int(alpha), int(kept)) == (0, rec.j, rec.alpha, rec.kept_qubits)
-    assert float(fid) == rec.fidelity  # loss-free round trip
+    outcomes = run_protocol(MixedQubit(0.5), 4, trials=50, seed=15, keep_outcomes=True).outcomes
+    rows = dumped_rows(outcomes)
+    assert len(rows) == 50
+    for (_, j, _, kept, fid), i in zip(rows, outcomes.order):
+        assert (j, kept) == (outcomes.js[i], 2 * outcomes.js[i])
+        assert fid == outcomes.fids[i]  # loss-free round trip
 
 
 @pytest.mark.parametrize(
@@ -230,22 +251,19 @@ def test_outcome_csv_roundtrip():
 def test_outcome_csv_golden(n, trials, seed, dense, digest):
     # sha256 prefixes of `simulate --lambda 0.6 ... --dump-trials`, pinning the seed -> CSV mapping
     run = run_protocol_dense if dense else run_protocol
-    buf = io.StringIO()
-    write_outcomes_csv(run(MixedQubit(0.6), n, trials, seed, keep_outcomes=True).outcomes, buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == digest
+    text = dumped_csv(run(MixedQubit(0.6), n, trials, seed, keep_outcomes=True).outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-def test_outcomes_iterate_and_index_repeatably():
+def test_outcome_csv_is_repeatable():
+    # the copy indices are drawn anew from alpha_seed on every write
     for summary in (
         run_protocol(MixedQubit(0.6), 100, 70_000, 5, keep_outcomes=True),
         run_protocol_dense(MixedQubit(0.6), 4, 300, 5, keep_outcomes=True),
     ):
-        first = list(summary.outcomes)
-        assert list(summary.outcomes) == first and len(first) == summary.trials
-        assert [rec.trial for rec in first] == list(range(summary.trials))
-        assert summary.outcomes[-1] == first[-1] and summary.outcomes[70] == first[70]
-        with pytest.raises(IndexError):
-            summary.outcomes[summary.trials]
+        first = dumped_csv(summary.outcomes)
+        assert dumped_csv(summary.outcomes) == first
+        assert [int(line.split(",")[0]) for line in first.splitlines()[1:]] == list(range(summary.trials))
 
 
 def test_outcome_dump_memory_is_bounded(tmp_path):
