@@ -167,6 +167,12 @@ def _mem_available_bytes() -> int | None:
         return None
 
 
+def _check_dense(n: int) -> None:
+    _check_register(n)
+    if n > dense_cap():
+        raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap()} qubits")
+
+
 def build_schur_basis(n: int) -> SchurBasis:
     """Full orthonormal block basis of an even register of n qubits.
 
@@ -180,9 +186,7 @@ def build_schur_basis(n: int) -> SchurBasis:
     and allocator slack.  At 12 qubits that is 536 MiB, above the 508 MiB
     peak of ``qpurify verify``.
     """
-    _check_register(n)
-    if n > dense_cap():
-        raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap()} qubits")
+    _check_dense(n)
     J = n // 2
     sector = max(math.comb(n, J - j) * (2 * j + 1) ** 2 // (J + j + 1) for j in range(J + 1))  # d_j (2j+1)
     needed, available = 8 * 4**n + 4 * 16 * sector * 2**n + 2**26, _mem_available_bytes()

@@ -2,8 +2,11 @@
 
 Commands: ``stats``, ``verify``, ``simulate``, ``figure1``, ``clone``.
 Exit codes are stable for CI use: 0 success, 1 verification/statistical
-failure, 2 usage error.  All numeric output uses shortest round-trip
-decimals so CSV files parse back losslessly.
+failure, 2 usage error.  The parser checks each flag's value through its
+``type=``, in the order the flags are read, and turns every usage error,
+its own included, into a ``UsageError``: one ``error:`` line on stderr.
+All numeric output uses shortest round-trip decimals so CSV files parse
+back losslessly.
 """
 
 from __future__ import annotations
@@ -25,31 +28,39 @@ class UsageError(ValueError):
     """Bad command-line configuration (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are ``UsageError``s; its subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _num(x) -> str:
     return repr(float(x))
 
 
-def _parse_lambdas(raw: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"could not parse --lambda value {raw!r}") from exc
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"--lambda values must lie in [0, 1], got {value}")
-    return values
+def _flag(expected: str, convert, ok=lambda value: True):
+    """A ``type=`` that converts a flag's value and refuses one that is not ``expected``."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+            if ok(value):
+                return value
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+
+    return parse
 
 
-def _parse_clones(raw: str, n: int) -> float:
-    if raw.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        m_out = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"--m must be an integer or 'inf', got {raw!r}") from exc
-    if m_out < n:
-        raise UsageError(f"--m must be at least --n = {n}, got {m_out}")
-    return m_out
+_even = _flag("an even integer >= 2", int, lambda n: n >= 2 and n % 2 == 0)
+_length = _flag("a number in [0, 1]", float, lambda lam: 0.0 <= lam <= 1.0)
+_lengths = _flag("a comma list of numbers in [0, 1]", lambda raw: tuple(map(_length, raw.split(","))))
+_seed = _flag("a non-negative integer", int, lambda seed: seed >= 0)
+_trials = _flag("an integer in 1..2**63 - 1", int, lambda trials: 1 <= trials < 2**63)
+_tol = _flag("a positive finite number", float, lambda tol: 0.0 < tol < math.inf)  # also refuses nan
+_clones = _flag("an integer or 'inf'", lambda raw: math.inf if raw.lower() in ("inf", "infinity") else int(raw))
 
 
 def _count(d: int) -> str:
@@ -61,26 +72,21 @@ def _count(d: int) -> str:
         return f"{_num(10 ** (log - math.floor(log)))}e{math.floor(log)}"
 
 
-def _require_even(n: int) -> int:
-    if n < 2 or n % 2:
-        raise UsageError(f"N must be even and positive, got {n}")
-    return n
-
-
-def _require_seed(seed: int) -> int:
-    if seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _check_writable(option: str, path: str | None) -> None:
+def _writable(path: str) -> str:
     """Refuse an empty output path, or one whose file cannot be opened for writing, before any work."""
-    if path is None:
-        return
     folder = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else folder
     if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
-        raise UsageError(f"cannot write the {option} file {path!r}")
+        raise argparse.ArgumentTypeError(f"cannot write to {path!r}")
+    return path
+
+
+def _plottable(path: str) -> str:
+    try:
+        import matplotlib
+    except ImportError:
+        raise argparse.ArgumentTypeError("plot output needs matplotlib (install the 'plot' extra)") from None
+    return path
 
 
 def _write(option: str, path: str, write) -> None:
@@ -91,16 +97,8 @@ def _write(option: str, path: str, write) -> None:
         raise UsageError(f"cannot write the {option} file {path!r}: {exc.strerror or exc}") from exc
 
 
-def _register(n: int, lams: tuple[float, ...]) -> tuple[int, float]:
-    """The even register size and the one Bloch length of a single-input command."""
-    n = _require_even(n)
-    if len(lams) != 1:
-        raise UsageError("this command takes a single --lambda value")
-    return n, lams[0]
-
-
 def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    n, lam = _register(args.n, _parse_lambdas(args.lam))
+    n, lam = args.n, args.lam
     spect = analytics.block_spectrum(n, lam)
     lines = [d.join(("j", "d_j", "p_j", "f_j"))]
     for row in spect.rows:
@@ -111,11 +109,9 @@ def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    n, lam = _register(args.n, _parse_lambdas(args.lam))
+    n, lam = args.n, args.lam
     tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
-    if not 0.0 < tol < math.inf:  # also refuses nan
-        raise UsageError(f"--tol must be a positive finite number, got {tol}")
-    rng = np.random.Generator(np.random.Philox(_require_seed(args.seed)))
+    rng = np.random.Generator(np.random.Philox(args.seed))
     direction = random_direction(rng)
     q = MixedQubit(lam, direction)
 
@@ -144,11 +140,7 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    n, lam = _register(args.n, _parse_lambdas(args.lam))
-    if not 1 <= args.trials < 2**63:
-        raise UsageError(f"--trials must lie in 1..2**63 - 1, got {args.trials}")
-    _require_seed(args.seed)
-    _check_writable("--dump-trials", args.dump_trials)
+    n, lam = args.n, args.lam
     keep = args.dump_trials is not None
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
@@ -189,25 +181,22 @@ def _z_score(value: float, target: float, se: float) -> float:
 
 
 def cmd_figure1(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    lams = _parse_lambdas(args.lam)
-    n_values = list(range(2, _require_even(args.n) + 1, 2))
-    curves = {lam: [cloning.estimation_lambda(n, lam) for n in n_values] for lam in lams}
+    n_values = list(range(2, args.n + 1, 2))
+    curves = {lam: [cloning.estimation_lambda(n, lam) for n in n_values] for lam in args.lam}
     if args.plot:
         _render_figure1(args.plot, n_values, curves)
     lines = [d.join(("N", "lambda", "lambda_mix_inf"))]
-    for lam in lams:
+    for lam in args.lam:
         lines.extend(d.join((str(n), _num(lam), _num(value))) for n, value in zip(n_values, curves[lam]))
     return 0, lines
 
 
 def _render_figure1(path: str, n_values, curves) -> None:
-    try:
-        import matplotlib
+    import matplotlib
 
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover - depends on extras
-        raise UsageError("plot output needs matplotlib (install the 'plot' extra)") from exc
+    matplotlib.use("Agg")
+    import matplotlib.pyplot as plt
+
     fig, ax = plt.subplots(figsize=(6, 4))
     for lam in sorted(curves):
         ax.plot(n_values, curves[lam], marker="o", markersize=3, label=f"initial length {lam:g}")
@@ -221,8 +210,9 @@ def _render_figure1(path: str, n_values, curves) -> None:
 
 
 def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    n, lam = _register(args.n, _parse_lambdas(args.lam))
-    m_out = _parse_clones(args.m, n)
+    n, lam, m_out = args.n, args.lam, args.m
+    if m_out < n:
+        raise UsageError(f"--m must be at least --n = {n}, got {m_out}")
     lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
     for row in analytics.block_spectrum(n, lam).rows:
         f_pure = cloning.pure_cloning_fidelity(row.j, m_out)
@@ -238,7 +228,7 @@ def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpurify",
         description="Spin-block statistics, purification simulation and cloning "
         "fidelities for identical mixed qubits.",
@@ -246,41 +236,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def finish(p: argparse.ArgumentParser, func) -> None:
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        p.add_argument("--out", type=_writable, help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("csv", "tsv"), default="csv", dest="fmt")
         p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="per-block multiplicity/probability/fidelity table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--lambda", dest="lam", type=_length, required=True)
     finish(p, cmd_stats)
 
     p = sub.add_parser("verify", help="run the dense verification suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--lambda", dest="lam", type=_length, required=True)
+    p.add_argument("--tol", type=_tol, default=None)
+    p.add_argument("--seed", type=_seed, default=0)
     finish(p, cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo protocol simulation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--lambda", dest="lam", type=_length, required=True)
+    p.add_argument("--trials", type=_trials, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--dense", action="store_true", help="simulate on explicit matrices")
-    p.add_argument("--dump-trials", dest="dump_trials", help="write per-trial CSV here")
+    p.add_argument("--dump-trials", dest="dump_trials", type=_writable, help="write per-trial CSV here")
     finish(p, cmd_simulate)
 
     p = sub.add_parser("figure1", help="achievable Bloch length vs input copies")
-    p.add_argument("--n", type=int, default=40, help="largest even N (default 40)")
-    p.add_argument("--lambda", dest="lam", default="0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--plot", help="also render the curves to this image file")
+    p.add_argument("--n", type=_even, default=40, help="largest even N (default 40)")
+    p.add_argument("--lambda", dest="lam", type=_lengths, default="0.2,0.4,0.6,0.8,1.0")
+    p.add_argument("--plot", type=_plottable, help="also render the curves to this image file")
     finish(p, cmd_figure1)
 
     p = sub.add_parser("clone", help="optimal mixed-state cloning fidelities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", required=True, help="clone count, or 'inf'")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--n", type=_even, required=True)
+    p.add_argument("--m", type=_clones, required=True, help="clone count, or 'inf'")
+    p.add_argument("--lambda", dest="lam", type=_length, required=True)
     finish(p, cmd_clone)
 
     return parser
@@ -289,16 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _check_writable("--out", args.out)
         code, lines = args.func(args, "\t" if args.fmt == "tsv" else ",")
         text = "".join(line + "\n" for line in lines)
         if args.out is None:
             sys.stdout.write(text)
         else:
             _write("--out", args.out, lambda path: Path(path).write_text(text, encoding="utf-8", newline=""))
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

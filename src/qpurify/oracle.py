@@ -42,9 +42,6 @@ from .core import (
 class DecompositionReport:
     """Residuals of the block decomposition of a tensor-power state, read in block coordinates."""
 
-    n: int
-    lam: float
-    direction: tuple[float, float, float]
     block_probabilities: dict
     orthonormality: float
     off_block_weight: float
@@ -118,9 +115,6 @@ def verify_decomposition(q: MixedQubit, n: int) -> DecompositionReport:
     weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
 
     return DecompositionReport(
-        n=n,
-        lam=q.lam,
-        direction=q.direction,
         block_probabilities=probabilities,
         orthonormality=orthonormality_residual(build_schur_basis(n)),
         off_block_weight=abs(weight - (q.c0**2 + q.c1**2) ** n),

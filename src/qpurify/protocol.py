@@ -31,8 +31,10 @@ class TrialOutcomes:
     fidelity ``fids[i]``.  In dense mode ``copies[i]`` is the outcome's copy
     index; in fast mode it is the multiplicity d_j, and the trials draw
     their copy indices in trial order, uniform in 1..d_j, from one
-    ``random.Random(alpha_seed)``.  Holds 8 bytes per trial; its one
-    reader, ``write_outcomes_csv``, makes the rows a chunk at a time.
+    ``random.Random(alpha_seed)``.  ``order`` has the smallest unsigned
+    dtype that indexes every outcome: 1 byte a trial up to 256 outcomes, 2
+    up to 65,536.  Its one reader, ``write_outcomes_csv``, makes the rows a
+    chunk at a time.
     """
 
     order: np.ndarray
@@ -95,15 +97,16 @@ def _moments(counts: np.ndarray, values: np.ndarray, p: np.ndarray) -> tuple[flo
     return mean, math.sqrt(variance / trials)
 
 
-def _check_trials(trials: int, keep_outcomes: bool) -> None:
+def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
     """Reject a trial count outside 1..2**63 - 1, or a per-trial outcome
-    order (8 bytes a trial) larger than the available memory."""
+    order over ``outcomes`` outcomes larger than the available memory."""
     if not 1 <= trials < 2**63:
         raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
     available = blocks._mem_available_bytes() if keep_outcomes else None
-    if available is not None and 8 * trials > available:
+    size = trials * np.min_scalar_type(outcomes - 1).itemsize  # the dtype _simulate gives the order
+    if available is not None and size > available:
         raise SizeLimitError(
-            f"keeping {trials} trial outcomes needs about {8 * trials / 2**20:.3g} MiB, "
+            f"keeping {trials} trial outcomes needs about {size / 2**20:.3g} MiB, "
             f"more than the {available / 2**20:.3g} MiB available"
         )
 
@@ -129,7 +132,7 @@ def _simulate(
     counts = rng.multinomial(trials, p)
     outcomes = None
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
-        order = np.repeat(np.arange(len(counts)), counts)
+        order = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
         rng.shuffle(order)  # the draws of rng.permutation, without its copy
         alpha_seed = int(rng.integers(0, 2**63)) if mode == "fast" else None
         outcomes = TrialOutcomes(order, js.tolist(), fids.tolist(), copies, alpha_seed)
@@ -161,10 +164,11 @@ def run_protocol(
     multinomial draw of the j counts gives every average exactly, at a cost
     that does not grow with ``trials``.  With ``keep_outcomes`` each trial
     also gets a copy index alpha, uniform among its d_j copies, and
-    ``outcomes`` holds 8 bytes a trial (SizeLimitError if that exceeds the
-    available memory).  Results are bit-reproducible for a given seed.
+    ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes up to
+    N = 131,070 (SizeLimitError if that exceeds the available memory).
+    Results are bit-reproducible for a given seed.
     """
-    _check_trials(trials, keep_outcomes)
+    _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
     probs = spect.probabilities()
     outcome = (np.arange(len(probs)), probs, spect.fidelities())
@@ -189,7 +193,8 @@ def run_protocol_dense(
     states depend only on the block label, so the (j, alpha) label counts
     come from one multinomial draw over the block traces.
     """
-    _check_trials(trials, keep_outcomes)
+    blocks._check_dense(n)  # before C(n, n/2), which takes seconds at a million qubits
+    _check_trials(trials, keep_outcomes, math.comb(n, n // 2))
     basis = build_schur_basis(n)
     coords = power_coordinates(basis, density_matrix(q))
     aligned, anti = qubit_eigenstates(q)

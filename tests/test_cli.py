@@ -138,15 +138,17 @@ class TestSimulate:
         for trials in ("0", str(2**63)):
             args = ("simulate", "--n", "4", "--lambda", "0.5", "--trials", trials, "--seed", "1")
             assert run_cli(*args) == 2
-            assert "--trials must lie in" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: argument --trials: expected an integer in 1..2**63 - 1")
+            assert f"got '{trials}'" in err
 
     def test_negative_seed_usage_error(self, capsys):
         for command in (("simulate", "--trials", "10"), ("verify",)):
             assert run_cli(*command, "--n", "4", "--lambda", "0.5", "--seed", "-1") == 2
-            assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+            assert capsys.readouterr().err == "error: argument --seed: expected a non-negative integer, got '-1'\n"
 
     def test_oversized_dump_usage_error(self, tmp_path, capsys):
-        # 8 bytes a trial at 2**62 trials is 32 EiB: refused before anything is allocated
+        # 1 byte a trial at 2**62 trials is 4 EiB: refused before anything is allocated
         dump = tmp_path / "trials.csv"
         args = ("simulate", "--n", "20", "--lambda", "0.6", "--trials", str(2**62), "--seed", "1")
         assert run_cli(*args, "--dump-trials", str(dump)) == 2
@@ -341,6 +343,12 @@ def test_verify_rows_golden(capsys):
                 "simulate --n 4 --lambda 0.5 --trials 10 --seed 1 --dump-trials /dev/full",
             )
         ),
+        ("clone --n 4 --m -inf --lambda 0.5", {}),
+        ("stats --n abc --lambda 0.5", {}),
+        ("stats --lambda 0.5", {}),
+        ("stats --n 4 --lambda 0.5 --format xml", {}),
+        ("stats --n 4 --lambda 0.5 --bogus 1", {}),
+        ("frobnicate", {}),
     ],
 )
 def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path):
@@ -350,3 +358,10 @@ def test_usage_error_is_one_stderr_line(argv, env, capsys, monkeypatch, tmp_path
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["", "stats", "verify", "simulate", "figure1", "clone"])
+def test_help_is_usage_on_stdout(command, capsys):
+    assert main([*command.split(), "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: qpurify {command}".rstrip()) and err == ""

@@ -55,14 +55,15 @@ class TestVerifyDecomposition:
             assert abs(total - 1.0) < 1e-10
 
     def test_copy_probabilities_match_within_spin(self, rng):
-        report = verify_decomposition(random_qubit(rng), 6)
+        q = random_qubit(rng)
+        report = verify_decomposition(q, 6)
         by_spin = {}
         for label, prob in report.block_probabilities.items():
             by_spin.setdefault(label.j, []).append(prob)
         for j, probs in by_spin.items():
             assert max(probs) - min(probs) < 1e-10
             assert probs[0] == pytest.approx(
-                block_probability(6, report.lam, j) / multiplicity(6, j), abs=1e-10
+                block_probability(6, q.lam, j) / multiplicity(6, j), abs=1e-10
             )
 
     def test_report_rows_shape(self, rng):

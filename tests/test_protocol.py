@@ -280,7 +280,8 @@ def test_outcome_dump_memory_is_bounded(tmp_path):
 
 
 def test_kept_outcomes_must_fit_in_memory(monkeypatch):
-    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 8 * 999)
+    # 1 byte a trial: 11 outcomes at N = 20, 6 labels at n = 4
+    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 999)
     with pytest.raises(SizeLimitError):
         run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True)
     with pytest.raises(SizeLimitError):
