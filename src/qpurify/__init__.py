@@ -4,57 +4,45 @@ The package decomposes N-fold tensor powers of a mixed qubit state into
 total-spin blocks, simulates the purification protocol built on that
 measurement, derives optimal cloning / state-estimation fidelities, and
 brute-force verifies every closed form on explicit matrices for small N.
+
+The closed-form modules ``core``, ``analytics`` and ``cloning`` need only
+the standard library; ``blocks``, ``oracle`` and ``protocol`` need numpy.
+Importing the package loads none of them: each public name below is
+imported from its module on first use (PEP 562), so a closed-form caller
+never pays for numpy.
 """
 
-from .analytics import (
-    block_fidelity,
-    block_probability,
-    block_spectrum,
-    block_state_matrix,
-    mean_fidelity,
-    mean_fidelity_asymptote,
-    multiplicity,
-    yield_asymptote,
-    yield_factor,
-)
-from .blocks import (
-    block_swap,
-    build_schur_basis,
-    dicke_state,
-    measure_block,
-)
-from .cloning import (
-    estimation_lambda,
-    mixed_cloning_fidelity,
-    pure_cloning_fidelity,
-    scaling_relation_check,
-)
-from .core import (
-    BlockLabel,
-    MixedQubit,
-    SizeLimitError,
-    dense_cap,
-    density_matrix,
-    haar_unitary,
-    kron_power,
-    max_abs,
-    outer,
-    partial_trace,
-    qubit_eigenstates,
-    random_direction,
-)
-from .oracle import (
-    covariance_residual,
-    pure_component_moments,
-    purification_map_outputs,
-    quadrature_check,
-    reversibility_check,
-    verify_decomposition,
-)
-from .protocol import (
-    run_protocol,
-    run_protocol_dense,
-    write_outcomes_csv,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines
+_MODULES = {
+    "analytics": "block_fidelity block_probability block_spectrum mean_fidelity mean_fidelity_asymptote "
+    "multiplicity yield_asymptote yield_factor",
+    "blocks": "block_swap build_schur_basis density_matrix dicke_state haar_unitary kron_power max_abs "
+    "measure_block outer partial_trace qubit_eigenstates random_direction",
+    "cloning": "estimation_lambda mixed_cloning_fidelity pure_cloning_fidelity scaling_relation_check",
+    "core": "BlockLabel MixedQubit SizeLimitError dense_cap",
+    "oracle": "block_state_matrix covariance_residual pure_component_moments purification_map_outputs "
+    "quadrature_check reversibility_check verify_decomposition",
+    "protocol": "run_protocol run_protocol_dense write_outcomes_csv",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _MODULES:  # ``qpurify.analytics`` and the like, as when the root imported them
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

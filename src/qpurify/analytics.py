@@ -1,19 +1,19 @@
 """Closed-form statistics of the total-spin blocks of N identical qubits.
 
-Everything here is binomial/geometric arithmetic, so it stays cheap for
-register sizes in the hundreds where dense 2^N objects are impossible.
+Everything here is binomial/geometric arithmetic on plain floats and exact
+integers, so it needs only the standard library and stays cheap for
+register sizes far beyond any dense 2^N object.  Only the array views
+``BlockSpectrum.probabilities()`` and ``fidelities()`` load numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .blocks import dicke_power
-from .core import MixedQubit, _check_register, qubit_eigenstates
+from .core import _check_register
 
 
 def _check_lambda(lam: float) -> None:
@@ -36,7 +36,7 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
     return math.fsum(c1**k * c0 ** (m - k) for k in range(m + 1))
 
 
-def _prefix_sums(lam: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+def _prefix_sums(lam: float, J: int) -> tuple[list[float], list[float]]:
     """S0[2j] and f_j for j = 0..J from one pass of prefix sums.
 
     A spin-j block holds k = 0..2j anti-aligned qubits with weight r^k,
@@ -45,15 +45,15 @@ def _prefix_sums(lam: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     cancels for any lam.  j = 0 takes the continuous limit.
     """
     _check_lambda(lam)
-    k = np.arange(2 * J + 1, dtype=float)
-    weights = ((1.0 - lam) / (1.0 + lam)) ** k
-    s0 = np.cumsum(weights)[::2]
-    s1 = np.cumsum(k * weights)[::2]
-    j = np.arange(1, J + 1)
-    return s0, np.concatenate(([_fidelity_limit_j0(lam)], 1.0 - s1[1:] / (2 * j * s0[1:])))
+    r = (1.0 - lam) / (1.0 + lam)
+    weights = [r**k for k in range(2 * J + 1)]
+    s0 = list(itertools.accumulate(weights))[::2]
+    s1 = list(itertools.accumulate(k * w for k, w in enumerate(weights)))[::2]
+    fids = [1.0 - s1[j] / (2 * j * s0[j]) for j in range(1, J + 1)]
+    return s0, [_fidelity_limit_j0(lam), *fids]
 
 
-def _spectrum_columns(n: int, lam: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _spectrum_columns(n: int, lam: float) -> tuple[list[int], list[float], list[float]]:
     """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and float p_j, f_j for j = 0..n/2.
 
     p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
@@ -69,14 +69,16 @@ def _spectrum_columns(n: int, lam: float) -> tuple[list[int], np.ndarray, np.nda
         mults.append(comb * (2 * j + 1) // (J + j + 1))
         comb = comb * (J - j) // (J + j + 1)
 
-    js = np.arange(J + 1)
     c1 = (1.0 + lam) / 2.0
     c0 = (1.0 - lam) / 2.0
     if c0 == 0.0:
-        probs = (js == J).astype(float)
+        probs = [float(j == J) for j in range(J + 1)]
     else:
-        log_d = np.array([math.log(d) for d in mults])
-        probs = np.exp(log_d + (J - js) * math.log(c0 * c1) + 2 * js * math.log(c1) + np.log(s0))
+        log_pair, log_c1 = math.log(c0 * c1), math.log(c1)
+        probs = [
+            math.exp(math.log(d) + (J - j) * log_pair + 2 * j * log_c1 + math.log(s))
+            for j, (d, s) in enumerate(zip(mults, s0))
+        ]
     return mults, probs, fids
 
 
@@ -84,7 +86,7 @@ def block_probability(n: int, lam: float, j: int) -> float:
     """Probability that n copies with Bloch length lam land in total spin j."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
-    return float(_spectrum_columns(n, lam)[1][j])
+    return _spectrum_columns(n, lam)[1][j]
 
 
 def _fidelity_limit_j0(lam: float) -> float:
@@ -109,7 +111,7 @@ def block_fidelity(lam: float, j: int) -> float:
     """
     if j < 0:
         raise ValueError("total spin j must be nonnegative")
-    return float(_prefix_sums(lam, j)[1][j])
+    return _prefix_sums(lam, j)[1][j]
 
 
 class SpectrumRow(NamedTuple):
@@ -127,22 +129,30 @@ class BlockSpectrum:
     lam: float
     rows: tuple[SpectrumRow, ...]
 
-    def probabilities(self) -> np.ndarray:
+    def probabilities(self):
+        """The p_j as a numpy array, for the sampler and the tests."""
+        import numpy as np
+
         return np.array([row.probability for row in self.rows])
 
-    def fidelities(self) -> np.ndarray:
+    def fidelities(self):
+        """The f_j as a numpy array, for the sampler and the tests."""
+        import numpy as np
+
         return np.array([row.fidelity for row in self.rows])
 
     def multiplicities(self) -> list[int]:
         return [row.multiplicity for row in self.rows]
 
+    def total(self) -> float:
+        """The fsum of the p_j, which every average divides by."""
+        return math.fsum(row.probability for row in self.rows)
+
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
     """All (j, d_j, p_j, f_j) rows for a register of n qubits."""
     mults, probs, fids = _spectrum_columns(n, lam)
-    rows = tuple(
-        SpectrumRow(j, d, p, f) for j, (d, p, f) in enumerate(zip(mults, probs.tolist(), fids.tolist()))
-    )
+    rows = tuple(SpectrumRow(j, d, p, f) for j, (d, p, f) in enumerate(zip(mults, probs, fids)))
     return BlockSpectrum(n=n, lam=lam, rows=rows)
 
 
@@ -150,7 +160,7 @@ def yield_factor(n: int, lam: float) -> float:
     """Expected fraction of qubits kept by the block measurement, over the fsum of the p_j."""
     spect = block_spectrum(n, lam)
     J = n // 2
-    return math.fsum(row.probability * row.j / J for row in spect.rows) / math.fsum(spect.probabilities())
+    return math.fsum(row.probability * row.j / J for row in spect.rows) / spect.total()
 
 
 def mean_fidelity(n: int, lam: float) -> float:
@@ -161,7 +171,7 @@ def mean_fidelity(n: int, lam: float) -> float:
     Divided by the fsum of all the p_j, as the simulator's draw is.
     """
     spect = block_spectrum(n, lam)
-    return math.fsum(row.probability * row.fidelity for row in spect.rows) / math.fsum(spect.probabilities())
+    return math.fsum(row.probability * row.fidelity for row in spect.rows) / spect.total()
 
 
 def yield_asymptote(n: int, lam: float) -> float:
@@ -186,18 +196,3 @@ def mean_fidelity_asymptote(n: int, lam: float) -> float:
     if lam <= 0.0:
         raise ValueError("asymptote requires lam > 0")
     return 1.0 - (1.0 - lam) / (2.0 * n * lam * lam)
-
-
-def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
-    """Density operator of the 2j qubits kept after a spin-j outcome, in Dicke coordinates.
-
-    W diag(w) W^H for W = dicke_power(rot, j), rot the rotation to the Bloch
-    direction, and geometric weights w_k ~ c1^k c0^(2j-k); as 2j qubits it is D^T (this) D.
-    """
-    if j < 1:
-        raise ValueError("the kept block needs j >= 1")
-    aligned, anti = qubit_eigenstates(q)
-    rot = dicke_power(np.column_stack([anti, aligned]), j)  # |0> -> |0_n>, |1> -> |1_n>
-    ones = np.arange(2 * j + 1)
-    weights = q.c1**ones * q.c0 ** (2 * j - ones) / cross_power_sum(q.c1, q.c0, 2 * j)
-    return (rot * weights) @ rot.conj().T

@@ -9,6 +9,11 @@ machine.  Dense consumers read each copy's (2j+1)-square block of a state
 (``block_coordinates``), in which exchanging copies is a relabelling;
 the lab-frame ``measure_block`` and the exchange unitary ``block_swap``
 are the references they are tested against.
+
+The package's dense helpers live here too: qubit eigenstates and density
+matrices, tensor powers, partial traces and random unitaries.  States and
+operators are numpy complex128 arrays.  |1> (index 1) is the +1 eigenstate
+of Z = diag(-1, 1), so a Bloch vector along +z purifies onto (0, 1).
 """
 
 from __future__ import annotations
@@ -20,7 +25,125 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockLabel, SizeLimitError, _check_register, dense_cap, kron_power
+from .core import BlockLabel, MixedQubit, SizeLimitError, _check_register, dense_cap
+
+
+def _fix_global_phase(v: np.ndarray) -> np.ndarray:
+    # Convention: real nonnegative coefficient on |1>, falling back to |0>
+    # when the |1> coefficient vanishes.
+    pivot = v[1] if abs(v[1]) > 1e-14 else v[0]
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def qubit_eigenstates(q: MixedQubit) -> tuple[np.ndarray, np.ndarray]:
+    """Return (aligned, anti-aligned) eigenvectors of the qubit state.
+
+    The aligned vector v satisfies density_matrix(q) @ v = c1 * v.  Global
+    phases are fixed so results are reproducible: the coefficient on |1>
+    is real and nonnegative when nonzero, otherwise the one on |0> is.
+    """
+    nx, ny, nz = q.direction
+    theta = math.acos(min(1.0, max(-1.0, nz)))
+    phi = math.atan2(ny, nx)
+    half_c = math.cos(theta / 2.0)
+    half_s = math.sin(theta / 2.0)
+    phase = complex(math.cos(phi), math.sin(phi))
+    aligned = np.array([half_s * phase, half_c], dtype=complex)
+    anti = np.array([-half_c * phase, half_s], dtype=complex)
+    return _fix_global_phase(aligned), _fix_global_phase(anti)
+
+
+def outer(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """Dense |u><v| (|u><u| when v is omitted)."""
+    w = u if v is None else v
+    return np.outer(u, w.conj())
+
+
+def density_matrix(q: MixedQubit) -> np.ndarray:
+    """2x2 density operator with eigenvalues (c1, c0) along ``q.direction``."""
+    aligned, anti = qubit_eigenstates(q)
+    rho = q.c1 * outer(aligned) + q.c0 * outer(anti)
+    return 0.5 * (rho + rho.conj().T)
+
+
+def kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """n-fold tensor power of a vector or square matrix.
+
+    The first factor is the most significant one, so for qubit operators
+    the result follows the register ordering of this package.  Raises
+    SizeLimitError once the total dimension exceeds 2^dense_cap().
+    """
+    a = np.asarray(a, dtype=complex)
+    if n < 1:
+        raise ValueError("tensor power needs n >= 1")
+    if a.ndim == 2 and a.shape[0] != a.shape[1]:
+        raise ValueError("matrix factor must be square")
+    if a.ndim not in (1, 2):
+        raise ValueError("factor must be a vector or a matrix")
+    if a.shape[0] ** n > 2 ** dense_cap():
+        raise SizeLimitError(
+            f"{n} factors of dimension {a.shape[0]} exceed the dense cap "
+            f"of {dense_cap()} qubits"
+        )
+    out = a
+    for _ in range(n - 1):
+        out = np.kron(out, a)
+    return out
+
+
+def _qubit_count(dim: int) -> int:
+    n = dim.bit_length() - 1
+    if dim <= 0 or 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return n
+
+
+def partial_trace(a: np.ndarray, keep) -> np.ndarray:
+    """Trace out every qubit not listed in ``keep`` (1-based indices).
+
+    Qubit 1 is the most significant tensor factor; the reduced operator
+    keeps the surviving qubits in ascending index order.
+    """
+    a = np.asarray(a)
+    n = _qubit_count(a.shape[0])
+    kept = sorted({int(k) for k in keep})
+    if not kept:
+        raise ValueError("keep must name at least one qubit")
+    if kept[0] < 1 or kept[-1] > n:
+        raise ValueError(f"keep indices must lie in 1..{n}")
+    kept_set = set(kept)
+    tensor = a.reshape((2,) * (2 * n))
+    row = list(range(n))
+    col = [n + i if (i + 1) in kept_set else i for i in range(n)]
+    out = [i for i in range(n) if (i + 1) in kept_set]
+    out += [n + i for i in range(n) if (i + 1) in kept_set]
+    reduced = np.einsum(tensor, row + col, out)
+    d = 2 ** len(kept)
+    return reduced.reshape(d, d)
+
+
+def max_abs(a: np.ndarray) -> float:
+    a = np.asarray(a)
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """Haar-distributed unitary: complex Ginibre QR with the phase fix."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    qmat, rmat = np.linalg.qr(z / math.sqrt(2.0))
+    diag = np.diagonal(rmat)
+    return qmat * (diag / np.abs(diag))
+
+
+def random_direction(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Uniform point on the unit sphere."""
+    while True:
+        v = rng.standard_normal(3)
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-12:
+            v = v / nrm
+            return (float(v[0]), float(v[1]), float(v[2]))
+
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 

@@ -6,7 +6,9 @@ failure, 2 usage error.  The parser checks each flag's value through its
 ``type=``, in the order the flags are read, and turns every usage error,
 its own included, into a ``UsageError``: one ``error:`` line on stderr.
 All numeric output uses shortest round-trip decimals so CSV files parse
-back losslessly.
+back losslessly.  Only ``verify`` and ``simulate`` import numpy and the
+dense modules; the closed-form commands, ``--help`` and every usage error
+run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,11 +19,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analytics, cloning, protocol
-from .core import MixedQubit, SizeLimitError, haar_unitary, random_direction
-from .oracle import covariance_residual, quadrature_check, reversibility_check, verify_decomposition
+from . import analytics, cloning
+from .core import MixedQubit, SizeLimitError
 
 
 class UsageError(ValueError):
@@ -109,6 +108,11 @@ def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    import numpy as np
+
+    from .blocks import haar_unitary, random_direction
+    from .oracle import covariance_residual, quadrature_check, reversibility_check, verify_decomposition
+
     n, lam = args.n, args.lam
     tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
     rng = np.random.Generator(np.random.Philox(args.seed))
@@ -140,6 +144,8 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+    from . import protocol
+
     n, lam = args.n, args.lam
     keep = args.dump_trials is not None
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol

@@ -41,7 +41,7 @@ def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
     """
     spect = analytics.block_spectrum(n_in, lam)
     terms = (block_clone_term(row, pure_cloning_fidelity(row.j, m_out)) for row in spect.rows)
-    return math.fsum(terms) / math.fsum(spect.probabilities())
+    return math.fsum(terms) / spect.total()
 
 
 def block_clone_term(row: analytics.SpectrumRow, f_pure: float) -> float:
@@ -64,7 +64,7 @@ def estimation_lambda(n: int, lam: float) -> float:
     """
     spect = analytics.block_spectrum(n, lam)
     terms = (row.probability * (2.0 * row.fidelity - 1.0) * row.j / (row.j + 1) for row in spect.rows[1:])
-    return math.fsum(terms) / math.fsum(spect.probabilities())
+    return math.fsum(terms) / spect.total()
 
 
 def scaling_relation_check(n_in: int, m_out: float, lam: float) -> float:

@@ -21,21 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import (
-    block_probability,
-    block_state_matrix,
-    cross_power_sum,
-)
+from .analytics import block_probability, cross_power_sum
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import dicke_power, dicke_rows, power_coordinates
-from .core import (
-    BlockLabel,
-    MixedQubit,
-    density_matrix,
-    max_abs,
-    outer,
-    qubit_eigenstates,
-)
+from .blocks import density_matrix, dicke_power, dicke_rows, max_abs, outer, power_coordinates, qubit_eigenstates
+from .core import BlockLabel, MixedQubit
 
 
 @dataclass
@@ -80,6 +69,21 @@ def orthonormality_residual(basis: SchurBasis) -> float:
         on = rows[:, weight == w]
         worst = max(worst, max_abs(rows[:, weight != w]), max_abs(on @ on.T - np.eye(len(on))))
     return worst
+
+
+def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
+    """Density operator of the 2j qubits kept after a spin-j outcome, in Dicke coordinates.
+
+    W diag(w) W^H for W = dicke_power(rot, j), rot the rotation to the Bloch
+    direction, and geometric weights w_k ~ c1^k c0^(2j-k); as 2j qubits it is D^T (this) D.
+    """
+    if j < 1:
+        raise ValueError("the kept block needs j >= 1")
+    aligned, anti = qubit_eigenstates(q)
+    rot = dicke_power(np.column_stack([anti, aligned]), j)  # |0> -> |0_n>, |1> -> |1_n>
+    ones = np.arange(2 * j + 1)
+    weights = q.c1**ones * q.c0 ** (2 * j - ones) / cross_power_sum(q.c1, q.c0, 2 * j)
+    return (rot * weights) @ rot.conj().T
 
 
 @functools.lru_cache(maxsize=1)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytics, blocks
-from .blocks import _PROB_FLOOR, build_schur_basis, dicke_power, power_coordinates
-from .core import MixedQubit, SizeLimitError, density_matrix, qubit_eigenstates
+from .blocks import _PROB_FLOOR, build_schur_basis, density_matrix, dicke_power, power_coordinates, qubit_eigenstates
+from .core import MixedQubit, SizeLimitError
 
 
 _CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text

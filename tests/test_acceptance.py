@@ -37,7 +37,7 @@ from qpurify import (
 )
 from qpurify.blocks import measure_block
 from qpurify.cli import main as cli_main
-from qpurify.core import density_matrix
+from qpurify.blocks import density_matrix
 
 
 def report(number: int, ok: bool, detail: str = "") -> bool:

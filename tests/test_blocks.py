@@ -28,7 +28,7 @@ from qpurify.blocks import (
     power_coordinates,
     seed_vector,
 )
-from qpurify.core import MixedQubit, SizeLimitError, qubit_eigenstates
+from qpurify import MixedQubit, SizeLimitError, qubit_eigenstates
 from qpurify.oracle import orthonormality_residual
 
 

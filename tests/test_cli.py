@@ -1,10 +1,14 @@
 import hashlib
 import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qpurify
 from qpurify import analytics, cloning
 from qpurify.cli import main
 
@@ -289,9 +293,41 @@ def test_unknown_command_exits_two():
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):
-    # sha256 prefixes of the stdout, taken with numpy 2.4.6
+    # sha256 prefixes of the stdout.  The closed-form rows are libm arithmetic (math.exp,
+    # math.log), so numpy's CPU dispatch cannot move them; the simulate row also pins the
+    # seed -> draw mapping of numpy's Philox generator (taken with numpy 2.4.6)
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+# blocks numpy before the first import of qpurify, so any import of it fails
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; import qpurify; from qpurify.cli import main; "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+def _run_without_numpy(argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(qpurify.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv.split()], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize(
+    "argv", ["stats --n 2000 --lambda 0.6", "clone --n 2000 --m inf --lambda 0.6", "figure1 --n 200"]
+)
+def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, capsys):
+    blocked = _run_without_numpy(argv)
+    assert (blocked.returncode, blocked.stderr) == (0, b"")
+    assert main(argv.split()) == 0
+    assert blocked.stdout == capsys.readouterr().out.encode()
+
+
+def test_usage_error_without_numpy():
+    blocked = _run_without_numpy("stats --n 3 --lambda 0.5")
+    assert (blocked.returncode, blocked.stdout) == (2, b"")
+    assert blocked.stderr.startswith(b"error: ") and blocked.stderr.count(b"\n") == 1
 
 
 def test_verify_rows_golden(capsys):

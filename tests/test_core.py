@@ -53,6 +53,33 @@ class TestMixedQubit:
         with pytest.raises(ValueError):
             MixedQubit(0.5, (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "direction", [[0.0, 0.6, 0.8], (0, 0.6, 0.8), np.array([0.0, 0.6, 0.8]), (np.float64(0.0), 0.6, 0.8)]
+    )
+    def test_direction_is_stored_as_a_float_triple(self, direction):
+        stored = MixedQubit(0.5, direction).direction
+        assert stored == (0.0, 0.6, 0.8)
+        assert type(stored) is tuple and all(type(x) is float for x in stored)
+
+    @pytest.mark.parametrize(
+        "direction, message",
+        [
+            ((0.0, 1.0), "direction must be a 3-vector"),
+            ((0.0, 0.0, 0.0, 1.0), "direction must be a 3-vector"),
+            (np.eye(3), "direction must be a 3-vector"),
+            (np.array([[0.0], [0.0], [1.0]]), "direction must be a 3-vector"),
+            (1.0, "direction must be a 3-vector"),
+            ((0.0, 0.0, 1.0 + 2e-12), "direction must be a unit vector to within 1e-12"),
+            ((0.0, 0.0, math.nan), "direction must be a unit vector to within 1e-12"),
+        ],
+    )
+    def test_rejects_a_direction_that_is_not_a_unit_3_vector(self, direction, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MixedQubit(0.5, direction)
+
+    def test_unit_tolerance_is_1e_12(self):
+        assert MixedQubit(0.5, (0.0, 0.0, 1.0 + 5e-13)).direction[2] == 1.0 + 5e-13
+
     def test_block_label_validation(self):
         with pytest.raises(ValueError):
             BlockLabel(-1, 1)

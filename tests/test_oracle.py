@@ -29,7 +29,7 @@ from qpurify import (
 from qpurify import oracle
 from qpurify.analytics import cross_power_sum
 from qpurify.blocks import SINGLET, SchurBasis, dicke_rows
-from qpurify.core import outer, qubit_eigenstates
+from qpurify.blocks import outer, qubit_eigenstates
 from qpurify.oracle import _angular_rule
 
 from conftest import random_qubit
