@@ -5,11 +5,12 @@ total-spin blocks, simulates the purification protocol built on that
 measurement, derives optimal cloning / state-estimation fidelities, and
 brute-force verifies every closed form on explicit matrices for small N.
 
-The closed-form modules ``core``, ``analytics`` and ``cloning`` need only
-the standard library; ``blocks``, ``oracle`` and ``protocol`` need numpy.
-Importing the package loads none of them: each public name below is
-imported from its module on first use (PEP 562), so a closed-form caller
-never pays for numpy.
+The closed-form modules ``core``, ``analytics`` and ``cloning`` and the
+sampler of ``protocol`` need only the standard library; ``blocks``,
+``oracle`` and ``run_protocol_dense`` need numpy.  Importing the package
+loads none of them: each public name below is imported from its module
+on first use (PEP 562), so a closed-form or sampling caller never pays
+for numpy.
 """
 
 from __future__ import annotations

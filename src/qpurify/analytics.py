@@ -2,8 +2,7 @@
 
 Everything here is binomial/geometric arithmetic on plain floats and exact
 integers, so it needs only the standard library and stays cheap for
-register sizes far beyond any dense 2^N object.  Only the array views
-``BlockSpectrum.probabilities()`` and ``fidelities()`` load numpy.
+register sizes far beyond any dense 2^N object.
 """
 
 from __future__ import annotations
@@ -128,21 +127,6 @@ class BlockSpectrum:
     n: int
     lam: float
     rows: tuple[SpectrumRow, ...]
-
-    def probabilities(self):
-        """The p_j as a numpy array, for the sampler and the tests."""
-        import numpy as np
-
-        return np.array([row.probability for row in self.rows])
-
-    def fidelities(self):
-        """The f_j as a numpy array, for the sampler and the tests."""
-        import numpy as np
-
-        return np.array([row.fidelity for row in self.rows])
-
-    def multiplicities(self) -> list[int]:
-        return [row.multiplicity for row in self.rows]
 
     def total(self) -> float:
         """The fsum of the p_j, which every average divides by."""

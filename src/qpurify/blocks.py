@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BlockLabel, MixedQubit, SizeLimitError, _check_register, dense_cap
+from .core import BlockLabel, MixedQubit, SizeLimitError, _check_register, _mem_available_bytes, dense_cap
 
 
 def _fix_global_phase(v: np.ndarray) -> np.ndarray:
@@ -278,16 +278,6 @@ def _build_basis(n: int) -> SchurBasis:
     for rows in spins.values():
         rows.setflags(write=False)
     return SchurBasis(n=n, spins=spins)
-
-
-def _mem_available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            fields = dict(line.split(":", 1) for line in fh)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError):
-        return None
 
 
 def _check_dense(n: int) -> None:

@@ -6,9 +6,9 @@ failure, 2 usage error.  The parser checks each flag's value through its
 ``type=``, in the order the flags are read, and turns every usage error,
 its own included, into a ``UsageError``: one ``error:`` line on stderr.
 All numeric output uses shortest round-trip decimals so CSV files parse
-back losslessly.  Only ``verify`` and ``simulate`` import numpy and the
-dense modules; the closed-form commands, ``--help`` and every usage error
-run on the standard library alone.
+back losslessly.  Only ``verify`` and ``simulate --dense`` import numpy and
+the dense modules; the closed-form commands, summary ``simulate`` runs,
+``--help`` and every usage error run on the standard library alone.
 """
 
 from __future__ import annotations

@@ -43,6 +43,16 @@ def dense_cap() -> int:
         raise SizeLimitError(f"{CAP_ENV_VAR} must be an integer qubit count, got {env!r}") from None
 
 
+def _mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class MixedQubit:
     """A qubit state with Bloch vector ``lam * direction``.

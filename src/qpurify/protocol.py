@@ -1,26 +1,116 @@
 """Monte Carlo simulation of the block-measurement purification protocol.
 
 Two paths give the same outcome distribution: a fast one that samples the
-closed-form probabilities directly (usable for hundreds of qubits), and a
-dense one that runs the measurement on the blocks of the input's tensor
-power for registers within the cap.
+closed-form probabilities directly (any register size the closed forms
+serve), and a dense one that runs the measurement on the blocks of the
+input's tensor power for registers within the cap.  Both draw from one
+``random.Random(seed)`` through one exact multinomial sampler, so the
+fast path needs only the standard library; the dense path imports numpy
+when it runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import random as pyrandom
+import random
+from array import array
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import analytics, blocks
-from .blocks import _PROB_FLOOR, build_schur_basis, density_matrix, dicke_power, power_coordinates, qubit_eigenstates
-from .core import MixedQubit, SizeLimitError
+from . import analytics
+from .core import MixedQubit, SizeLimitError, _mem_available_bytes
 
 
 _CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_error(x: int) -> float:
+    """lgamma(x + 1) - ((x + 1/2) log x - x + log(2 pi)/2), for x >= 1."""
+    if x < 16:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x  # error below 1.2e-14
+
+
+def _log_factorial_gap(a: int, b: int) -> float:
+    """log(a! / b!) + (b - a) log a for a >= 1, b >= 0, without the cancellation
+    of its two terms: -bd0(b, a) - log(b/a)/2 plus Stirling errors, where
+    bd0(b, a) = b log(b/a) + a - b comes from Loader's series near b = a."""
+    if b == 0:  # the limit of the form below, whose log(b/a) diverges
+        return 0.5 * math.log(a) - a + _HALF_LOG_2PI + _stirling_error(a)
+    t = b - a
+    v = t / (a + b)
+    if abs(v) < 0.1:
+        bd0, last, term, j = t * v, None, 2 * b * v, 1  # t v + 2b sum_i v^(2i+1) / (2i+1)
+        while bd0 != last:
+            term, j = term * v * v, j + 2
+            last, bd0 = bd0, bd0 + term / j
+    else:
+        bd0 = b * math.log(b / a) - t
+    return -bd0 - 0.5 * math.log(b / a) + _stirling_error(a) - _stirling_error(b)
+
+
+def _log_binomial_ratio(n: int, p: float, m: int):
+    """k -> log(b(k) / b(m)) for the Binomial(n, p) pmf b and 1 <= m < n.  Summed as gap(m, k) +
+    gap(n - m, n - k) + (k - m) log1p((np - m) / (m (1 - p))) with np - m exact, it keeps about
+    1e-14 relative accuracy up to n = 2**63 - 1, where lgamma differences are off by up to 5e4."""
+    num, den = p.as_integer_ratio()
+    c = math.log1p((n * num - m * den) / (m * (den - num)))
+    return lambda k: _log_factorial_gap(m, k) + _log_factorial_gap(n - m, n - k) + (k - m) * c
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One exact Binomial(n, p) draw for 0 <= p <= 1 and any n >= 0: Devroye's geometric
+    method (O(np) draws) below np = 10, else Hormann's BTRS (J. Stat. Comput. Simul. 46, 101
+    (1993)) centred on the exact integer mode, so it resolves single counts at n = 2**63."""
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)  # 1 - p is exact here
+    if n * p < 10:
+        c, x, y = math.log1p(-p), 0, 0
+        if not c:
+            return 0
+        while (gap := math.log(1.0 - rng.random()) / c) < n - y:  # gap may be inf where p underflows
+            x, y = x + 1, y + math.floor(gap) + 1
+        return x
+    num, den = p.as_integer_ratio()
+    m = (n + 1) * num // den  # the mode
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = (n * num - m * den) / den + 0.5  # np + 1/2 - m
+    vr, alpha, log_ratio = 0.92 - 4.2 / b, (2.83 + 5.1 / b) * spq, None
+    while True:
+        u = (rng.getrandbits(52) + 0.5) / 2**52 - 0.5  # midpoints of a 2**-52 grid: us > 0 always
+        us = 0.5 - abs(u)
+        k = m + math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - rng.random()  # in (0, 1], so log(v) below is finite
+        if us >= 0.07 and v <= vr:
+            return k
+        log_ratio = log_ratio or _log_binomial_ratio(n, p, m)
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_ratio(k):
+            return k
+
+
+def _multinomial(rng: random.Random, trials: int, probs: list[float]) -> list[int]:
+    """Exact multinomial counts as conditional binomials, p_i over the suffix
+    sum of p; the last positive outcome takes the remainder (its ratio is 1)
+    and an outcome of probability 0 is never drawn."""
+    tails = list(itertools.accumulate(reversed(probs)))[::-1]
+    counts, left = [0] * len(probs), trials
+    for i, (p, tail) in enumerate(zip(probs, tails)):
+        if p and left:
+            counts[i] = _binomial(rng, left, p / tail)
+            left -= counts[i]
+    return counts
+
+
+def _typecode(outcomes: int) -> str:
+    """The smallest unsigned array typecode that indexes ``outcomes`` outcomes."""
+    return next(code for code in "BHIL" if outcomes <= 1 << 8 * array(code).itemsize)
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,28 +121,36 @@ class TrialOutcomes:
     fidelity ``fids[i]``.  In dense mode ``copies[i]`` is the outcome's copy
     index; in fast mode it is the multiplicity d_j, and the trials draw
     their copy indices in trial order, uniform in 1..d_j, from one
-    ``random.Random(alpha_seed)``.  ``order`` has the smallest unsigned
-    dtype that indexes every outcome: 1 byte a trial up to 256 outcomes, 2
-    up to 65,536.  Its one reader, ``write_outcomes_csv``, makes the rows a
-    chunk at a time.
+    ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of the
+    smallest unsigned typecode that indexes every outcome: 1 byte a trial
+    up to 256 outcomes, 2 up to 65,536.  Its one reader,
+    ``write_outcomes_csv``, makes the rows a chunk at a time.
     """
 
-    order: np.ndarray
+    order: array
     js: list[int]
     fids: list[float]
     copies: list[int]
     alpha_seed: int | None
 
     def _chunks(self):
-        """(trial numbers, outcome indices, copy indices) of consecutive chunks."""
-        draw = None if self.alpha_seed is None else pyrandom.Random(self.alpha_seed).randrange
-        copies = self.copies
+        """(trial numbers, outcome indices, copy indices) of consecutive chunks; a copy
+        index is ``randrange(d) + 1`` written out, exact for any d."""
+        copies, bits = self.copies, None
+        if self.alpha_seed is not None:
+            bits, widths = random.Random(self.alpha_seed).getrandbits, [d.bit_length() for d in copies]
         for start in range(0, len(self.order), _CHUNK):
             idx = self.order[start : start + _CHUNK].tolist()
-            if draw is None:
+            if bits is None:
                 alphas = [copies[i] for i in idx]
-            else:  # exact uniform copy indices even when d_j exceeds 64-bit range
-                alphas = [draw(copies[i]) + 1 for i in idx]
+            else:
+                alphas = []
+                for i in idx:
+                    d, w = copies[i], widths[i]
+                    r = bits(w)
+                    while r >= d:
+                        r = bits(w)
+                    alphas.append(r + 1)
             yield range(start, start + len(idx)), idx, alphas
 
     def __len__(self) -> int:
@@ -78,7 +176,7 @@ class SimulationSummary:
     outcomes: TrialOutcomes | None = field(default=None, compare=False)
 
 
-def _moments(counts: np.ndarray, values: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+def _moments(counts: list[int], values: list[float], p: list[float]) -> tuple[float, float]:
     """Mean and standard error of a sample holding values[i] counts[i] times.
 
     A sample on one value has no spread, which is no evidence of certainty:
@@ -86,12 +184,13 @@ def _moments(counts: np.ndarray, values: np.ndarray, p: np.ndarray) -> tuple[flo
     implies, sqrt(sum_i p_i (values[i] - mean_p)^2 / trials), and 0 only
     when every outcome p can draw has that one value.
     """
-    trials = int(counts.sum())
-    mean = math.fsum(counts * values) / trials
-    if np.ptp(values[counts > 0]) > 0:
-        variance = math.fsum(counts * (values - mean) ** 2) / (trials - 1)  # spread needs two trials
-    elif np.ptp(values[p > 0]) > 0:
-        variance = math.fsum(p * (values - math.fsum(p * values)) ** 2)
+    trials = sum(counts)
+    mean = math.fsum(c * v for c, v in zip(counts, values)) / trials
+    if len({v for c, v in zip(counts, values) if c}) > 1:
+        variance = math.fsum(c * (v - mean) ** 2 for c, v in zip(counts, values)) / (trials - 1)
+    elif len({v for v, q in zip(values, p) if q > 0}) > 1:
+        mean_p = math.fsum(q * v for q, v in zip(p, values))
+        variance = math.fsum(q * (v - mean_p) ** 2 for q, v in zip(p, values))
     else:
         variance = 0.0
     return mean, math.sqrt(variance / trials)
@@ -102,8 +201,8 @@ def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
     order over ``outcomes`` outcomes larger than the available memory."""
     if not 1 <= trials < 2**63:
         raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
-    available = blocks._mem_available_bytes() if keep_outcomes else None
-    size = trials * np.min_scalar_type(outcomes - 1).itemsize  # the dtype _simulate gives the order
+    available = _mem_available_bytes() if keep_outcomes else None
+    size = trials * array(_typecode(outcomes)).itemsize  # the order _simulate keeps
     if available is not None and size > available:
         raise SizeLimitError(
             f"keeping {trials} trial outcomes needs about {size / 2**20:.3g} MiB, "
@@ -112,46 +211,35 @@ def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
 
 
 def _simulate(
-    q: MixedQubit,
-    n: int,
-    trials: int,
-    seed: int,
-    keep_outcomes: bool,
-    mode: str,
-    outcome: tuple[np.ndarray, np.ndarray, np.ndarray],
-    copies: list[int],
-    labels=(),
+    q: MixedQubit, n: int, trials: int, seed: int, keep_outcomes: bool, mode: str, outcome, copies, labels=()
 ) -> SimulationSummary:
     """Draw the counts of all outcomes in one multinomial and reduce them exactly.
 
     Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``copies``
     is as in ``TrialOutcomes``."""
     js, probs, fids = outcome
-    rng = np.random.Generator(np.random.Philox(seed))
-    p = probs / probs.sum()
-    counts = rng.multinomial(trials, p)
+    rng = random.Random(seed)
+    counts = _multinomial(rng, trials, probs)
     outcomes = None
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
-        order = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts) - 1)), counts)
-        rng.shuffle(order)  # the draws of rng.permutation, without its copy
-        alpha_seed = int(rng.integers(0, 2**63)) if mode == "fast" else None
-        outcomes = TrialOutcomes(order, js.tolist(), fids.tolist(), copies, alpha_seed)
-    empirical_yield, yield_se = _moments(counts, 2.0 * js / n, p)
-    empirical_fidelity, fidelity_se = _moments(counts, fids, p)
+        code = _typecode(len(counts))
+        order = array(code)
+        for i, c in enumerate(counts):
+            order += array(code, [i]) * c
+        rng.shuffle(order)
+        alpha_seed = rng.getrandbits(63) if mode == "fast" else None
+        outcomes = TrialOutcomes(order, js, fids, copies, alpha_seed)
+    total = math.fsum(probs)
+    p = [prob / total for prob in probs]
+    histogram = dict.fromkeys(range(n // 2 + 1), 0)
+    for j, c in zip(js, counts):
+        histogram[j] += c
+    yield_moments = _moments(counts, [2.0 * j / n for j in js], p)
+    fidelity_moments = _moments(counts, fids, p)
+    label_histogram = {(lab.j, lab.alpha): c for lab, c in zip(labels, counts) if c}
     return SimulationSummary(
-        n=n,
-        lam=q.lam,
-        trials=trials,
-        seed=seed,
-        mode=mode,
-        empirical_yield=empirical_yield,
-        yield_se=yield_se,
-        empirical_mean_fidelity=empirical_fidelity,
-        fidelity_se=fidelity_se,
-        norm_defect=math.fsum(probs) - 1.0,
-        histogram={j: int(c) for j, c in enumerate(np.bincount(js, counts, n // 2 + 1))},
-        label_histogram={(lab.j, lab.alpha): int(c) for lab, c in zip(labels, counts) if c},
-        outcomes=outcomes,
+        n, q.lam, trials, seed, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram,
+        outcomes,
     )
 
 
@@ -166,21 +254,16 @@ def run_protocol(
     also gets a copy index alpha, uniform among its d_j copies, and
     ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes up to
     N = 131,070 (SizeLimitError if that exceeds the available memory).
-    Results are bit-reproducible for a given seed.
+    Results are bit-reproducible for a given seed; only the standard
+    library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
-    spect = analytics.block_spectrum(n, q.lam)
-    probs = spect.probabilities()
-    outcome = (np.arange(len(probs)), probs, spect.fidelities())
-    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities())
+    js, copies, probs, fids = map(list, zip(*analytics.block_spectrum(n, q.lam).rows))
+    return _simulate(q, n, trials, seed, keep_outcomes, "fast", (js, probs, fids), copies)
 
 
 def run_protocol_dense(
-    q: MixedQubit,
-    n: int,
-    trials: int,
-    seed: int,
-    keep_outcomes: bool = False,
+    q: MixedQubit, n: int, trials: int, seed: int, keep_outcomes: bool = False
 ) -> SimulationSummary:
     """Run the protocol on the blocks of the input's tensor power.
 
@@ -193,32 +276,33 @@ def run_protocol_dense(
     states depend only on the block label, so the (j, alpha) label counts
     come from one multinomial draw over the block traces.
     """
+    import numpy as np
+
+    from . import blocks
+
     blocks._check_dense(n)  # before C(n, n/2), which takes seconds at a million qubits
     _check_trials(trials, keep_outcomes, math.comb(n, n // 2))
-    basis = build_schur_basis(n)
-    coords = power_coordinates(basis, density_matrix(q))
-    aligned, anti = qubit_eigenstates(q)
-    to_eigenbasis = {j: dicke_power(np.vstack([anti, aligned]).conj(), j) for j in coords}
+    basis = blocks.build_schur_basis(n)
+    coords = blocks.power_coordinates(basis, blocks.density_matrix(q))
+    aligned, anti = blocks.qubit_eigenstates(q)
+    to_eigenbasis = {j: blocks.dicke_power(np.vstack([anti, aligned]).conj(), j) for j in coords}
     labels = basis.labels()
 
-    probs = np.zeros(len(labels))
-    fids = np.zeros(len(labels))
+    probs, fids = [0.0] * len(labels), [0.0] * len(labels)
     for i, label in enumerate(labels):
         block = coords[label.j][label.alpha - 1]
         prob = float(np.trace(block).real)
-        if prob < _PROB_FLOOR:
+        if prob < blocks._PROB_FLOOR:
             continue  # never drawn: its probability stays zero
         probs[i] = prob
-        if label.j == 0:
-            # nothing kept; use the continuity value so averages stay
-            # comparable with the fast path
+        if label.j == 0:  # nothing kept: the continuity value keeps averages comparable with the fast path
             fids[i] = analytics.block_fidelity(q.lam, 0)
         else:
             w = to_eigenbasis[label.j]
             aligned_counts = (w @ block @ w.conj().T).diagonal().real
             fids[i] = float(np.arange(2 * label.j + 1) @ aligned_counts) / (2 * label.j * prob)
 
-    outcome = (np.array([label.j for label in labels]), probs, fids)
+    outcome = ([label.j for label in labels], probs, fids)
     copies = [label.alpha for label in labels]
     return _simulate(q, n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
 

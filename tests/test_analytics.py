@@ -180,20 +180,20 @@ class TestBlockSpectrum:
         spect = block_spectrum(6, 0.4)
         assert [row.j for row in spect.rows] == [0, 1, 2, 3]
         assert [row.multiplicity for row in spect.rows] == [5, 9, 5, 1]
-        assert math.fsum(spect.probabilities()) == pytest.approx(1.0, abs=1e-13)
+        assert math.fsum(row.probability for row in spect.rows) == pytest.approx(1.0, abs=1e-13)
         assert all(row.probability >= 0.0 for row in spect.rows)
         big = block_spectrum(2000, 0.6)
-        assert big.multiplicities() == [multiplicity(2000, j) for j in range(1001)]
+        assert [row.multiplicity for row in big.rows] == [multiplicity(2000, j) for j in range(1001)]
 
     @given(n=st.integers(1, 200).map(lambda k: 2 * k), lam=lam_st)
     @settings(max_examples=80, deadline=None)
     def test_spectrum_properties(self, n, lam):
         spect = block_spectrum(n, lam)
-        assert abs(math.fsum(spect.probabilities()) - 1.0) < 1e-12
+        assert abs(math.fsum(row.probability for row in spect.rows) - 1.0) < 1e-12
         # when lam is within a few ulps of 0, the prefix sums of ~2j weights
         # near 1 round f_j by up to ~1e-14 around its exact value 1/2 + O(lam j)
         tol = 64 * np.finfo(float).eps
-        f = spect.fidelities()
+        f = np.array([row.fidelity for row in spect.rows])
         assert np.all(f >= 0.5 - tol) and np.all(f <= 1.0)
         assert np.all(np.diff(f) >= -tol)
 

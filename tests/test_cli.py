@@ -171,8 +171,9 @@ class TestSimulate:
         assert float(fields["empirical_yield"]) == 1.0
 
     def test_sample_without_spread_uses_the_drawn_distribution(self, capsys):
-        # all 5 trials land in j = 1 (probability 0.75**5): the sample SE is 0, the drawn one is not
-        assert run_cli("simulate", "--n", "2", "--lambda", "0", "--trials", "5", "--seed", "1") == 0
+        # all 5 trials land in j = 1 (probability 0.75**5) at seed 2: the sample SE is 0, the drawn
+        # one is not
+        assert run_cli("simulate", "--n", "2", "--lambda", "0", "--trials", "5", "--seed", "2") == 0
         fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         assert fields["histogram"] == "0:0;1:5"
         assert float(fields["yield_se"]) == pytest.approx((0.75 * 0.25 / 5) ** 0.5, rel=1e-12)
@@ -289,13 +290,13 @@ def test_unknown_command_exits_two():
         ("clone --n 4 --m 8 --lambda 0.5", "11d67a8429c74771"),
         ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
         ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "abeba5aceb302964"),
-        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "7efeb5f8f13e2b3f"),
+        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "6d8e6f0631333f39"),
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):
     # sha256 prefixes of the stdout.  The closed-form rows are libm arithmetic (math.exp,
     # math.log), so numpy's CPU dispatch cannot move them; the simulate row also pins the
-    # seed -> draw mapping of numpy's Philox generator (taken with numpy 2.4.6)
+    # seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
@@ -315,13 +316,24 @@ def _run_without_numpy(argv: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    "argv", ["stats --n 2000 --lambda 0.6", "clone --n 2000 --m inf --lambda 0.6", "figure1 --n 200"]
+    "argv",
+    [
+        "stats --n 2000 --lambda 0.6",
+        "clone --n 2000 --m inf --lambda 0.6",
+        "figure1 --n 200",
+        "simulate --n 1000 --lambda 0.6 --trials 1000000000 --seed 1",
+        "simulate --n 100 --lambda 0.6 --trials 10000 --seed 1 --dump-trials {tmp}/trials.csv",
+    ],
 )
-def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, capsys):
+def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, tmp_path, capsys):
+    # summary simulate runs the stdlib sampler, per-trial dump included
+    argv = argv.format(tmp=tmp_path)
     blocked = _run_without_numpy(argv)
+    dumped = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
     assert (blocked.returncode, blocked.stderr) == (0, b"")
     assert main(argv.split()) == 0
     assert blocked.stdout == capsys.readouterr().out.encode()
+    assert dumped == sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
 
 
 def test_usage_error_without_numpy():

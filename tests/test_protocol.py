@@ -1,8 +1,11 @@
 import hashlib
 import io
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +25,7 @@ from qpurify import (
     write_outcomes_csv,
     yield_factor,
 )
+from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial
 
 
 def dumped_csv(outcomes) -> str:
@@ -60,9 +64,10 @@ class TestFastPath:
         n, lam, trials = 4, 0.9, 10
         summary = run_protocol(MixedQubit(lam), n, trials, seed=1)
         assert summary.histogram == {0: 0, 1: 0, 2: trials}
-        spect = block_spectrum(n, lam)
-        p = spect.probabilities() / math.fsum(spect.probabilities())
-        for se, values in ((summary.yield_se, np.arange(3) / 2), (summary.fidelity_se, spect.fidelities())):
+        rows = block_spectrum(n, lam).rows
+        probs = np.array([row.probability for row in rows])
+        p = probs / math.fsum(probs)
+        for se, values in ((summary.yield_se, np.arange(3) / 2), (summary.fidelity_se, np.array([row.fidelity for row in rows]))):
             assert se == pytest.approx(math.sqrt(p @ (values - p @ values) ** 2 / trials), rel=1e-12)
 
     def test_two_qubit_yield_within_three_sigma(self):
@@ -137,7 +142,7 @@ class TestFastPath:
 
     def test_norm_defect_is_reported(self):
         summary = run_protocol(MixedQubit(0.6), 1000, trials=10, seed=1)
-        probs = block_spectrum(1000, 0.6).probabilities()
+        probs = [row.probability for row in block_spectrum(1000, 0.6).rows]
         assert summary.norm_defect == math.fsum(probs) - 1.0
         assert 0 < abs(summary.norm_defect) < 1e-12
 
@@ -160,6 +165,74 @@ class TestFastPath:
             run_protocol(MixedQubit(0.5), 4, trials=0, seed=0)
         with pytest.raises(ValueError):
             run_protocol(MixedQubit(0.5), 4, trials=2**63, seed=0)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [20, 10**3, 10**6, 10**9, 2**53, 2**63 - 1])
+    def test_log_ratio_matches_mpmath(self, n, p):
+        # BTRS's acceptance test, log(b(k) / b(m)) at the mode m, k = m +- 1, 3 and 6 sigma and
+        # k in {0, 1}; the naive lgamma difference is off by up to 5.2e4 at n = 2**63 - 1.  At
+        # (20, 0.02) the mode is 0, where BTRS never runs (np < 10), so the anchor is 1 there.
+        # Far tails reach -1e18, so the bound is relative beyond magnitude 1.
+        num, den = p.as_integer_ratio()
+        m = max(1, (n + 1) * num // den)
+        sigma = math.sqrt(n * p * (1 - p))
+        ks = {0, 1, m} | {m + sign * round(z * sigma) for z in (1, 3, 6) for sign in (-1, 1)}
+        ratio = _log_binomial_ratio(n, p, m)
+        with mpmath.workdps(60):
+            log_odds = mpmath.log(mpmath.mpf(p) / (1 - mpmath.mpf(p)))
+            for k in sorted(k for k in ks if 0 <= k <= n):
+                exact = (
+                    mpmath.loggamma(m + 1) + mpmath.loggamma(n - m + 1)
+                    - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1) + (k - m) * log_odds
+                )
+                assert abs(ratio(k) - exact) <= 1e-6 * max(1, abs(exact)), k
+
+    def test_binomial_edge_cases(self):
+        rng = random.Random(1)
+        assert _binomial(rng, 10**6, 0.0) == 0
+        assert _binomial(rng, 2**63 - 1, 1.0) == 2**63 - 1
+        assert _binomial(rng, 0, 0.3) == _binomial(rng, 0, 0.9) == 0
+        for n, p in ((40, 0.85), (10**6, 0.7)):  # p > 1/2 is n minus a draw at 1 - p
+            assert _binomial(random.Random(7), n, p) == n - _binomial(random.Random(7), n, 1.0 - p)
+
+    @pytest.mark.parametrize(("n", "p"), [(200, 0.02), (10**6, 4e-6), (40, 0.85), (200, 0.3), (5000, 0.5)])
+    def test_binomial_matches_scipy(self, n, p):
+        # np < 10 (Devroye's geometric method, directly or by symmetry) and np >= 10 (BTRS)
+        draws = 50_000
+        rng = random.Random(3)
+        counts = np.bincount([_binomial(rng, n, p) for _ in range(draws)], minlength=n + 1)
+        expected = stats.binom.pmf(np.arange(n + 1), n, p) * draws
+        big = expected >= 5  # pool the sparse tails into one cell
+        observed = np.append(counts[big], counts[~big].sum())
+        expected = np.append(expected[big], draws - expected[big].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_binomial_moments_at_2_62(self, p):
+        n, draws = 2**62, 20_000
+        center = n * Fraction(p)  # the exact mean
+        base = round(center)
+        rng = random.Random(11)
+        devs = [_binomial(rng, n, p) - base for _ in range(draws)]  # exact small ints
+        npq = n * p * (1 - p)
+        mean = math.fsum(devs) / draws
+        var = math.fsum((d - mean) ** 2 for d in devs) / (draws - 1)
+        assert abs(mean - float(center - base)) < 4 * math.sqrt(npq / draws)
+        # var(s^2) ~ (mu4 - sigma^4) / draws with the binomial mu4 = 3 npq^2 + npq (1 - 6pq)
+        assert abs(var - npq) < 4 * math.sqrt((2 * npq**2 + npq * (1 - 6 * p * (1 - p))) / draws)
+
+    def test_multinomial_never_draws_zero_probability_outcomes(self):
+        rng = random.Random(2)
+        for trials in (1, 1000, 2**63 - 1):
+            counts = _multinomial(rng, trials, [0.0, 0.25, 0.0, 0.5, 0.25, 0.0, 0.0])
+            assert sum(counts) == trials
+            assert counts[0] == counts[2] == counts[5] == counts[6] == 0
+
+    def test_histogram_sums_exactly_at_the_largest_trial_count(self):
+        summary = run_protocol(MixedQubit(0.6), 1000, trials=2**63 - 1, seed=1)
+        assert sum(summary.histogram.values()) == 2**63 - 1
 
 
 class TestDensePath:
@@ -243,9 +316,9 @@ def test_outcome_csv_roundtrip():
 @pytest.mark.parametrize(
     ("n", "trials", "seed", "dense", "digest"),
     [
-        (20, 5000, 9, False, "0c2de38423b6b236"),
-        (100, 100_000, 3, False, "91ab2ef9835596e4"),
-        (4, 500, 2, True, "a2bbfdbabd5b2bf3"),
+        (20, 5000, 9, False, "f10aba647426b32c"),
+        (100, 100_000, 3, False, "69bc7fab35ff6920"),
+        (4, 500, 2, True, "81e8975a8a778e05"),
     ],
 )
 def test_outcome_csv_golden(n, trials, seed, dense, digest):
@@ -267,7 +340,7 @@ def test_outcome_csv_is_repeatable():
 
 
 def test_outcome_dump_memory_is_bounded(tmp_path):
-    # one 8-byte index per trial plus one chunk of text; a list of records reached 195 MB
+    # one 1-byte outcome index per trial plus one chunk of text; a list of records reached 195 MB
     tracemalloc.start()
     try:
         summary = run_protocol(MixedQubit(0.6), 100, 10**6, 3, keep_outcomes=True)
@@ -281,12 +354,12 @@ def test_outcome_dump_memory_is_bounded(tmp_path):
 
 def test_kept_outcomes_must_fit_in_memory(monkeypatch):
     # 1 byte a trial: 11 outcomes at N = 20, 6 labels at n = 4
-    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 999)
+    monkeypatch.setattr("qpurify.protocol._mem_available_bytes", lambda: 999)
     with pytest.raises(SizeLimitError):
         run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True)
     with pytest.raises(SizeLimitError):
         run_protocol_dense(MixedQubit(0.6), 4, 1000, 1, keep_outcomes=True)
     assert run_protocol(MixedQubit(0.6), 20, 1000, 1).outcomes is None
     assert len(run_protocol(MixedQubit(0.6), 20, 999, 1, keep_outcomes=True).outcomes) == 999
-    monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)
+    monkeypatch.setattr("qpurify.protocol._mem_available_bytes", lambda: None)
     assert len(run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True).outcomes) == 1000
