@@ -7,6 +7,7 @@ register sizes far beyond any dense 2^N object.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,25 +36,46 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
     return math.fsum(c1**k * c0 ** (m - k) for k in range(m + 1))
 
 
-def _prefix_sums(lam: float, J: int) -> tuple[list[float], list[float]]:
-    """S0[2j] and f_j for j = 0..J from one pass of prefix sums.
+def _prefix_sums(lam: float, J: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """log S0[2j] and f_j for j = 0..J, read off the cached columns of lam."""
+    _check_lambda(lam)  # before the lookup, so no bad lam becomes a key
+    log_s0, fids = _lambda_columns(lam, 1 << J.bit_length())
+    return log_s0[: J + 1], fids[: J + 1]
+
+
+@functools.lru_cache(maxsize=32)
+def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """log S0[2j] and f_j for j < size from one pass of prefix sums.
 
     A spin-j block holds k = 0..2j anti-aligned qubits with weight r^k,
     r = c0/c1.  With S0[m] = sum_{k<=m} r^k and S1[m] = sum_{k<=m} k r^k,
     f_j = 1 - S1[2j] / (2j S0[2j]); every term is positive, so nothing
-    cancels for any lam.  j = 0 takes the continuous limit.
+    cancels for any lam.  j = 0 takes the continuous limit.  The sums run
+    in order, so each entry is the same float whatever ``size`` is; callers
+    round size up to a power of two, so a growing J costs O(log J) builds.
     """
-    _check_lambda(lam)
     r = (1.0 - lam) / (1.0 + lam)
-    weights = [r**k for k in range(2 * J + 1)]
+    weights = [r**k for k in range(2 * size - 1)]
     s0 = list(itertools.accumulate(weights))[::2]
     s1 = list(itertools.accumulate(k * w for k, w in enumerate(weights)))[::2]
-    fids = [1.0 - s1[j] / (2 * j * s0[j]) for j in range(1, J + 1)]
-    return s0, [_fidelity_limit_j0(lam), *fids]
+    fids = (1.0 - s1[j] / (2 * j * s0[j]) for j in range(1, size))
+    return tuple(map(math.log, s0)), (_fidelity_limit_j0(lam), *fids)
 
 
-def _spectrum_columns(n: int, lam: float) -> tuple[list[int], list[float], list[float]]:
-    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and float p_j, f_j for j = 0..n/2.
+@functools.lru_cache(maxsize=1)
+def _multiplicity_columns(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and log d_j for j = 0..n/2."""
+    J = n // 2
+    mults = []
+    comb = math.comb(n, J)  # C(n, J - j)
+    for j in range(J + 1):
+        mults.append(comb * (2 * j + 1) // (J + j + 1))
+        comb = comb * (J - j) // (J + j + 1)
+    return tuple(mults), tuple(map(math.log, mults))
+
+
+def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """Exact d_j and float p_j, f_j for j = 0..n/2.
 
     p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
     c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
@@ -61,23 +83,18 @@ def _spectrum_columns(n: int, lam: float) -> tuple[list[int], list[float], list[
     """
     _check_register(n)
     J = n // 2
-    s0, fids = _prefix_sums(lam, J)
-    mults = []
-    comb = math.comb(n, J)  # C(n, J - j)
-    for j in range(J + 1):
-        mults.append(comb * (2 * j + 1) // (J + j + 1))
-        comb = comb * (J - j) // (J + j + 1)
-
+    log_s0, fids = _prefix_sums(lam, J)
+    mults, log_mults = _multiplicity_columns(n)
     c1 = (1.0 + lam) / 2.0
     c0 = (1.0 - lam) / 2.0
     if c0 == 0.0:
-        probs = [float(j == J) for j in range(J + 1)]
+        probs = tuple(float(j == J) for j in range(J + 1))
     else:
         log_pair, log_c1 = math.log(c0 * c1), math.log(c1)
-        probs = [
-            math.exp(math.log(d) + (J - j) * log_pair + 2 * j * log_c1 + math.log(s))
-            for j, (d, s) in enumerate(zip(mults, s0))
-        ]
+        probs = tuple(
+            math.exp(log_d + (J - j) * log_pair + 2 * j * log_c1 + log_s)
+            for j, (log_d, log_s) in enumerate(zip(log_mults, log_s0))
+        )
     return mults, probs, fids
 
 
@@ -122,29 +139,34 @@ class SpectrumRow(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Per-j table of block multiplicity, probability and kept-qubit fidelity."""
+    """Per-j columns of block multiplicity, probability and kept-qubit fidelity, as tuples."""
 
     n: int
     lam: float
-    rows: tuple[SpectrumRow, ...]
+    multiplicities: tuple[int, ...]
+    probabilities: tuple[float, ...]
+    fidelities: tuple[float, ...]
+
+    @property
+    def rows(self) -> tuple[SpectrumRow, ...]:
+        """The columns as (j, d_j, p_j, f_j) rows, built on each read."""
+        return tuple(map(SpectrumRow, itertools.count(), self.multiplicities, self.probabilities, self.fidelities))
 
     def total(self) -> float:
         """The fsum of the p_j, which every average divides by."""
-        return math.fsum(row.probability for row in self.rows)
+        return math.fsum(self.probabilities)
 
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
-    """All (j, d_j, p_j, f_j) rows for a register of n qubits."""
-    mults, probs, fids = _spectrum_columns(n, lam)
-    rows = tuple(SpectrumRow(j, d, p, f) for j, (d, p, f) in enumerate(zip(mults, probs, fids)))
-    return BlockSpectrum(n=n, lam=lam, rows=rows)
+    """All (j, d_j, p_j, f_j) columns for a register of n qubits."""
+    return BlockSpectrum(n, lam, *_spectrum_columns(n, lam))
 
 
 def yield_factor(n: int, lam: float) -> float:
     """Expected fraction of qubits kept by the block measurement, over the fsum of the p_j."""
     spect = block_spectrum(n, lam)
     J = n // 2
-    return math.fsum(row.probability * row.j / J for row in spect.rows) / spect.total()
+    return math.fsum(p * j / J for j, p in enumerate(spect.probabilities)) / spect.total()
 
 
 def mean_fidelity(n: int, lam: float) -> float:
@@ -155,7 +177,7 @@ def mean_fidelity(n: int, lam: float) -> float:
     Divided by the fsum of all the p_j, as the simulator's draw is.
     """
     spect = block_spectrum(n, lam)
-    return math.fsum(row.probability * row.fidelity for row in spect.rows) / spect.total()
+    return math.fsum(p * f for p, f in zip(spect.probabilities, spect.fidelities)) / spect.total()
 
 
 def yield_asymptote(n: int, lam: float) -> float:

@@ -188,7 +188,10 @@ def _z_score(value: float, target: float, se: float) -> float:
 
 def cmd_figure1(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     n_values = list(range(2, args.n + 1, 2))
-    curves = {lam: [cloning.estimation_lambda(n, lam) for n in n_values] for lam in args.lam}
+    curves = {lam: [] for lam in args.lam}  # a repeated lam shares one curve
+    for n in n_values:  # N outer, so one build of the exact d_j serves every lam
+        for lam, curve in curves.items():
+            curve.append(cloning.estimation_lambda(n, lam))
     if args.plot:
         _render_figure1(args.plot, n_values, curves)
     lines = [d.join(("N", "lambda", "lambda_mix_inf"))]
@@ -222,7 +225,7 @@ def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
     for row in analytics.block_spectrum(n, lam).rows:
         f_pure = cloning.pure_cloning_fidelity(row.j, m_out)
-        term = cloning.block_clone_term(row, f_pure)
+        term = cloning.block_clone_term(row.probability, row.fidelity, f_pure)
         lines.append(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
     f_mix = cloning.mixed_cloning_fidelity(n, m_out, lam)
     lines.append(f"F_mix={_num(f_mix)}")

@@ -40,17 +40,18 @@ def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
     with the complementary weight landing on the orthogonal state.
     """
     spect = analytics.block_spectrum(n_in, lam)
-    terms = (block_clone_term(row, pure_cloning_fidelity(row.j, m_out)) for row in spect.rows)
+    columns = enumerate(zip(spect.probabilities, spect.fidelities))
+    terms = (block_clone_term(p, f, pure_cloning_fidelity(j, m_out)) for j, (p, f) in columns)
     return math.fsum(terms) / spect.total()
 
 
-def block_clone_term(row: analytics.SpectrumRow, f_pure: float) -> float:
+def block_clone_term(probability: float, fidelity: float, f_pure: float) -> float:
     """One block's share of the mixed cloning fidelity.
 
     A clone matches the block's kept qubit with probability f_pure and its
     orthogonal state otherwise, weighted by the block probability.
     """
-    return row.probability * (f_pure * row.fidelity + (1.0 - f_pure) * (1.0 - row.fidelity))
+    return probability * (f_pure * fidelity + (1.0 - f_pure) * (1.0 - fidelity))
 
 
 def estimation_lambda(n: int, lam: float) -> float:
@@ -63,7 +64,8 @@ def estimation_lambda(n: int, lam: float) -> float:
     purification map, so it never exceeds 2 mean_fidelity(n, lam) - 1.
     """
     spect = analytics.block_spectrum(n, lam)
-    terms = (row.probability * (2.0 * row.fidelity - 1.0) * row.j / (row.j + 1) for row in spect.rows[1:])
+    columns = zip(range(1, n // 2 + 1), spect.probabilities[1:], spect.fidelities[1:])
+    terms = (p * (2.0 * f - 1.0) * j / (j + 1) for j, p, f in columns)
     return math.fsum(terms) / spect.total()
 
 

@@ -258,8 +258,9 @@ def run_protocol(
     library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
-    js, copies, probs, fids = map(list, zip(*analytics.block_spectrum(n, q.lam).rows))
-    return _simulate(q, n, trials, seed, keep_outcomes, "fast", (js, probs, fids), copies)
+    spect = analytics.block_spectrum(n, q.lam)
+    outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
+    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
 
 
 def run_protocol_dense(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qpurify import (
     block_probability,
     block_spectrum,
     block_state_matrix,
+    estimation_lambda,
     kron_power,
     max_abs,
     mean_fidelity,
@@ -24,6 +26,7 @@ from qpurify import (
     yield_asymptote,
     yield_factor,
 )
+from qpurify import analytics
 from qpurify.blocks import dicke_rows
 
 lam_st = st.floats(0.0, 1.0, allow_nan=False)
@@ -201,6 +204,55 @@ class TestBlockSpectrum:
         # keeping both qubits after the symmetric outcome beats the raw c1
         for lam in LAM_GRID[1:-1]:
             assert block_fidelity(lam, 1) > (1 + lam) / 2
+
+
+def _clear_spectrum_caches():
+    analytics._lambda_columns.cache_clear()
+    analytics._multiplicity_columns.cache_clear()
+
+
+class TestSpectrumCaches:
+    @given(n=even_n_st, lam=lam_st, others=st.lists(lam_st, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_warm_caches_give_the_cold_spectrum(self, n, lam, others):
+        def everything():
+            summary = (yield_factor(n, lam), mean_fidelity(n, lam), estimation_lambda(n, lam))
+            return block_spectrum(n, lam), summary, block_fidelity(lam, n // 2)
+
+        _clear_spectrum_caches()
+        cold = everything()
+        block_spectrum(8 * n + 6, lam)  # lam's columns now reach past n's power of two
+        for other in others:  # n's d_j built last under another lam
+            block_spectrum(n, other)
+        assert everything() == cold
+
+    def test_columns_are_tuples(self):
+        spect = block_spectrum(10, 0.3)
+        cached = (*analytics._lambda_columns(0.3, 8), *analytics._multiplicity_columns(10))
+        for column in (spect.multiplicities, spect.probabilities, spect.fidelities, *cached):
+            assert isinstance(column, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spect.probabilities = [0.0] * 6
+
+    def test_caches_stay_within_their_bounds(self):
+        for i in range(100):
+            block_spectrum(2 * (i + 1), i / 99)
+            block_fidelity(i / 99, 300)
+        for cache in (analytics._lambda_columns, analytics._multiplicity_columns):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("n, lam", [(4, math.nan), (4, -0.1), (4, 1.5), (4, math.inf), (5, 0.5), (0, 0.5)])
+    def test_bad_input_is_refused_before_the_lookup(self, n, lam):
+        _clear_spectrum_caches()
+        for call in (block_spectrum, yield_factor, mean_fidelity, estimation_lambda):
+            with pytest.raises(ValueError):
+                call(n, lam)
+        if n == 4:
+            with pytest.raises(ValueError):
+                block_fidelity(lam, 2)
+        for cache in (analytics._lambda_columns, analytics._multiplicity_columns):
+            assert cache.cache_info()[:2] == (0, 0)  # no hit, no miss
 
 
 class TestAverages:

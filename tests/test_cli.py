@@ -234,6 +234,25 @@ class TestFigure1:
         for n, lam, value in rows:
             assert float(value) == cloning.estimation_lambda(int(n), float(lam))
 
+    def test_repeated_lambda_prints_its_curve_each_time(self, tmp_path):
+        path = tmp_path / "fig1.csv"
+        assert run_cli("figure1", "--n", "6", "--lambda", "0.6,0.2,0.6", out=path) == 0
+        rows = [tuple(line.split(",")) for line in path.read_text().splitlines()[1:]]
+        assert [(n, lam) for n, lam, _ in rows] == [(str(n), lam) for lam in ("0.6", "0.2", "0.6") for n in (2, 4, 6)]
+        assert rows[:3] == rows[6:]
+        for n, lam, value in rows:
+            assert float(value) == cloning.estimation_lambda(int(n), float(lam))
+
+    def test_one_build_of_the_exact_multiplicities_per_n(self, capsys):
+        # N outer: one d_j build for each of the 100 N serves all five lambdas, and
+        # each lambda's prefix sums are built once per power of two >= J + 1, 7 up to J = 100
+        analytics._multiplicity_columns.cache_clear()
+        analytics._lambda_columns.cache_clear()
+        assert run_cli("figure1", "--n", "200") == 0
+        capsys.readouterr()
+        assert analytics._multiplicity_columns.cache_info().misses == 100
+        assert analytics._lambda_columns.cache_info().misses == 5 * 7
+
     def test_bad_range(self):
         assert run_cli("figure1", "--n", "7") == 2
         assert run_cli("figure1", "--lambda", "0.5,1.2") == 2
@@ -290,6 +309,10 @@ def test_unknown_command_exits_two():
         ("clone --n 4 --m 8 --lambda 0.5", "11d67a8429c74771"),
         ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
         ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "abeba5aceb302964"),
+        ("figure1 --n 6 --lambda 0.6,0.2,0.6", "3891d784c4716ac2"),
+        ("figure1 --n 200", "870a6ac544da060a"),
+        ("stats --n 2000 --lambda 0.6", "3f6701670a11ec49"),
+        ("clone --n 2000 --m inf --lambda 0.6", "e761c2f93942e325"),
         ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "6d8e6f0631333f39"),
     ],
 )
