@@ -25,10 +25,10 @@ _MODULES = {
     "multiplicity yield_asymptote yield_factor",
     "blocks": "block_swap build_schur_basis density_matrix dicke_state haar_unitary kron_power max_abs "
     "measure_block outer partial_trace qubit_eigenstates random_direction",
-    "cloning": "estimation_lambda mixed_cloning_fidelity pure_cloning_fidelity scaling_relation_check",
+    "cloning": "estimation_lambda mixed_cloning_fidelity pure_cloning_fidelity",
     "core": "BlockLabel MixedQubit SizeLimitError dense_cap",
-    "oracle": "block_state_matrix covariance_residual pure_component_moments purification_map_outputs "
-    "quadrature_check reversibility_check verify_decomposition",
+    "oracle": "block_state_matrix covariance_residual purification_map_outputs quadrature_check "
+    "reversibility_check verify_decomposition",
     "protocol": "run_protocol run_protocol_dense write_outcomes_csv",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}

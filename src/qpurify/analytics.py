@@ -122,8 +122,8 @@ def block_fidelity(lam: float, j: int) -> float:
     """Fidelity of each kept qubit after the spin-j measurement outcome.
 
     Defined for j >= 1 by the geometric-weight average over the block.
-    j = 0 keeps no qubits; the continuous j -> 0 limit is returned so the
-    value can still enter averaged figures of merit.
+    j = 0 keeps no qubits; the continuous j -> 0 limit returned there is a
+    convention, above the 1/2 that any channel achieves on that outcome.
     """
     if j < 0:
         raise ValueError("total spin j must be nonnegative")
@@ -173,7 +173,9 @@ def mean_fidelity(n: int, lam: float) -> float:
     """Probability-weighted kept-qubit fidelity.
 
     The spin-0 outcome keeps no qubits; its weight multiplies the
-    continuity value block_fidelity(lam, 0) so the sum runs over every j.
+    continuity value block_fidelity(lam, 0), a convention shared with
+    simulate's fidelity_target and run_protocol_dense that lifts the
+    average p_0 (f_0 - 1/2) above the best over all channels.
     Divided by the fsum of all the p_j, as the simulator's draw is.
     """
     spect = block_spectrum(n, lam)

@@ -231,8 +231,6 @@ def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     lines.append(f"F_mix={_num(f_mix)}")
     lines.append(f"lambda_mix={_num(2.0 * f_mix - 1.0)}")
     lines.append(f"lambda_mix_inf={_num(cloning.estimation_lambda(n, lam))}")
-    if not math.isinf(m_out):
-        lines.append(f"scaling_residual={_num(cloning.scaling_relation_check(n, m_out, lam))}")
     return 0, lines
 
 

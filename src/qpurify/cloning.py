@@ -2,8 +2,9 @@
 
 The N -> M cloning fidelity of a mixed input decomposes over the spin
 blocks: each block clones like 2j pure copies, degraded by the block
-fidelity.  The M -> infinity limit doubles as the best achievable
-state-estimation fidelity, conveniently expressed as a Bloch length.
+fidelity, so 2F - 1 = (2F_inf - 1)(M + 2)/M block by block.  The limit
+M -> infinity is the best state-estimation fidelity, as a Bloch length.
+The tests' primal-dual bound over all N -> M channels finds both optimal.
 Both averages divide by the fsum of the p_j, as ``analytics.yield_factor``
 and ``analytics.mean_fidelity`` do.  The inputs are checked where they
 are used: the spectrum rejects an odd n and lam outside [0, 1], and
@@ -68,10 +69,3 @@ def estimation_lambda(n: int, lam: float) -> float:
     terms = (p * (2.0 * f - 1.0) * j / (j + 1) for j, p, f in columns)
     return math.fsum(terms) / spect.total()
 
-
-def scaling_relation_check(n_in: int, m_out: float, lam: float) -> float:
-    """Residual of the finite-M identity 2F - 1 = (2F_inf - 1)(M + 2)/M."""
-    if math.isinf(m_out):
-        raise ValueError("the scaling relation needs a finite m_out")
-    lhs = 2.0 * mixed_cloning_fidelity(n_in, m_out, lam) - 1.0
-    return abs(lhs - estimation_lambda(n_in, lam) * (m_out + 2.0) / m_out)

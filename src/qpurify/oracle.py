@@ -6,11 +6,9 @@ here for small registers from the blocks of the tensor power, which
 power: the basis is orthonormal weight by weight, the blocks carry the
 whole weight of the power, and each copy's trace and normalised block
 match the closed forms; block states are rebuilt by quadrature over pure
-components, whose single-qubit moments are an independent route to the
-kept-qubit fidelity; and the measurement maps are checked for rotation
-covariance and reversibility.  Each check returns its residuals and never
-raises on their size: the tolerance and the verdict belong to the caller,
-``qpurify verify``.
+components; and the measurement maps are checked for rotation covariance
+and reversibility.  Each check returns its residuals and never raises on
+their size: the tolerance and the verdict belong to ``qpurify verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from .analytics import block_probability, cross_power_sum
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import density_matrix, dicke_power, dicke_rows, max_abs, outer, power_coordinates, qubit_eigenstates
+from .blocks import density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates, qubit_eigenstates
 from .core import BlockLabel, MixedQubit
 
 
@@ -165,33 +163,6 @@ def quadrature_check(q: MixedQubit, j: int) -> float:
     acc = (coherent.T * weight) @ coherent.conj()
     rho_quad = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j) * acc
     return max_abs(rho_quad - block_state_matrix(q, j))
-
-
-def pure_component_moments(q: MixedQubit, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit moments of the pure-component integral of a spin-j block.
-
-    Quadrature over the same angular rule as quadrature_check, but
-    accumulating only the 2x2 outer products of each pure component
-    and of its orthogonal complement.  Both results are expressed in the
-    (anti-aligned, aligned) eigenbasis and have unit trace; the aligned
-    diagonal K of the first one is an independent route to block_fidelity.
-    A rotation-covariant map with weights (x, y) on the two moments has
-    fidelity (x K + y F) / (x + y), F the aligned diagonal of the second,
-    so keeping the component is the optimal covariant map when K > F.
-    """
-    rule = _angular_rule(j)
-    sq1 = math.sqrt(q.c1)
-    sq0 = math.sqrt(q.c0)
-    kept = np.zeros((2, 2), dtype=complex)
-    flipped = np.zeros((2, 2), dtype=complex)
-    for cos_half, sin_half, phase, weight in rule:
-        scale = weight * (q.c1 * cos_half**2 + q.c0 * sin_half**2) ** (2 * j - 1)
-        component = np.array([sq0 * sin_half * phase, sq1 * cos_half])
-        orthogonal = np.array([-np.conj(component[1]), np.conj(component[0])])
-        kept += scale * outer(component)
-        flipped += scale * outer(orthogonal)
-    prefactor = (2 * j + 1) / cross_power_sum(q.c1, q.c0, 2 * j)
-    return prefactor * kept, prefactor * flipped
 
 
 def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:

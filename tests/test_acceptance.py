@@ -16,20 +16,20 @@ from qpurify import (
     block_probability,
     build_schur_basis,
     covariance_residual,
+    estimation_lambda,
     haar_unitary,
     kron_power,
     mean_fidelity,
     mean_fidelity_asymptote,
+    mixed_cloning_fidelity,
     multiplicity,
     partial_trace,
     pure_cloning_fidelity,
-    pure_component_moments,
     quadrature_check,
     random_direction,
     reversibility_check,
     run_protocol,
     run_protocol_dense,
-    scaling_relation_check,
     qubit_eigenstates,
     verify_decomposition,
     yield_asymptote,
@@ -38,6 +38,9 @@ from qpurify import (
 from qpurify.blocks import measure_block
 from qpurify.cli import main as cli_main
 from qpurify.blocks import density_matrix
+
+from certificate import certified
+from conftest import closed_form_fidelity
 
 
 def report(number: int, ok: bool, detail: str = "") -> bool:
@@ -218,24 +221,28 @@ def test_criterion_07_monte_carlo_consistency():
     assert report(7, ok, f"simulation z-scores within 4 se, chi-square p={pvalue:.3f}")
 
 
+def within_certificate(cases) -> tuple[list, float]:
+    """The cases whose closed form leaves the all-channel bracket, and the widest bracket."""
+    outside, widest = [], 0.0
+    for n, m, lam in cases:
+        primal, dual = certified(n, m, lam)
+        widest = max(widest, dual - primal)
+        if not primal - 1e-9 <= closed_form_fidelity(n, m, lam) <= dual + 1e-9:
+            outside.append((n, m, lam))
+    return outside, widest
+
+
 def test_criterion_08_optimality_scan():
-    # a rotation-covariant map (x, y) has fidelity (x K + y F) / (x + y) on the aligned entries
-    # K, F of the two pure-component moments, so its maximum is the keep vertex exactly when K > F
-    rng = np.random.default_rng(808)
-    worst = 0.0
-    ok = True
-    for lam in (0.3, 0.7, 1.0):
-        q = MixedQubit(lam, random_direction(rng))
-        for j in (1, 2, 3, 4):
-            kept, flipped = pure_component_moments(q, j)
-            ok = ok and kept[1, 1].real > flipped[1, 1].real
-            worst = max(worst, abs(kept[1, 1].real - block_fidelity(lam, j)))
-    ok = ok and worst < 1e-9
-    assert report(8, ok, f"maximum on keep edge, fidelity gap {worst:.2e}")
+    # measuring j and keeping min(M, 2j) purified qubits, a guess at j = 0, is the best of all
+    # channels from N qubits to M < N, purification (M = 1) included
+    cases = [(2, 1, lam) for lam in (0.3, 0.6)]
+    cases += [(4, m, lam) for m in (1, 2, 3) for lam in (0.3, 0.6)]
+    outside, widest = within_certificate(cases)
+    ok = not outside and widest < 1e-8
+    assert report(8, ok, f"{len(cases)} cases, widest bracket {widest:.1e}, outside it {outside}")
 
 
 def test_criterion_09_cloning_identities():
-    rng = np.random.default_rng(909)
     worst_pure = 0.0
     for j in range(1, 51):
         for m in {2 * j, 2 * j + 1, 2 * j + 9, 1000, 10_000}:
@@ -245,10 +252,17 @@ def test_criterion_09_cloning_identities():
     for n in range(2, 21, 2):
         for m in (n, n + 13, 100):
             for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
-                worst_scaling = max(worst_scaling, scaling_relation_check(n, m, lam))
-    ok = worst_pure < 1e-13 and worst_scaling < 1e-12
+                lhs = 2.0 * mixed_cloning_fidelity(n, m, lam) - 1.0
+                worst_scaling = max(worst_scaling, abs(lhs - estimation_lambda(n, lam) * (m + 2) / m))
+    # mixed_cloning_fidelity is the best of all channels from N qubits to M >= N
+    cases = [(n, m, lam) for n, m in ((2, 2), (2, 3), (2, 4), (4, 4)) for lam in (0.3, 0.6)]
+    outside, widest = within_certificate(cases)
+    ok = worst_pure < 1e-13 and worst_scaling < 1e-12 and not outside and widest < 1e-8
     assert report(
-        9, ok, f"pure identity {worst_pure:.2e}, scaling relation {worst_scaling:.2e}"
+        9,
+        ok,
+        f"pure identity {worst_pure:.2e}, scaling relation {worst_scaling:.2e}, "
+        f"widest bracket {widest:.1e}, outside it {outside}",
     )
 
 

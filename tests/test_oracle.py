@@ -7,7 +7,6 @@ import pytest
 from qpurify import (
     BlockLabel,
     MixedQubit,
-    block_fidelity,
     block_probability,
     block_state_matrix,
     build_schur_basis,
@@ -19,7 +18,6 @@ from qpurify import (
     measure_block,
     multiplicity,
     partial_trace,
-    pure_component_moments,
     purification_map_outputs,
     quadrature_check,
     random_direction,
@@ -159,15 +157,6 @@ class TestQuadrature:
     def test_spin_zero_rejected(self, rng):
         with pytest.raises(ValueError):
             quadrature_check(random_qubit(rng), 0)
-
-    def test_moments_reproduce_block_fidelity(self, rng):
-        for lam, j in [(0.3, 1), (0.5, 2), (0.9, 4), (1.0, 2)]:
-            q = random_qubit(rng, lam=lam)
-            kept, flipped = pure_component_moments(q, j)
-            assert abs(np.trace(kept).real - 1.0) < 1e-12
-            assert abs(np.trace(flipped).real - 1.0) < 1e-12
-            assert kept[1, 1].real == pytest.approx(block_fidelity(lam, j), abs=1e-12)
-            assert flipped[1, 1].real == pytest.approx(1 - block_fidelity(lam, j), abs=1e-12)
 
 
 class TestReversibility:
