@@ -59,7 +59,10 @@ _lengths = _flag("a comma list of numbers in [0, 1]", lambda raw: tuple(map(_len
 _seed = _flag("a non-negative integer", int, lambda seed: seed >= 0)
 _trials = _flag("an integer in 1..2**63 - 1", int, lambda trials: 1 <= trials < 2**63)
 _tol = _flag("a positive finite number", float, lambda tol: 0.0 < tol < math.inf)  # also refuses nan
-_clones = _flag("an integer or 'inf'", lambda raw: math.inf if raw.lower() in ("inf", "infinity") else int(raw))
+_clones = _flag(
+    "an integer >= 1 or 'inf'", lambda raw: math.inf if raw.lower() in ("inf", "infinity") else int(raw),
+    lambda m: m >= 1,
+)
 
 
 def _count(d: int) -> str:
@@ -119,16 +122,10 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     direction = random_direction(rng)
     q = MixedQubit(lam, direction)
 
-    report = verify_decomposition(q, n)
-    rows = report.rows()
-
-    for j in range(1, n // 2 + 1):
-        rows.append(("quadrature", f"j={j}", quadrature_check(q, j)))
-
-    for label in report.post_state_residuals:  # the outcomes whose post-state is defined
-        rows.append(
-            ("reversibility", f"j={label.j};alpha={label.alpha}", reversibility_check(q, n, label))
-        )
+    rows = verify_decomposition(q, n)
+    labels = [label for check, label, _ in rows if check == "post_state"]  # the defined post-states
+    rows += [("quadrature", f"j={j}", quadrature_check(q, j)) for j in range(1, n // 2 + 1)]
+    rows += [("reversibility", label, reversibility_check(q, n, label)) for label in labels]
 
     unitaries = [haar_unitary(rng) for _ in range(5)]
     rows.append(("covariance", "max_over_5_unitaries", covariance_residual(q, n, unitaries)))
@@ -138,7 +135,7 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
         f"# n={n} lambda={_num(lam)} direction=({_num(direction[0])},{_num(direction[1])},"
         f"{_num(direction[2])}) tol={_num(tol)} seed={args.seed}",
         d.join(("check", "label", "residual")),
-        *(d.join((check, label, _num(residual))) for check, label, residual in rows),
+        *(d.join((check, str(label), _num(residual))) for check, label, residual in rows),
         f"status={'pass' if ok else 'fail'}",
     ]
 
@@ -220,12 +217,9 @@ def _render_figure1(path: str, n_values, curves) -> None:
 
 def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     n, lam, m_out = args.n, args.lam, args.m
-    if m_out < n:
-        raise UsageError(f"--m must be at least --n = {n}, got {m_out}")
+    spect = analytics.block_spectrum(n, lam)
     lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
-    for row in analytics.block_spectrum(n, lam).rows:
-        f_pure = cloning.pure_cloning_fidelity(row.j, m_out)
-        term = cloning.block_clone_term(row.probability, row.fidelity, f_pure)
+    for row, (f_pure, term) in zip(spect.rows, cloning.clone_terms(spect, m_out)):
         lines.append(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
     f_mix = cloning.mixed_cloning_fidelity(n, m_out, lam)
     lines.append(f"F_mix={_num(f_mix)}")

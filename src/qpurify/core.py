@@ -102,3 +102,6 @@ class BlockLabel:
             raise ValueError("total spin j must be nonnegative")
         if self.alpha < 1:
             raise ValueError("copy index alpha starts at 1")
+
+    def __str__(self) -> str:
+        return f"j={self.j};alpha={self.alpha}"

@@ -7,15 +7,16 @@ power: the basis is orthonormal weight by weight, the blocks carry the
 whole weight of the power, and each copy's trace and normalised block
 match the closed forms; block states are rebuilt by quadrature over pure
 components; and the measurement maps are checked for rotation covariance
-and reversibility.  Each check returns its residuals and never raises on
-their size: the tolerance and the verdict belong to ``qpurify verify``.
+and reversibility.  Each check returns its residuals, ``verify_decomposition``
+as the (check, label, residual) rows that ``qpurify verify`` prints, and
+never raises on their size: the tolerance and the verdict belong to
+``qpurify verify``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,33 +24,6 @@ from .analytics import block_probability, cross_power_sum
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
 from .blocks import density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates, qubit_eigenstates
 from .core import BlockLabel, MixedQubit
-
-
-@dataclass
-class DecompositionReport:
-    """Residuals of the block decomposition of a tensor-power state, read in block coordinates."""
-
-    block_probabilities: dict
-    orthonormality: float
-    off_block_weight: float
-    copy_traces: float
-    post_state_residuals: dict = field(default_factory=dict)
-
-    def worst_residual(self) -> float:
-        return max(row[2] for row in self.rows())
-
-    def rows(self) -> list[tuple[str, str, float]]:
-        """Flat (check, label, residual) rows for reporting."""
-        out = [
-            ("decomposition", "orthonormality", self.orthonormality),
-            ("decomposition", "off_block_weight", self.off_block_weight),
-            ("decomposition", "copy_traces", self.copy_traces),
-        ]
-        for label in sorted(self.post_state_residuals):
-            out.append(
-                ("post_state", f"j={label.j};alpha={label.alpha}", self.post_state_residuals[label])
-            )
-        return out
 
 
 def orthonormality_residual(basis: SchurBasis) -> float:
@@ -89,40 +63,38 @@ def _power_coordinates(q: MixedQubit, n: int) -> dict[int, np.ndarray]:
     return power_coordinates(build_schur_basis(n), density_matrix(q))
 
 
-def verify_decomposition(q: MixedQubit, n: int) -> DecompositionReport:
+def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLabel, float]]:
     """Residuals of rho^(x n) = sum_j p_j rho_j (x) 1_{d_j} on the blocks of ``q``'s tensor power.
 
-    Four residuals, all in block coordinates: the basis rows are
+    The (check, label, residual) rows that ``qpurify verify`` prints, all
+    in block coordinates.  Three ``decomposition`` rows: the basis rows are
     orthonormal (``orthonormality_residual``); the blocks B hold the whole
     weight, |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis
-    vanishes exactly when every off-diagonal block does; each copy's trace
-    is p_j / d_j; and each normalised block is block_state_matrix.  The
-    report is returned whatever the residuals are; the caller judges them.
+    vanishes exactly when every off-diagonal block does; and each copy's
+    trace is p_j / d_j.  Then one ``post_state`` row per block whose
+    post-state is defined (trace >= ``_PROB_FLOOR``), labelled by its
+    BlockLabel: the normalised block against block_state_matrix.  The rows
+    are returned whatever the residuals are; the caller judges them.
     """
     coords = _power_coordinates(q, n)
-    probabilities: dict[BlockLabel, float] = {}
-    post_residuals: dict[BlockLabel, float] = {}
+    post_state = []
     copy_traces = 0.0
     for j, blocks in coords.items():
         # every copy's block is the kept 2j-qubit state in Dicke coordinates
         predicted = block_state_matrix(q, j) if j > 0 else np.eye(1)
         share = block_probability(n, q.lam, j) / len(blocks)
         for alpha, measured in enumerate(blocks, start=1):
-            label = BlockLabel(j, alpha)
             prob = float(np.trace(measured).real)
-            probabilities[label] = prob
             copy_traces = max(copy_traces, abs(prob - share))
             if prob >= _PROB_FLOOR:
-                post_residuals[label] = max_abs(measured / prob - predicted)
+                post_state.append(("post_state", BlockLabel(j, alpha), max_abs(measured / prob - predicted)))
     weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
-
-    return DecompositionReport(
-        block_probabilities=probabilities,
-        orthonormality=orthonormality_residual(build_schur_basis(n)),
-        off_block_weight=abs(weight - (q.c0**2 + q.c1**2) ** n),
-        copy_traces=copy_traces,
-        post_state_residuals=post_residuals,
-    )
+    return [
+        ("decomposition", "orthonormality", orthonormality_residual(build_schur_basis(n))),
+        ("decomposition", "off_block_weight", abs(weight - (q.c0**2 + q.c1**2) ** n)),
+        ("decomposition", "copy_traces", copy_traces),
+        *sorted(post_state),
+    ]
 
 
 def _angular_rule(j: int) -> list[tuple[float, float, complex, float]]:

@@ -159,12 +159,9 @@ class TrialOutcomes:
 
 @dataclass
 class SimulationSummary:
-    """Aggregates of a simulation, reproducible from (n, lam, trials, seed)."""
+    """Aggregates of a simulation, reproducible from the run's (n, lam, trials, seed)."""
 
-    n: int
-    lam: float
     trials: int
-    seed: int
     mode: str
     empirical_yield: float
     yield_se: float
@@ -211,7 +208,7 @@ def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
 
 
 def _simulate(
-    q: MixedQubit, n: int, trials: int, seed: int, keep_outcomes: bool, mode: str, outcome, copies, labels=()
+    n: int, trials: int, seed: int, keep_outcomes: bool, mode: str, outcome, copies, labels=()
 ) -> SimulationSummary:
     """Draw the counts of all outcomes in one multinomial and reduce them exactly.
 
@@ -238,8 +235,7 @@ def _simulate(
     fidelity_moments = _moments(counts, fids, p)
     label_histogram = {(lab.j, lab.alpha): c for lab, c in zip(labels, counts) if c}
     return SimulationSummary(
-        n, q.lam, trials, seed, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram,
-        outcomes,
+        trials, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram, outcomes
     )
 
 
@@ -260,7 +256,7 @@ def run_protocol(
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
-    return _simulate(q, n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
+    return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
 
 
 def run_protocol_dense(
@@ -305,7 +301,7 @@ def run_protocol_dense(
 
     outcome = ([label.j for label in labels], probs, fids)
     copies = [label.alpha for label in labels]
-    return _simulate(q, n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
+    return _simulate(n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
 
 
 def write_outcomes_csv(outcomes: TrialOutcomes, dest) -> None:

@@ -283,7 +283,15 @@ class TestClone:
         assert float(fields["lambda_mix"]) == pytest.approx(0.5, abs=1e-14)
 
     def test_too_few_clones_usage_error(self):
-        assert run_cli("clone", "--n", "4", "--m", "2", "--lambda", "0.5") == 2
+        for m in ("0", "-1"):
+            assert run_cli("clone", "--n", "4", "--m", m, "--lambda", "0.5") == 2
+
+    def test_fewer_clones_than_copies(self, tmp_path):
+        # the j = 1 and j = 2 blocks keep 2 of their purified qubits; the spin-0 block guesses
+        path = tmp_path / "clone.txt"
+        assert run_cli("clone", "--n", "4", "--m", "2", "--lambda", "0.5", out=path) == 0
+        table = [line.split(",") for line in path.read_text().splitlines() if "=" not in line]
+        assert [float(row[3]) for row in table[1:]] == [0.5, 1.0, 1.0]
 
     def test_bad_m_usage_error(self):
         assert run_cli("clone", "--n", "4", "--m", "four", "--lambda", "0.5") == 2
@@ -384,14 +392,14 @@ def test_verify_rows_golden(capsys):
         ("stats --n 8 --lambda zebra", {}),
         ("stats --n 8 --lambda 0.2,0.4", {}),
         ("clone --n 4 --m four --lambda 0.5", {}),
-        ("clone --n 4 --m 2 --lambda 0.5", {}),
+        ("clone --n 4 --m 0 --lambda 0.5", {}),
         ("simulate --n 20 --lambda 0.6 --trials 0 --seed 1", {}),
         ("verify --n 4 --lambda 0.5", {"SCHUR_CAP": "abc"}),
         ("stats --n 4 --lambda 0.5 --out {missing}/x.csv", {}),
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials {missing}/d.csv", {}),
         ("stats --n 4 --lambda 0.5 --out ''", {}),
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials ''", {}),
-        ("clone --n 4 --m 3 --lambda 0.5", {}),
+        ("clone --n 4 --m -1 --lambda 0.5", {}),
         ("simulate --n 4 --lambda 0.5 --trials 10 --seed -1", {}),
         ("verify --n 4 --lambda 0.5 --seed -1", {}),
         ("verify --n 4 --lambda 0.5 --tol nan", {}),

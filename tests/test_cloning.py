@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 from qpurify import (
     MixedQubit,
     block_fidelity,
+    block_spectrum,
     block_state_matrix,
     build_schur_basis,
     density_matrix,
     estimation_lambda,
     kron_power,
+    mean_fidelity,
     mixed_cloning_fidelity,
     pure_cloning_fidelity,
     purification_map_outputs,
 )
 
 from certificate import assert_bracketed, certified, certify, fidelity_operator
-from conftest import closed_form_fidelity, random_qubit
+from conftest import random_qubit
 
 
 EXACT_LAMS = (Fraction(3, 10), Fraction(3, 5), Fraction(9, 10))
@@ -58,9 +60,16 @@ class TestPureCloningFidelity:
         assert pure_cloning_fidelity(1, math.inf) == pytest.approx(3 / 4, abs=1e-15)
         assert pure_cloning_fidelity(0, math.inf) == 0.5
 
-    def test_rejects_too_few_clones(self):
-        with pytest.raises(ValueError):
-            pure_cloning_fidelity(2, 3)
+    def test_fewer_clones_than_copies_are_perfect(self):
+        # a block keeps m of its 2j purified qubits
+        for j in range(1, 6):
+            assert [pure_cloning_fidelity(j, m) for m in range(1, 2 * j + 1)] == [1.0] * (2 * j)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, -math.inf, math.nan])
+    def test_rejects_a_clone_count_below_one(self, m):
+        for j in (0, 2):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                pure_cloning_fidelity(j, m)
 
     @given(j=st.integers(1, 50), m_extra=st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -105,9 +114,19 @@ class TestMixedCloningFidelity:
         with pytest.raises(ValueError):
             mixed_cloning_fidelity(3, 4, 0.5)
         with pytest.raises(ValueError):
-            mixed_cloning_fidelity(4, 2, 0.5)
-        with pytest.raises(ValueError):
             mixed_cloning_fidelity(4, 4, 1.5)
+        for m in (0, -1, -3, 2.5):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                mixed_cloning_fidelity(2, m, 0.5)
+
+    @pytest.mark.parametrize("n,lam,gap", [(2, 0.3, 0.0231761), (4, 0.6, 0.0111208), (20, 0.6, 4.011e-5)])
+    def test_purification_differs_from_mean_fidelity_by_the_spin_zero_guess(self, n, lam, gap):
+        # mixed_cloning_fidelity(n, 1, lam) scores the spin-0 outcome 1/2, the certified optimum;
+        # mean_fidelity scores it at the continuity value f_0 (ROADMAP item 2)
+        spect = block_spectrum(n, lam)
+        expected = spect.probabilities[0] * (spect.fidelities[0] - 0.5) / spect.total()
+        assert abs(mean_fidelity(n, lam) - mixed_cloning_fidelity(n, 1, lam) - expected) <= 1e-15
+        assert expected == pytest.approx(gap, rel=1e-4)
 
 
 class TestEstimationLambda:
@@ -245,7 +264,7 @@ class TestSuperbroadcasting:
 
     @staticmethod
     def last_gain(n, lam):
-        gains = [m for m in range(1, 40) if 2.0 * closed_form_fidelity(n, m, lam) - 1.0 - lam > 1e-12]
+        gains = [m for m in range(1, 40) if 2.0 * mixed_cloning_fidelity(n, m, lam) - 1.0 - lam > 1e-12]
         return max(gains, default=None)
 
     def test_region_on_the_closed_form(self):

@@ -33,41 +33,46 @@ from qpurify.oracle import _angular_rule
 from conftest import random_qubit
 
 
+def worst_residual(rows):
+    return max(residual for _, _, residual in rows)
+
+
+def row_residual(rows, label):
+    return next(residual for _, row_label, residual in rows if row_label == label)
+
+
 class TestVerifyDecomposition:
     def test_two_qubits_any_direction(self, rng):
         for lam in (0.0, 0.3, 0.8, 1.0):
-            report = verify_decomposition(MixedQubit(lam, random_direction(rng)), 2)
-            assert report.worst_residual() < 1e-10
+            rows = verify_decomposition(MixedQubit(lam, random_direction(rng)), 2)
+            assert worst_residual(rows) < 1e-10
 
     def test_pure_input_single_block(self, rng):
-        report = verify_decomposition(MixedQubit(1.0, random_direction(rng)), 4)
-        live = {lab for lab, p in report.block_probabilities.items() if p > 1e-12}
+        rows = verify_decomposition(MixedQubit(1.0, random_direction(rng)), 4)
+        live = {label for check, label, _ in rows if check == "post_state"}
         assert live == {BlockLabel(2, 1)}
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_random_parameters(self, n, rng):
         for _ in range(3):
-            report = verify_decomposition(random_qubit(rng), n)
-            assert report.worst_residual() < 1e-9
-            total = math.fsum(report.block_probabilities.values())
-            assert abs(total - 1.0) < 1e-10
+            rows = verify_decomposition(random_qubit(rng), n)
+            assert worst_residual(rows) < 1e-9
+            # every copy's trace is p_j / d_j, so the traces sum to the closed-form total of one
+            assert row_residual(rows, "copy_traces") < 1e-10
 
     def test_copy_probabilities_match_within_spin(self, rng):
-        q = random_qubit(rng)
-        report = verify_decomposition(q, 6)
-        by_spin = {}
-        for label, prob in report.block_probabilities.items():
-            by_spin.setdefault(label.j, []).append(prob)
-        for j, probs in by_spin.items():
-            assert max(probs) - min(probs) < 1e-10
-            assert probs[0] == pytest.approx(
-                block_probability(6, q.lam, j) / multiplicity(6, j), abs=1e-10
-            )
+        # the copy_traces row is the largest |tr B - p_j / d_j| over all copies
+        assert row_residual(verify_decomposition(random_qubit(rng), 6), "copy_traces") < 1e-10
 
     def test_report_rows_shape(self, rng):
-        report = verify_decomposition(random_qubit(rng), 2)
-        kinds = {row[0] for row in report.rows()}
-        assert kinds == {"decomposition", "post_state"}
+        rows = verify_decomposition(random_qubit(rng), 2)
+        assert [(check, str(label)) for check, label, _ in rows] == [
+            ("decomposition", "orthonormality"),
+            ("decomposition", "off_block_weight"),
+            ("decomposition", "copy_traces"),
+            ("post_state", "j=0;alpha=1"),
+            ("post_state", "j=1;alpha=1"),
+        ]
 
 
 def _mix_spins(spins):  # 0.1 rad rotation of |2,0,1> with |1,0,1>
@@ -92,10 +97,10 @@ def test_verify_fails_a_mutated_basis(mutate, monkeypatch):
     monkeypatch.setattr(oracle, "build_schur_basis", lambda size: SchurBasis(size, spins))
     oracle._power_coordinates.cache_clear()
     try:
-        report = verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
+        rows = verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
     finally:
         oracle._power_coordinates.cache_clear()
-    assert report.worst_residual() >= 1e-9
+    assert worst_residual(rows) >= 1e-9
 
 
 class TestMeasureBlock:

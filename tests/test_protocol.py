@@ -102,12 +102,12 @@ class TestFastPath:
             assert stats.chisquare(counts).pvalue > 0.001
 
     def test_summary_from_counts_matches_per_trial_records(self):
-        for summary in (
-            run_protocol(MixedQubit(0.6), 20, trials=20_000, seed=13, keep_outcomes=True),
-            run_protocol_dense(MixedQubit(0.5, (0.6, 0.0, 0.8)), 6, 5000, 13, keep_outcomes=True),
+        for n, summary in (
+            (20, run_protocol(MixedQubit(0.6), 20, trials=20_000, seed=13, keep_outcomes=True)),
+            (6, run_protocol_dense(MixedQubit(0.5, (0.6, 0.0, 0.8)), 6, 5000, 13, keep_outcomes=True)),
         ):
             rows = dumped_rows(summary.outcomes)
-            yields = np.array([2 * j / summary.n for _, j, _, _, _ in rows])
+            yields = np.array([2 * j / n for _, j, _, _, _ in rows])
             fids = np.array([fid for *_, fid in rows])
             root_t = math.sqrt(summary.trials)
             assert summary.empirical_yield == pytest.approx(np.mean(yields), abs=1e-12)
