@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import _check_register
+from .core import SizeLimitError, _check_register, _mem_available_bytes
 
 
 def _check_lambda(lam: float) -> None:
@@ -62,9 +62,21 @@ def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[flo
     return tuple(map(math.log, s0)), (_fidelity_limit_j0(lam), *fids)
 
 
+def _check_multiplicity_size(n: int) -> None:
+    """Refuse an n whose exact d_j, about n^2/20 bytes, exceed MemAvailable; read only above 64 MiB."""
+    needed = n * n // 20
+    available = _mem_available_bytes() if needed > 2**26 else None
+    if available is not None and needed > available:
+        raise SizeLimitError(
+            f"n={n} needs about {needed / 2**20:.3g} MiB of exact multiplicities, "
+            f"more than the {available / 2**20:.3g} MiB available"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _multiplicity_columns(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and log d_j for j = 0..n/2."""
+    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and log d_j for j = 0..n/2, once n passes the size check."""
+    _check_multiplicity_size(n)
     J = n // 2
     mults = []
     comb = math.comb(n, J)  # C(n, J - j)
@@ -82,9 +94,10 @@ def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float,
     indicator.
     """
     _check_register(n)
+    _check_lambda(lam)
     J = n // 2
+    mults, log_mults = _multiplicity_columns(n)  # first, so an oversized n is refused before any build
     log_s0, fids = _prefix_sums(lam, J)
-    mults, log_mults = _multiplicity_columns(n)
     c1 = (1.0 + lam) / 2.0
     c0 = (1.0 - lam) / 2.0
     if c0 == 0.0:

@@ -31,8 +31,8 @@ def dense_cap() -> int:
     """Maximum register size, in qubits, for dense objects.
 
     The SCHUR_CAP environment variable overrides the built-in default of
-    12 qubits.  On a 2-core machine ``qpurify verify`` takes 0.6 s at 10
-    qubits and 6.5 s at 0.5 GB at 12.  At 14 the real basis alone takes
+    12 qubits.  On a 2-core machine ``qpurify verify`` takes 0.65 s at 10
+    qubits and 3.7-4.4 s at 417 MiB at 12.  At 14 the real basis alone takes
     2.1 GB, and ``build_schur_basis`` estimates 7.0 GiB for the whole
     dense route, so it also needs that much available memory.
     """

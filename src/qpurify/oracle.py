@@ -6,11 +6,11 @@ here for small registers from the blocks of the tensor power, which
 power: the basis is orthonormal weight by weight, the blocks carry the
 whole weight of the power, and each copy's trace and normalised block
 match the closed forms; block states are rebuilt by quadrature over pure
-components; and the measurement maps are checked for rotation covariance
-and reversibility.  Each check returns its residuals, ``verify_decomposition``
-as the (check, label, residual) rows that ``qpurify verify`` prints, and
-never raises on their size: the tolerance and the verdict belong to
-``qpurify verify``.
+components; the maps are reversible; and the rows obey the collective
+lowering relation, so the maps commute with every rotation.  Each check
+returns its residuals, ``verify_decomposition`` as the (check, label,
+residual) rows that ``qpurify verify`` prints, and never raises on their
+size: the tolerance and the verdict belong to ``qpurify verify``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .analytics import block_probability, cross_power_sum
 from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
-from .blocks import density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates, qubit_eigenstates
+from .blocks import collective_lowering, density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates
+from .blocks import qubit_eigenstates
 from .core import BlockLabel, MixedQubit
 
 
@@ -186,21 +187,21 @@ def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, 
     return outs
 
 
-def covariance_residual(q: MixedQubit, n: int, unitaries) -> float:
-    """Max-element residual of the covariance property of the measurement maps.
+def covariance_residual(n: int) -> float:
+    """Largest defect of the basis rows from the standard collective lowering relation.
 
-    For each single-qubit unitary U, applying the map to the rotated input
-    must equal rotating the map output, branch by branch.  In Dicke coordinates
-    the output is the copies' summed block B and U^(x 2j) acts as W = dicke_power(U, j),
-    so the summed blocks of the lab-frame rotated tensor power must equal W B W^H.
+    Every row must obey J- |j, m, alpha> = sqrt((j+m)(j-m+1)) |j, m-1, alpha>,
+    the row m = -j being annihilated; one ``collective_lowering`` per spin
+    array.  With the weights and orthonormality that ``orthonormality_residual``
+    checks, this puts J_z, J- and J+ = J-^T in standard form on every copy,
+    so U^(x n) acts on each copy as the same spin-j irrep for every
+    single-qubit U.  Every block map therefore commutes with every rotation,
+    and no unitary needs to be sampled.
     """
-    basis = build_schur_basis(n)
-    rho1 = density_matrix(q)
-    base = {j: blocks.sum(axis=0) for j, blocks in _power_coordinates(q, n).items()}
     worst = 0.0
-    for u in unitaries:
-        rotated = power_coordinates(basis, u @ rho1 @ u.conj().T)
-        for j, blocks in rotated.items():
-            w = dicke_power(u, j)
-            worst = max(worst, max_abs(blocks.sum(axis=0) - w @ base[j] @ w.conj().T))
+    for j, rows in build_schur_basis(n).spins.items():
+        m = np.arange(1 - j, j + 1)
+        expected = np.zeros_like(rows)
+        expected[:, 1:] = np.sqrt((j + m) * (j - m + 1))[:, None] * rows[:, :-1]
+        worst = max(worst, max_abs(collective_lowering(rows, n) - expected))
     return worst

@@ -113,6 +113,24 @@ class TestSeedVector:
             seed_vector(3, 1, 0)
 
 
+def _bit_mask_lowering(vec, n):
+    # the boolean-mask form of the collective lowering, one index mask per qubit
+    out = np.zeros_like(vec)
+    idx = np.arange(vec.shape[-1])
+    for k in range(n):
+        bit = 1 << (n - 1 - k)
+        hot = (idx & bit) != 0
+        out[..., idx[hot] ^ bit] += vec[..., hot]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_collective_lowering_matches_the_bit_mask_form(n, rng):
+    vec = rng.normal(size=(3, 5, 2**n))
+    assert np.array_equal(collective_lowering(vec, n), _bit_mask_lowering(vec, n))
+    assert np.array_equal(collective_lowering(vec[:, 1], n), _bit_mask_lowering(vec[:, 1], n))  # a strided view
+
+
 def test_collective_lowering_norm_matches_ladder_coefficient():
     for j, m in [(1, 1), (2, 2), (2, 1), (3, 0)]:
         lowered = collective_lowering(dicke_state(j, m), 2 * j)

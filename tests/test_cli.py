@@ -359,6 +359,46 @@ def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, tmp_path,
     assert dumped == sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
 
 
+class TestClosedFormSizeGuard:
+    """The exact d_j hold about N^2/20 bytes; an N whose d_j exceed the available memory is refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "clone --n 100000 --m inf --lambda 0.6",
+            "stats --n 100000 --lambda 0.6",
+            "simulate --n 100000 --lambda 0.6 --trials 10 --seed 1",
+            "figure1 --n 100000",
+        ],
+    )
+    def test_oversized_n_is_one_error_line_before_any_build(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", lambda: 100 * 2**20)
+        analytics._multiplicity_columns.cache_clear()
+        analytics._lambda_columns.cache_clear()
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n=100000 needs about 477 MiB") and err.count("\n") == 1
+        assert analytics._multiplicity_columns.cache_info().currsize == 0
+        assert analytics._lambda_columns.cache_info().currsize == 0
+
+    def test_runs_as_before_without_meminfo(self, capsys, monkeypatch):
+        # 40000 is above the 64 MiB below which no memory figure is read
+        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", lambda: None)
+        assert main("clone --n 40000 --m inf --lambda 0.6".split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"lambda_mix_inf={cloning.estimation_lambda(40000, 0.6)!r}"
+
+    def test_small_n_reads_no_memory_figure(self, capsys, monkeypatch):
+        def unread():
+            raise AssertionError("MemAvailable read below 64 MiB of d_j")
+
+        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", unread)
+        analytics._multiplicity_columns.cache_clear()
+        assert main("clone --n 36000 --m inf --lambda 0.6".split()) == 0
+        assert main("figure1 --n 200".split()) == 0
+        capsys.readouterr()
+
+
 def test_usage_error_without_numpy():
     blocked = _run_without_numpy("stats --n 3 --lambda 0.5")
     assert (blocked.returncode, blocked.stdout) == (2, b"")
@@ -379,8 +419,18 @@ def test_verify_rows_golden(capsys):
         ("quadrature", "j=1"),
         ("quadrature", "j=2"),
         *(("reversibility", label) for label in post),
-        ("covariance", "max_over_5_unitaries"),
+        ("covariance", "collective_lowering"),
     ]
+
+
+def test_verify_covariance_row_reads_only_the_basis(capsys):
+    # the row checks the basis rows, so neither the drawn direction nor lambda moves it
+    rows = []
+    for lam, seed in (("0.3", "1"), ("0.9", "7")):
+        assert main(f"verify --n 6 --lambda {lam} --seed {seed}".split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows.append(next(line for line in lines if line.startswith("covariance,")))
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize(

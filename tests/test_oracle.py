@@ -89,18 +89,58 @@ def _swap_m(spins):  # |2,-1,1> <-> |2,0,1>
     spins[2][0, [1, 2]] = spins[2][0, [2, 1]]
 
 
-@pytest.mark.parametrize("mutate", [_mix_spins, _flip_sign, _swap_m])
-def test_verify_fails_a_mutated_basis(mutate, monkeypatch):
-    n = 8
+def _negate_state(spins):  # |1,0,1> -> -|1,0,1>
+    spins[1][0, 1] *= -1
+
+
+def _rotate_copies(spins):  # 0.3 rad rotation of |1,0,1> with |1,0,2>, at m = 0 only
+    c, s = math.cos(0.3), math.sin(0.3)
+    a, b = spins[1][0, 1].copy(), spins[1][1, 1].copy()
+    spins[1][0, 1], spins[1][1, 1] = c * a - s * b, s * a + c * b
+
+
+def _unannihilated_singlet(spins):  # |0,0,1> -> |1,0,1>, which J- does not annihilate
+    spins[0][0, 0] = spins[1][0, 1]
+
+
+def _negate_copy(spins):  # |1,m,2> -> -|1,m,2> for every m: still a valid basis
+    spins[1][1] *= -1
+
+
+def _mutated_rows(n, mutate, monkeypatch):
+    """The basis-dependent rows of ``qpurify verify`` on a mutated basis: decomposition and post_state,
+    reversibility and covariance."""
     spins = {j: np.array(rows) for j, rows in build_schur_basis(n).spins.items()}
     mutate(spins)
     monkeypatch.setattr(oracle, "build_schur_basis", lambda size: SchurBasis(size, spins))
     oracle._power_coordinates.cache_clear()
+    q = MixedQubit(0.6, (0.48, 0.6, 0.64))
     try:
-        rows = verify_decomposition(MixedQubit(0.6, (0.48, 0.6, 0.64)), n)
+        rows = verify_decomposition(q, n)
+        labels = [label for check, label, _ in rows if check == "post_state"]
+        reversibility = [("reversibility", label, reversibility_check(q, n, label)) for label in labels]
+        return rows, reversibility, covariance_residual(n)
     finally:
         oracle._power_coordinates.cache_clear()
+
+
+_MUTATIONS = [
+    (8, _mix_spins), (8, _flip_sign), (8, _swap_m), (6, _negate_state), (6, _rotate_copies), (2, _unannihilated_singlet)
+]
+
+
+@pytest.mark.parametrize("n, mutate", [pytest.param(n, f, id=f.__name__) for n, f in _MUTATIONS])
+def test_verify_fails_a_mutated_basis(n, mutate, monkeypatch):
+    rows, _, covariance = _mutated_rows(n, mutate, monkeypatch)
     assert worst_residual(rows) >= 1e-9
+    assert covariance >= 1e-9
+
+
+def test_verify_passes_a_negated_copy(monkeypatch):
+    # a copy's overall sign is a free choice of basis, so no row may see it
+    rows, reversibility, covariance = _mutated_rows(6, _negate_copy, monkeypatch)
+    assert worst_residual(rows + reversibility) < 1e-9
+    assert covariance < 1e-9
 
 
 class TestMeasureBlock:
@@ -185,11 +225,28 @@ class TestReversibility:
             reversibility_check(MixedQubit(1.0), 2, BlockLabel(0, 1))
 
 
+def lab_frame_covariance(q, n, unitaries):
+    """Largest defect of the measurement maps from covariance, on 2^n-square tensor powers in the lab frame.
+
+    For each single-qubit U the maps applied to the rotated input must equal
+    U^(x m) times the outputs times its adjoint, branch by branch.
+    """
+    basis = build_schur_basis(n)
+    rho1 = density_matrix(q)
+    base = purification_map_outputs(basis, kron_power(rho1, n))
+    worst = 0.0
+    for u in unitaries:
+        lhs = purification_map_outputs(basis, kron_power(u @ rho1 @ u.conj().T, n))
+        for m_out, sigma in lhs.items():
+            u_m = kron_power(u, m_out) if m_out else np.eye(1)
+            worst = max(worst, max_abs(sigma - u_m @ base[m_out] @ u_m.conj().T))
+    return worst
+
+
 class TestCovariance:
     def test_measurement_maps_commute_with_rotations(self, rng):
         q = random_qubit(rng, lam=0.5)
-        unitaries = [haar_unitary(rng) for _ in range(20)]
-        assert covariance_residual(q, 4, unitaries) < 1e-9
+        assert lab_frame_covariance(q, 4, [haar_unitary(rng) for _ in range(20)]) < 1e-9
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_map_outputs_match_swap_route(self, n, rng):
@@ -269,17 +326,8 @@ class TestKroneckerReferenceRoutes:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_covariance(self, n, rng):
-        q = random_qubit(rng)
+        # the sampled lab-frame route stays the independent check of what the ladder row implies
         unitaries = [haar_unitary(rng) for _ in range(3)] + [np.diag([1.0, 1j]), np.array([[0, 1], [1, 0]])]
-        basis = build_schur_basis(n)
-        rho1 = density_matrix(q)
-        base = purification_map_outputs(basis, kron_power(rho1, n))
-        old = 0.0
-        for u in unitaries:
-            lhs = purification_map_outputs(basis, kron_power(u @ rho1 @ u.conj().T, n))
-            for m_out, sigma in lhs.items():
-                u_m = kron_power(u, m_out) if m_out else np.eye(1)
-                old = max(old, max_abs(sigma - u_m @ base[m_out] @ u_m.conj().T))
-        assert old < 1e-12
-        assert abs(covariance_residual(q, n, unitaries) - old) < 1e-12
+        assert lab_frame_covariance(random_qubit(rng), n, unitaries) < 1e-12
+        assert covariance_residual(n) < 1e-12
 
