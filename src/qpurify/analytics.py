@@ -10,8 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import SizeLimitError, _check_register, _mem_available_bytes
 
@@ -143,22 +142,13 @@ def block_fidelity(lam: float, j: int) -> float:
     return _prefix_sums(lam, j)[1][j]
 
 
-class SpectrumRow(NamedTuple):
-    j: int
-    multiplicity: int
-    probability: float
-    fidelity: float
+SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
 
 
-@dataclass(frozen=True)
-class BlockSpectrum:
+class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilities fidelities")):
     """Per-j columns of block multiplicity, probability and kept-qubit fidelity, as tuples."""
 
-    n: int
-    lam: float
-    multiplicities: tuple[int, ...]
-    probabilities: tuple[float, ...]
-    fidelities: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -241,15 +241,13 @@ def _add_pair(spins: dict) -> dict:
     return grown
 
 
-@dataclass(frozen=True)
-class SchurBasis:
+class SchurBasis(namedtuple("SchurBasis", "n spins")):
     """Orthonormal vectors |j, m, alpha> for n qubits, one real array per spin.
 
     ``spins[j]`` is read-only, shaped (d_j, 2j+1, 2^n); [alpha - 1, j + m] is |j, m, alpha>.
     """
 
-    n: int
-    spins: dict
+    __slots__ = ()
 
     def j_values(self) -> list[int]:
         return sorted(self.spins)
@@ -309,11 +307,7 @@ def build_schur_basis(n: int) -> SchurBasis:
     return _build_basis(n)
 
 
-@dataclass(frozen=True)
-class BlockSwap:
-    label: BlockLabel
-    matrix: np.ndarray
-    is_identity: bool
+BlockSwap = namedtuple("BlockSwap", "label matrix is_identity")
 
 
 def block_swap(basis: SchurBasis, j: int, alpha: int) -> BlockSwap:

@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import analytics, cloning
 from .core import MixedQubit, SizeLimitError
@@ -92,9 +91,11 @@ def _plottable(path: str) -> str:
 
 
 def _write(option: str, path: str, write) -> None:
-    """Run ``write(path)``; a failed write, say on a full device, is a usage error naming the file."""
+    """Run ``write(file)`` on ``path`` opened as UTF-8 text; a failed write, say on a full device,
+    is a usage error naming the file."""
     try:
-        write(path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
     except OSError as exc:
         raise UsageError(f"cannot write the {option} file {path!r}: {exc.strerror or exc}") from exc
 
@@ -146,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
     if keep:
-        _write("--dump-trials", args.dump_trials, lambda path: protocol.write_outcomes_csv(summary.outcomes, path))
+        _write("--dump-trials", args.dump_trials, lambda fh: protocol.write_outcomes_csv(summary.outcomes, fh))
 
     yield_target = analytics.yield_factor(n, lam)
     fidelity_target = analytics.mean_fidelity(n, lam)
@@ -284,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            _write("--out", args.out, lambda path: Path(path).write_text(text, encoding="utf-8", newline=""))
+            _write("--out", args.out, lambda fh: fh.write(text))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, SizeLimitError) as exc:

@@ -2,9 +2,12 @@
 
 This module, like ``analytics`` and ``cloning``, needs only the standard
 library; the dense helpers that build numpy states and operators live in
-``blocks``.  Conventions shared by the whole package: an N-qubit register
-uses the computational basis |b1 b2 ... bN> with qubit 1 as the most
-significant bit and |0> at index 0.
+``blocks``.  The package's value types are named tuples that check their
+fields in ``__new__``: immutable, hashed and ordered as tuples, and built
+without the ``dataclasses`` import that every CLI process would pay for.
+Conventions shared by the whole package: an N-qubit register uses the
+computational basis |b1 b2 ... bN> with qubit 1 as the most significant
+bit and |0> at index 0.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_QUBIT_CAP = 12
 CAP_ENV_VAR = "SCHUR_CAP"
@@ -53,8 +56,7 @@ def _mem_available_bytes() -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class MixedQubit:
+class MixedQubit(namedtuple("MixedQubit", "lam direction")):
     """A qubit state with Bloch vector ``lam * direction``.
 
     The eigenvalue c1 = (1 + lam)/2 belongs to the eigenstate aligned with
@@ -62,15 +64,14 @@ class MixedQubit:
     both the Bloch-vector length and the eigenvalue gap.
     """
 
-    lam: float
-    direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lam = float(self.lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"Bloch length must lie in [0, 1], got {self.lam}")
+    def __new__(cls, lam: float, direction: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> MixedQubit:
+        length = float(lam)
+        if not 0.0 <= length <= 1.0:
+            raise ValueError(f"Bloch length must lie in [0, 1], got {lam}")
         try:
-            vec = tuple(self.direction)
+            vec = tuple(direction)
         except TypeError:  # a scalar
             vec = ()
         if len(vec) != 3 or not all(isinstance(x, numbers.Real) for x in vec):
@@ -78,8 +79,7 @@ class MixedQubit:
         vec = tuple(map(float, vec))
         if not abs(math.hypot(*vec) - 1.0) <= 1e-12:
             raise ValueError("direction must be a unit vector to within 1e-12")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "direction", vec)
+        return super().__new__(cls, length, vec)
 
     @property
     def c1(self) -> float:
@@ -90,18 +90,17 @@ class MixedQubit:
         return (1.0 - self.lam) / 2.0
 
 
-@dataclass(frozen=True, order=True)
-class BlockLabel:
+class BlockLabel(namedtuple("BlockLabel", "j alpha")):
     """Label (j, alpha) of one total-spin block; alpha counts copies from 1."""
 
-    j: int
-    alpha: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.j < 0:
+    def __new__(cls, j: int, alpha: int) -> BlockLabel:
+        if j < 0:
             raise ValueError("total spin j must be nonnegative")
-        if self.alpha < 1:
+        if alpha < 1:
             raise ValueError("copy index alpha starts at 1")
+        return super().__new__(cls, j, alpha)
 
     def __str__(self) -> str:
         return f"j={self.j};alpha={self.alpha}"

@@ -16,7 +16,7 @@ import math
 import os
 import random
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import analytics
 from .core import MixedQubit, SizeLimitError, _mem_available_bytes
@@ -113,7 +113,6 @@ def _typecode(outcomes: int) -> str:
     return next(code for code in "BHIL" if outcomes <= 1 << 8 * array(code).itemsize)
 
 
-@dataclass(frozen=True, eq=False)
 class TrialOutcomes:
     """The per-trial outcomes of a simulation, held as its outcome order.
 
@@ -127,11 +126,10 @@ class TrialOutcomes:
     ``write_outcomes_csv``, makes the rows a chunk at a time.
     """
 
-    order: array
-    js: list[int]
-    fids: list[float]
-    copies: list[int]
-    alpha_seed: int | None
+    __slots__ = ("order", "js", "fids", "copies", "alpha_seed")
+
+    def __init__(self, order: array, js: list[int], fids: list[float], copies: list[int], alpha_seed: int | None):
+        self.order, self.js, self.fids, self.copies, self.alpha_seed = order, js, fids, copies, alpha_seed
 
     def _chunks(self):
         """(trial numbers, outcome indices, copy indices) of consecutive chunks; a copy
@@ -157,20 +155,30 @@ class TrialOutcomes:
         return len(self.order)
 
 
-@dataclass
-class SimulationSummary:
-    """Aggregates of a simulation, reproducible from the run's (n, lam, trials, seed)."""
+class SimulationSummary(
+    namedtuple(
+        "SimulationSummary",
+        "trials mode empirical_yield yield_se empirical_mean_fidelity fidelity_se norm_defect histogram "
+        "label_histogram outcomes",
+        defaults=(None,),
+    )
+):
+    """Aggregates of a simulation, reproducible from the run's (n, lam, trials, seed).
 
-    trials: int
-    mode: str
-    empirical_yield: float
-    yield_se: float
-    empirical_mean_fidelity: float
-    fidelity_se: float
-    norm_defect: float  # sum of the outcome probabilities minus one; the draw divides it away
-    histogram: dict[int, int]
-    label_histogram: dict[tuple[int, int], int]  # (j, alpha) counts, dense mode only
-    outcomes: TrialOutcomes | None = field(default=None, compare=False)
+    ``norm_defect`` is the sum of the outcome probabilities minus one, which
+    the draw divides away; ``label_histogram`` holds (j, alpha) counts in
+    dense mode only.  ``==`` compares these aggregates, not the per-trial
+    ``outcomes``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if isinstance(other, SimulationSummary) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 def _moments(counts: list[int], values: list[float], p: list[float]) -> tuple[float, float]:

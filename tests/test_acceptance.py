@@ -234,6 +234,7 @@ def test_criterion_08_optimality_scan():
     # is the best of all channels from N qubits to M < N, purification (M = 1) included
     cases = [(2, 1, lam) for lam in (0.3, 0.6)]
     cases += [(4, m, lam) for m in (1, 2, 3) for lam in (0.3, 0.6)]
+    cases += [(n, m, lam) for n, m in ((6, 1), (6, 2), (8, 1)) for lam in (0.3, 0.6)]  # about 4 s
     outside, widest = within_certificate(cases)
     ok = not outside and widest < 1e-8
     assert report(8, ok, f"{len(cases)} cases, widest bracket {widest:.1e}, outside it {outside}")

@@ -331,11 +331,15 @@ _WITHOUT_NUMPY = (
 )
 
 
-def _run_without_numpy(argv: str) -> subprocess.CompletedProcess:
+def _run_fresh(code: str, argv: str, *options: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(Path(qpurify.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv.split()], env=env, capture_output=True)
+    return subprocess.run([sys.executable, *options, "-c", code, *argv.split()], env=env, capture_output=True)
+
+
+def _run_without_numpy(argv: str) -> subprocess.CompletedProcess:
+    return _run_fresh(_WITHOUT_NUMPY, argv)
 
 
 @pytest.mark.parametrize(
@@ -403,6 +407,34 @@ def test_usage_error_without_numpy():
     blocked = _run_without_numpy("stats --n 3 --lambda 0.5")
     assert (blocked.returncode, blocked.stdout) == (2, b"")
     assert blocked.stderr.startswith(b"error: ") and blocked.stderr.count(b"\n") == 1
+
+
+# modules that no closed-form or summary-sampler process needs, listed on the last stderr line
+# if ``main`` loaded them
+_UNNEEDED = ("numpy", "dataclasses", "inspect", "typing", "fractions", "decimal", "pathlib")
+_LOADED = (
+    "import sys; from qpurify.cli import main; code = main(sys.argv[1:]); "
+    f"print('loaded:', *sorted(set({_UNNEEDED!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("stats --n 2000 --lambda 0.6", 0),
+        ("clone --n 2000 --m inf --lambda 0.6", 0),
+        ("figure1 --n 200", 0),
+        ("simulate --n 1000 --lambda 0.6 --trials 1000000000 --seed 1", 0),
+        ("simulate --n 100 --lambda 0.6 --trials 10000 --seed 1 --dump-trials {tmp}/trials.csv", 0),
+        ("stats --n 20 --lambda 0.6 --out {tmp}/stats.csv", 0),
+        ("stats --n 3 --lambda 0.5", 2),
+    ],
+)
+def test_closed_form_commands_load_only_what_they_use(argv, code, tmp_path):
+    # -S, as site may preload typing or pathlib itself
+    run = _run_fresh(_LOADED, argv.format(tmp=tmp_path), "-S")
+    assert run.returncode == code
+    assert run.stderr.splitlines()[-1] == b"loaded:"
 
 
 def test_verify_rows_golden(capsys):

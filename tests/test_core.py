@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from qpurify import (
     BlockLabel,
     MixedQubit,
     SizeLimitError,
+    block_spectrum,
+    block_swap,
+    build_schur_basis,
     dense_cap,
     density_matrix,
     haar_unitary,
@@ -44,10 +48,9 @@ class TestMixedQubit:
         assert q.c1 - q.c0 == pytest.approx(q.lam, abs=1e-15)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            MixedQubit(1.2)
-        with pytest.raises(ValueError):
-            MixedQubit(-0.1)
+        for lam in (1.2, -0.1, math.nan, "2"):  # the message names the value as given
+            with pytest.raises(ValueError, match=f"^{re.escape(f'Bloch length must lie in [0, 1], got {lam}')}$"):
+                MixedQubit(lam)
 
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
@@ -81,10 +84,52 @@ class TestMixedQubit:
         assert MixedQubit(0.5, (0.0, 0.0, 1.0 + 5e-13)).direction[2] == 1.0 + 5e-13
 
     def test_block_label_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total spin j must be nonnegative$"):
             BlockLabel(-1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^copy index alpha starts at 1$"):
             BlockLabel(0, 0)
+
+
+def _value_types():
+    """One of each named-tuple value type, with its repr as the dataclass it replaced printed it."""
+    basis = build_schur_basis(4)
+    spect = block_spectrum(4, 0.5)
+    swap = block_swap(basis, 1, 2)
+    p, f = spect.probabilities, spect.fidelities
+    return [
+        (MixedQubit(0.5), "MixedQubit(lam=0.5, direction=(0.0, 0.0, 1.0))"),
+        (BlockLabel(1, 2), "BlockLabel(j=1, alpha=2)"),
+        (spect, f"BlockSpectrum(n=4, lam=0.5, multiplicities=(2, 3, 1), probabilities={p!r}, fidelities={f!r})"),
+        (spect.rows[2], f"SpectrumRow(j=2, multiplicity=1, probability={p[2]!r}, fidelity={f[2]!r})"),
+        (basis, f"SchurBasis(n=4, spins={basis.spins!r})"),
+        (swap, f"BlockSwap(label=BlockLabel(j=1, alpha=2), matrix={swap.matrix!r}, is_identity=False)"),
+    ]
+
+
+class TestValueTypes:
+    def test_repr_is_unchanged(self):
+        for value, text in _value_types():
+            assert repr(value) == text
+
+    def test_attributes_cannot_be_assigned(self):
+        for value, _ in _value_types():
+            field = type(value)._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                value.extra = None
+
+    def test_labels_hash_and_sort_as_tuples(self):
+        labels = build_schur_basis(6).labels()
+        assert sorted(labels) == sorted(labels[::-1]) == labels
+        assert labels == sorted(labels, key=lambda label: (label.j, label.alpha))
+        assert hash(BlockLabel(1, 2)) == hash((1, 2))
+        assert BlockLabel(1, 2) == (1, 2)  # a label now equals its plain tuple
+
+    def test_validation_runs_on_keywords(self):
+        assert MixedQubit(lam=1, direction=[1, 0, 0]) == MixedQubit(1.0, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^copy index alpha starts at 1$"):
+            BlockLabel(j=1, alpha=0)
 
 
 class TestEigenstates:

@@ -120,7 +120,7 @@ class TestFastPath:
         q = MixedQubit(0.6)
         kept = run_protocol(q, 30, trials=10_000, seed=17, keep_outcomes=True)
         plain = run_protocol(q, 30, trials=10_000, seed=17)
-        assert plain == kept
+        assert plain == kept and not plain != kept
         assert plain.outcomes is None and len(kept.outcomes) == 10_000
         js = [j for _, j, _, _, _ in dumped_rows(kept.outcomes)]
         assert np.bincount(js, minlength=16).tolist() == list(plain.histogram.values())
