@@ -112,15 +112,14 @@ def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
-    import numpy as np
+    import random
 
     from .blocks import random_direction
     from .oracle import covariance_residual, quadrature_check, reversibility_check, verify_decomposition
 
     n, lam = args.n, args.lam
     tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    direction = random_direction(rng)
+    direction = random_direction(random.Random(args.seed))
     q = MixedQubit(lam, direction)
 
     rows = verify_decomposition(q, n)

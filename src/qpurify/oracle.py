@@ -60,8 +60,9 @@ def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _power_coordinates(q: MixedQubit, n: int) -> dict[int, np.ndarray]:
-    return power_coordinates(build_schur_basis(n), density_matrix(q))
+def _power_coordinates(q: MixedQubit, n: int) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The blocks of q's n-fold power, and an empty store for the reversibility lifts of the same basis."""
+    return power_coordinates(build_schur_basis(n), density_matrix(q)), {}
 
 
 def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLabel, float]]:
@@ -77,7 +78,7 @@ def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLa
     BlockLabel: the normalised block against block_state_matrix.  The rows
     are returned whatever the residuals are; the caller judges them.
     """
-    coords = _power_coordinates(q, n)
+    coords, _ = _power_coordinates(q, n)
     post_state = []
     copy_traces = 0.0
     for j, blocks in coords.items():
@@ -98,6 +99,19 @@ def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLa
     ]
 
 
+def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] from the Golub-Welsch eigenproblem.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of the Legendre recurrence, off-diagonal k / sqrt(4k^2 - 1), and the
+    weights 2 v_0^2 from the eigenvectors' first components (Golub & Welsch,
+    Math. Comp. 23, 221 (1969)).
+    """
+    k = np.arange(1.0, degree)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))  # eigh reads the lower triangle
+    return nodes, 2.0 * vecs[0] ** 2
+
+
 def _angular_rule(j: int) -> list[tuple[float, float, complex, float]]:
     """(cos(theta/2), sin(theta/2), e^{i phi}, weight) of the spin-j pure-component rule.
 
@@ -111,7 +125,7 @@ def _angular_rule(j: int) -> list[tuple[float, float, complex, float]]:
     phases = np.exp(1j * (2.0 * math.pi * np.arange(n_phi) / n_phi))
     return [
         (math.sqrt((1.0 + x) / 2.0), math.sqrt((1.0 - x) / 2.0), phase, w / 2.0 / n_phi)
-        for x, w in zip(*np.polynomial.legendre.leggauss(2 * j + 2))
+        for x, w in zip(*_gauss_legendre(2 * j + 2))
         for phase in phases
     ]
 
@@ -145,8 +159,11 @@ def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     singlet pairs, re-appending fresh singlets and projecting back must
     reproduce the block exactly.  The round trip contracts copy 1's rows as
     (2j+1, 2^2j kept, 2^(n-2j) discarded), with no 2^n or 2^2j square matrix.
-    The tensor power's block coordinates are computed once per (q, n);
-    the cap is checked on every call.
+    The tensor power's block coordinates are computed once per (q, n).  The
+    lift, (2^(n-2j), 2j+1, 2j+1) slices of the round trip, is built once
+    per spin and stored beside those coordinates, so the copies of a spin
+    share it and it goes when they go.  Each label still pays the cap
+    check, its label validation and one (2j+1)-square sandwich per slice.
 
     build_schur_basis makes copy 1 the Dicke rows followed by singlet
     pairs, so the lift is the Dicke rows times the singlet amplitudes s and
@@ -156,7 +173,8 @@ def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     """
     basis = build_schur_basis(n)
     basis.block(label.j, label.alpha)  # label validation
-    measured = _power_coordinates(q, n)[label.j][label.alpha - 1]
+    coords, lifts = _power_coordinates(q, n)
+    measured = coords[label.j][label.alpha - 1]
     prob = float(np.trace(measured).real)
     if prob < _PROB_FLOOR:
         raise ValueError(
@@ -164,11 +182,13 @@ def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
             "post-measurement state undefined"
         )
     post = measured / prob
-    first = basis.block(label.j, 1).reshape(2 * label.j + 1, 4**label.j, -1)
-    singlets = functools.reduce(np.kron, [SINGLET] * (n // 2 - label.j), np.ones(1))
-    back = first @ singlets  # kept ⊗ |singlets> projected back onto the first copy
+    if label.j not in lifts:
+        first = basis.block(label.j, 1).reshape(2 * label.j + 1, 4**label.j, -1)
+        singlets = functools.reduce(np.kron, [SINGLET] * (n // 2 - label.j), np.ones(1))
+        back = first @ singlets  # kept ⊗ |singlets> projected back onto the first copy
+        lifts[label.j] = np.einsum("xa,lar->rxl", back, first)
+    lift = lifts[label.j]
     # kept = sum_r first[:, :, r]^T post first[:, :, r]; back kept back^H, one slice r at a time
-    lift = np.einsum("xa,lar->rxl", back, first)
     return max_abs((lift @ post @ lift.conj().transpose(0, 2, 1)).sum(axis=0) - post)
 
 

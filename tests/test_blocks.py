@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from qpurify.blocks import (
     power_coordinates,
     seed_vector,
 )
-from qpurify import MixedQubit, SizeLimitError, qubit_eigenstates
+from qpurify import MixedQubit, SizeLimitError, blocks, qubit_eigenstates
 from qpurify.oracle import orthonormality_residual
 
 
@@ -234,6 +236,41 @@ class TestCouplingPaths:
         smaller, basis = build_schur_basis(n - 2), build_schur_basis(n)
         for j, rows in smaller.spins.items():
             assert np.array_equal(basis.spins[j][: len(rows)], np.kron(rows, SINGLET.real))
+
+
+def _racah_fraction(j1, m1, j2, m2, j, m):
+    """<j1 m1; j2 m2 | j m> from Racah's series summed in Fractions, the square rounded to float once."""
+    f = math.factorial
+    total = sum(
+        Fraction((-1) ** k, f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k) * f(j2 + m2 - k))
+        / (f(j - j2 + m1 + k) * f(j - j1 - m2 + k))
+        for k in range(max(0, j2 - j - m1, j1 - j + m2), min(j1 + j2 - j, j1 - m1, j2 + m2) + 1)
+    )
+    square = Fraction((2 * j + 1) * f(j + j1 - j2) * f(j - j1 + j2) * f(j1 + j2 - j))
+    square *= f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+    return math.copysign(math.sqrt(square / f(j1 + j2 + j + 1) * total**2), total)
+
+
+class TestIntegerClebschGordan:
+    """``_clebsch_gordan`` sums over one integer denominator; the basis bytes must not notice."""
+
+    @staticmethod
+    def grow_to_twelve_qubits():
+        """The couplings ``_add_pair`` asks for and the sha256 prefix of each register's spins, n = 2..12."""
+        spins, digests = {0: np.ones((1, 1, 1))}, {}
+        with mock.patch.object(blocks, "_clebsch_gordan", wraps=blocks._clebsch_gordan) as spy:
+            for n in range(2, 13, 2):
+                spins = blocks._add_pair(spins)
+                digests[n] = hashlib.sha256(b"".join(spins[j].tobytes() for j in sorted(spins))).hexdigest()[:16]
+        return {call.args for call in spy.call_args_list}, digests
+
+    def test_every_coupling_equals_the_fraction_reference_and_the_basis_bytes_stay(self):
+        couplings, digests = self.grow_to_twelve_qubits()
+        assert len(couplings) == 314
+        for args in sorted(couplings):
+            assert blocks._clebsch_gordan(*args).hex() == _racah_fraction(*args).hex(), args
+        # the prefixes that the Fraction sum produced
+        assert (digests[10], digests[12]) == ("4014ebfd6afcb5e0", "1d917e45bca37bd3")
 
 
 def test_multiplicity_completeness_identity_exact():

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpurify
-from qpurify import analytics, cloning
+from qpurify import analytics, cloning, random_direction
 from qpurify.cli import main
 
 
@@ -412,10 +413,15 @@ def test_usage_error_without_numpy():
 # modules that no closed-form or summary-sampler process needs, listed on the last stderr line
 # if ``main`` loaded them
 _UNNEEDED = ("numpy", "dataclasses", "inspect", "typing", "fractions", "decimal", "pathlib")
-_LOADED = (
-    "import sys; from qpurify.cli import main; code = main(sys.argv[1:]); "
-    f"print('loaded:', *sorted(set({_UNNEEDED!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
-)
+# what a dense command needs beyond numpy's core: nothing of these
+_DENSE_UNNEEDED = ("numpy.random", "numpy.polynomial", "fractions", "decimal")
+
+
+def _loaded(unneeded: tuple[str, ...]) -> str:
+    return (
+        "import sys; from qpurify.cli import main; code = main(sys.argv[1:]); "
+        f"print('loaded:', *sorted(set({unneeded!r}) & set(sys.modules)), file=sys.stderr); sys.exit(code)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -432,9 +438,29 @@ _LOADED = (
 )
 def test_closed_form_commands_load_only_what_they_use(argv, code, tmp_path):
     # -S, as site may preload typing or pathlib itself
-    run = _run_fresh(_LOADED, argv.format(tmp=tmp_path), "-S")
+    run = _run_fresh(_loaded(_UNNEEDED), argv.format(tmp=tmp_path), "-S")
     assert run.returncode == code
     assert run.stderr.splitlines()[-1] == b"loaded:"
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify --n 4 --lambda 0.6 --seed 1", "simulate --dense --n 4 --lambda 0.6 --trials 1000 --seed 1"]
+)
+def test_dense_commands_load_only_numpys_core(argv):
+    # without -S: numpy lives in site-packages
+    run = _run_fresh(_loaded(_DENSE_UNNEEDED), argv)
+    assert run.returncode == 0
+    assert run.stderr.splitlines()[-1] == b"loaded:"
+
+
+def test_verify_direction_depends_only_on_the_seed(capsys):
+    def header(argv):
+        assert main(argv.split()) == 0
+        return capsys.readouterr().out.splitlines()[0].split()[3]
+
+    drawn = "direction=({!r},{!r},{!r})".format(*random_direction(random.Random(5)))
+    assert {header("verify --n 2 --lambda 0.3 --seed 5"), header("verify --n 4 --lambda 0.9 --seed 5")} == {drawn}
+    assert header("verify --n 2 --lambda 0.3 --seed 6") != drawn
 
 
 def test_verify_rows_golden(capsys):

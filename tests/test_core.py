@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -131,6 +132,16 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="^copy index alpha starts at 1$"):
             BlockLabel(j=1, alpha=0)
 
+    def test_make_and_replace_check_their_fields(self):
+        with pytest.raises(ValueError, match="^Bloch length must lie in"):
+            MixedQubit(0.5)._replace(lam=2.0)
+        with pytest.raises(ValueError, match="^copy index alpha starts at 1$"):
+            BlockLabel(1, 1)._replace(alpha=0)
+        with pytest.raises(ValueError, match="^direction must be a 3-vector$"):
+            MixedQubit._make((0.5, "x"))
+        assert MixedQubit(0.5)._replace(direction=[0, 1, 0]) == MixedQubit(0.5, (0.0, 1.0, 0.0))
+        assert type(BlockLabel._make((1, 2))) is BlockLabel
+
 
 class TestEigenstates:
     def test_z_axis(self):
@@ -247,3 +258,19 @@ def test_haar_unitary_is_unitary(rng):
 def test_random_direction_is_unit(rng):
     for _ in range(100):
         assert abs(np.linalg.norm(random_direction(rng)) - 1.0) < 1e-12
+
+
+class TestRandomDirectionFromTheStandardLibrary:
+    def test_unit_and_seeded(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            assert abs(math.hypot(*random_direction(rng)) - 1.0) < 1e-12
+        assert random_direction(random.Random(7)) == random_direction(random.Random(7))
+        assert random_direction(random.Random(7)) != random_direction(random.Random(8))
+
+    def test_uniform_on_the_sphere(self):
+        # each Cartesian component of a uniform unit vector has mean 0 and variance 1/3
+        rng = random.Random(2024)
+        sample = np.array([random_direction(rng) for _ in range(10_000)])
+        sigma = math.sqrt(1.0 / 3.0 / len(sample))
+        assert np.all(np.abs(sample.mean(axis=0)) < 4.0 * sigma)

@@ -28,7 +28,7 @@ from qpurify import oracle
 from qpurify.analytics import cross_power_sum
 from qpurify.blocks import SINGLET, SchurBasis, dicke_rows
 from qpurify.blocks import outer, qubit_eigenstates
-from qpurify.oracle import _angular_rule
+from qpurify.oracle import _angular_rule, _gauss_legendre
 
 from conftest import random_qubit
 
@@ -202,6 +202,23 @@ class TestQuadrature:
     def test_spin_zero_rejected(self, rng):
         with pytest.raises(ValueError):
             quadrature_check(random_qubit(rng), 0)
+
+
+class TestGaussLegendre:
+    """The Golub-Welsch nodes of ``_angular_rule`` against numpy's ``leggauss``, and their exactness."""
+
+    @pytest.mark.parametrize("degree", range(2, 31))
+    def test_matches_numpy_leggauss(self, degree):
+        nodes, weights = _gauss_legendre(degree)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(degree)
+        assert max_abs(nodes - want_nodes) < 1e-14
+        assert max_abs(weights - want_weights) < 1e-14
+
+    @pytest.mark.parametrize("degree", range(1, 31))
+    def test_integrates_monomials_below_twice_the_degree(self, degree):
+        nodes, weights = _gauss_legendre(degree)
+        for k in range(2 * degree):
+            assert abs(math.fsum(weights * nodes**k) - (1 + (-1) ** k) / (k + 1)) < 1e-14
 
 
 class TestReversibility:
