@@ -12,7 +12,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .core import SizeLimitError, _check_register, _mem_available_bytes
+from .core import _check_memory, _check_register
 
 
 def _check_lambda(lam: float) -> None:
@@ -63,13 +63,8 @@ def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[flo
 
 def _check_multiplicity_size(n: int) -> None:
     """Refuse an n whose exact d_j, about n^2/20 bytes, exceed MemAvailable; read only above 64 MiB."""
-    needed = n * n // 20
-    available = _mem_available_bytes() if needed > 2**26 else None
-    if available is not None and needed > available:
-        raise SizeLimitError(
-            f"n={n} needs about {needed / 2**20:.3g} MiB of exact multiplicities, "
-            f"more than the {available / 2**20:.3g} MiB available"
-        )
+    if n * n // 20 > 2**26:
+        _check_memory(n * n // 20, f"n={n}", " of exact multiplicities")
 
 
 @functools.lru_cache(maxsize=1)

@@ -24,7 +24,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .core import BlockLabel, MixedQubit, SizeLimitError, _check_register, _mem_available_bytes, dense_cap
+from .analytics import multiplicity
+from .core import BlockLabel, MixedQubit, SizeLimitError, _check_memory, _check_register, dense_cap
 
 
 def _fix_global_phase(v: np.ndarray) -> np.ndarray:
@@ -303,14 +304,8 @@ def build_schur_basis(n: int) -> SchurBasis:
     peak of ``qpurify verify``.
     """
     _check_dense(n)
-    J = n // 2
-    sector = max(math.comb(n, J - j) * (2 * j + 1) ** 2 // (J + j + 1) for j in range(J + 1))  # d_j (2j+1)
-    needed, available = 8 * 4**n + 4 * 16 * sector * 2**n + 2**26, _mem_available_bytes()
-    if available is not None and needed > available:
-        raise SizeLimitError(
-            f"n={n} needs about {needed / 2**20:.3g} MiB of dense arrays, "
-            f"more than the {available / 2**20:.3g} MiB available"
-        )
+    sector = max(multiplicity(n, j) * (2 * j + 1) for j in range(n // 2 + 1))
+    _check_memory(8 * 4**n + 4 * 16 * sector * 2**n + 2**26, f"n={n}", " of dense arrays")
     return _build_basis(n)
 
 

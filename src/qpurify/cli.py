@@ -1,14 +1,18 @@
 """Command-line front end: tables, verification runs, simulations, curves.
 
 Commands: ``stats``, ``verify``, ``simulate``, ``figure1``, ``clone``.
-Exit codes are stable for CI use: 0 success, 1 verification/statistical
-failure, 2 usage error.  The parser checks each flag's value through its
-``type=``, in the order the flags are read, and turns every usage error,
-its own included, into a ``UsageError``: one ``error:`` line on stderr.
-All numeric output uses shortest round-trip decimals so CSV files parse
-back losslessly.  Only ``verify`` and ``simulate --dense`` import numpy and
-the dense modules; the closed-form commands, summary ``simulate`` runs,
-``--help`` and every usage error run on the standard library alone.
+Each ``cmd_*`` returns a ``Report`` of Python values, and ``main`` alone
+writes it: ``_render`` joins the cells with the ``--format`` delimiter and
+formats every number through ``_text``, floats as shortest round-trip
+decimals so CSV files parse back losslessly.  Exit codes are stable for
+CI use: 0 success, 1 verification/statistical failure, 2 usage error.
+``main`` turns a report's verdict into both its ``status=`` line and the
+exit code.  The parser checks each flag's value through its ``type=``, in
+the order the flags are read, and turns every usage error, its own
+included, into a ``UsageError``: one ``error:`` line on stderr.  Only
+``verify`` and ``simulate --dense`` import numpy and the dense modules;
+the closed-form commands, summary ``simulate`` runs, ``--help`` and every
+usage error run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 
 from . import analytics, cloning
 from .core import MixedQubit, SizeLimitError
@@ -31,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(message)
-
-
-def _num(x) -> str:
-    return repr(float(x))
 
 
 def _flag(expected: str, convert, ok=lambda value: True):
@@ -64,13 +65,36 @@ _clones = _flag(
 )
 
 
-def _count(d: int) -> str:
-    """An exact integer up to Python's int-to-str limit, <mantissa>e<exponent> above it."""
+# what a command found: the (name, value) pairs of an optional ``#`` comment line, an optional table (a header and
+# rows of values), the ``name=value`` results, and a verdict, True or False, or None for a command that judges nothing
+Report = namedtuple("Report", "comment header rows values verdict", defaults=((), (), (), (), None))
+
+
+def _text(value) -> str:
+    """A float in shortest round-trip form, a plain tuple as ``(x,y,z)``, a dict as ``k:v;k:v`` by key, and
+    anything else by ``str``: an integer exactly, or as <mantissa>e<exponent> past Python's int-to-str limit."""
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy scalar's own repr names its type
+    if type(value) is tuple:  # not a named tuple such as BlockLabel, which has its own str
+        return f"({','.join(map(_text, value))})"
+    if isinstance(value, dict):
+        return ";".join(f"{key}:{count}" for key, count in sorted(value.items()))
     try:
-        return str(d)
-    except ValueError:
-        log = math.log10(d)
-        return f"{_num(10 ** (log - math.floor(log)))}e{math.floor(log)}"
+        return str(value)
+    except ValueError:  # an integer past the limit
+        log = math.log10(value)
+        return f"{10 ** (log - math.floor(log))!r}e{math.floor(log)}"
+
+
+def _render(report: Report, d: str) -> str:
+    lines = ["# " + " ".join(f"{name}={_text(value)}" for name, value in report.comment)] if report.comment else []
+    if report.header:
+        lines.append(d.join(report.header))
+        lines.extend(d.join(map(_text, row)) for row in report.rows)
+    lines.extend(f"{name}={_text(value)}" for name, value in report.values)
+    if report.verdict is not None:
+        lines.append(f"status={'pass' if report.verdict else 'fail'}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _writable(path: str) -> str:
@@ -100,18 +124,14 @@ def _write(option: str, path: str, write) -> None:
         raise UsageError(f"cannot write the {option} file {path!r}: {exc.strerror or exc}") from exc
 
 
-def cmd_stats(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+def cmd_stats(args: argparse.Namespace) -> Report:
     n, lam = args.n, args.lam
-    spect = analytics.block_spectrum(n, lam)
-    lines = [d.join(("j", "d_j", "p_j", "f_j"))]
-    for row in spect.rows:
-        lines.append(d.join((str(row.j), _count(row.multiplicity), _num(row.probability), _num(row.fidelity))))
-    lines.append(f"yield={_num(analytics.yield_factor(n, lam))}")
-    lines.append(f"mean_fidelity={_num(analytics.mean_fidelity(n, lam))}")
-    return 0, lines
+    rows = analytics.block_spectrum(n, lam).rows
+    values = (("yield", analytics.yield_factor(n, lam)), ("mean_fidelity", analytics.mean_fidelity(n, lam)))
+    return Report(header=("j", "d_j", "p_j", "f_j"), rows=rows, values=values)
 
 
-def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+def cmd_verify(args: argparse.Namespace) -> Report:
     import random
 
     from .blocks import random_direction
@@ -127,22 +147,18 @@ def cmd_verify(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     rows += [("quadrature", f"j={j}", quadrature_check(q, j)) for j in range(1, n // 2 + 1)]
     rows += [("reversibility", label, reversibility_check(q, n, label)) for label in labels]
     rows.append(("covariance", "collective_lowering", covariance_residual(n)))
-
+    comment = (("n", n), ("lambda", lam), ("direction", direction), ("tol", tol), ("seed", args.seed))
     ok = all(residual < tol for _, _, residual in rows)
-    return 0 if ok else 1, [
-        f"# n={n} lambda={_num(lam)} direction=({_num(direction[0])},{_num(direction[1])},"
-        f"{_num(direction[2])}) tol={_num(tol)} seed={args.seed}",
-        d.join(("check", "label", "residual")),
-        *(d.join((check, str(label), _num(residual))) for check, label, residual in rows),
-        f"status={'pass' if ok else 'fail'}",
-    ]
+    return Report(comment=comment, header=("check", "label", "residual"), rows=rows, verdict=ok)
 
 
-def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+def cmd_simulate(args: argparse.Namespace) -> Report:
     from . import protocol
 
     n, lam = args.n, args.lam
     keep = args.dump_trials is not None
+    if keep and args.out is not None and os.path.realpath(args.out) == os.path.realpath(args.dump_trials):
+        raise UsageError(f"--out and --dump-trials name the same file {args.out!r}")
     run = protocol.run_protocol_dense if args.dense else protocol.run_protocol
     summary = run(MixedQubit(lam), n, args.trials, args.seed, keep_outcomes=keep)
     if keep:
@@ -152,26 +168,17 @@ def cmd_simulate(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
     fidelity_target = analytics.mean_fidelity(n, lam)
     yield_z = _z_score(summary.empirical_yield, yield_target, summary.yield_se)
     fidelity_z = _z_score(summary.empirical_mean_fidelity, fidelity_target, summary.fidelity_se)
-    hist = ";".join(f"{j}:{count}" for j, count in sorted(summary.histogram.items()))
-    ok = abs(yield_z) < 4.0 and abs(fidelity_z) < 4.0
-    return 0 if ok else 1, [
-        f"n={n}",
-        f"lambda={_num(lam)}",
-        f"trials={args.trials}",
-        f"seed={args.seed}",
-        f"mode={summary.mode}",
-        f"empirical_yield={_num(summary.empirical_yield)}",
-        f"yield_se={_num(summary.yield_se)}",
-        f"yield_target={_num(yield_target)}",
-        f"yield_z={_num(yield_z)}",
-        f"empirical_mean_fidelity={_num(summary.empirical_mean_fidelity)}",
-        f"fidelity_se={_num(summary.fidelity_se)}",
-        f"fidelity_target={_num(fidelity_target)}",
-        f"fidelity_z={_num(fidelity_z)}",
-        f"histogram={hist}",
-        f"norm_defect={_num(summary.norm_defect)}",
-        f"status={'pass' if ok else 'fail'}",
-    ]
+    return Report(
+        values=(
+            ("n", n), ("lambda", lam), ("trials", args.trials), ("seed", args.seed), ("mode", summary.mode),
+            ("empirical_yield", summary.empirical_yield), ("yield_se", summary.yield_se),
+            ("yield_target", yield_target), ("yield_z", yield_z),
+            ("empirical_mean_fidelity", summary.empirical_mean_fidelity), ("fidelity_se", summary.fidelity_se),
+            ("fidelity_target", fidelity_target), ("fidelity_z", fidelity_z),
+            ("histogram", summary.histogram), ("norm_defect", summary.norm_defect),
+        ),
+        verdict=abs(yield_z) < 4.0 and abs(fidelity_z) < 4.0,
+    )
 
 
 def _z_score(value: float, target: float, se: float) -> float:
@@ -181,7 +188,7 @@ def _z_score(value: float, target: float, se: float) -> float:
     return diff / se
 
 
-def cmd_figure1(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+def cmd_figure1(args: argparse.Namespace) -> Report:
     analytics._check_multiplicity_size(args.n)  # the largest N, refused before the smaller ones run
     n_values = list(range(2, args.n + 1, 2))
     curves = {lam: [] for lam in args.lam}  # a repeated lam shares one curve
@@ -190,10 +197,8 @@ def cmd_figure1(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
             curve.append(cloning.estimation_lambda(n, lam))
     if args.plot:
         _render_figure1(args.plot, n_values, curves)
-    lines = [d.join(("N", "lambda", "lambda_mix_inf"))]
-    for lam in args.lam:
-        lines.extend(d.join((str(n), _num(lam), _num(value))) for n, value in zip(n_values, curves[lam]))
-    return 0, lines
+    rows = [(n, lam, value) for lam in args.lam for n, value in zip(n_values, curves[lam])]
+    return Report(header=("N", "lambda", "lambda_mix_inf"), rows=rows)
 
 
 def _render_figure1(path: str, n_values, curves) -> None:
@@ -214,17 +219,16 @@ def _render_figure1(path: str, n_values, curves) -> None:
     plt.close(fig)
 
 
-def cmd_clone(args: argparse.Namespace, d: str) -> tuple[int, list[str]]:
+def cmd_clone(args: argparse.Namespace) -> Report:
     n, lam, m_out = args.n, args.lam, args.m
     spect = analytics.block_spectrum(n, lam)
-    lines = [d.join(("j", "p_j", "f_j", "f_pur", "term"))]
-    for row, (f_pure, term) in zip(spect.rows, cloning.clone_terms(spect, m_out)):
-        lines.append(d.join((str(row.j), _num(row.probability), _num(row.fidelity), _num(f_pure), _num(term))))
+    columns = zip(spect.probabilities, spect.fidelities, cloning.clone_terms(spect, m_out))
+    rows = [(j, p, f, f_pure, term) for j, (p, f, (f_pure, term)) in enumerate(columns)]
     f_mix = cloning.mixed_cloning_fidelity(n, m_out, lam)
-    lines.append(f"F_mix={_num(f_mix)}")
-    lines.append(f"lambda_mix={_num(2.0 * f_mix - 1.0)}")
-    lines.append(f"lambda_mix_inf={_num(cloning.estimation_lambda(n, lam))}")
-    return 0, lines
+    values = (
+        ("F_mix", f_mix), ("lambda_mix", 2.0 * f_mix - 1.0), ("lambda_mix_inf", cloning.estimation_lambda(n, lam))
+    )
+    return Report(header=("j", "p_j", "f_j", "f_pur", "term"), rows=rows, values=values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, lines = args.func(args, "\t" if args.fmt == "tsv" else ",")
-        text = "".join(line + "\n" for line in lines)
+        report = args.func(args)
+        text = _render(report, "\t" if args.fmt == "tsv" else ",")
         if args.out is None:
             sys.stdout.write(text)
         else:
@@ -290,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 1 if report.verdict is not None and not report.verdict else 0
 
 
 if __name__ == "__main__":

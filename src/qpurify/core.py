@@ -56,6 +56,15 @@ def _mem_available_bytes() -> int | None:
         return None
 
 
+def _check_memory(needed: int, subject: str, what: str = "") -> None:
+    """Raise SizeLimitError when ``needed`` bytes exceed MemAvailable; do nothing where that cannot be read."""
+    available = _mem_available_bytes()
+    if available is not None and needed > available:
+        raise SizeLimitError(
+            f"{subject} needs about {needed / 2**20:.3g} MiB{what}, more than the {available / 2**20:.3g} MiB available"
+        )
+
+
 # namedtuple's own _make, which _replace also calls, skips __new__ and so its checks
 _checked_make = classmethod(lambda cls, fields: cls(*fields))
 

@@ -19,7 +19,7 @@ from array import array
 from collections import namedtuple
 
 from . import analytics
-from .core import MixedQubit, SizeLimitError, _mem_available_bytes
+from .core import MixedQubit, _check_memory
 
 
 _CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text
@@ -206,13 +206,8 @@ def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
     order over ``outcomes`` outcomes larger than the available memory."""
     if not 1 <= trials < 2**63:
         raise ValueError(f"trials must lie in 1..2**63 - 1, got {trials}")
-    available = _mem_available_bytes() if keep_outcomes else None
-    size = trials * array(_typecode(outcomes)).itemsize  # the order _simulate keeps
-    if available is not None and size > available:
-        raise SizeLimitError(
-            f"keeping {trials} trial outcomes needs about {size / 2**20:.3g} MiB, "
-            f"more than the {available / 2**20:.3g} MiB available"
-        )
+    if keep_outcomes:
+        _check_memory(trials * array(_typecode(outcomes)).itemsize, f"keeping {trials} trial outcomes")
 
 
 def _simulate(

@@ -192,11 +192,11 @@ class TestBasisConstruction:
     def test_memory_estimate_follows_the_block_route(self, monkeypatch):
         # n = 10 needs about 95 MiB: the 8 MiB basis, four complex copies of the
         # 375-row spin-2 sector and 64 MiB; eight complex 2^10-square matrices were 128 MiB
-        monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 100 * 2**20)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
         assert build_schur_basis(10).n == 10
 
     def test_memory_check_skipped_without_meminfo(self, monkeypatch):
-        monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: None)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
         assert build_schur_basis(4).n == 4
 
 

@@ -110,7 +110,7 @@ class TestVerify:
 
     def test_memory_estimate_usage_error(self, capsys, monkeypatch):
         # the n = 4 estimate is about 64 MiB, nearly all of it the fixed allowance
-        monkeypatch.setattr("qpurify.blocks._mem_available_bytes", lambda: 1024)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 1024)
         assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: n=4 needs about") and err.count("\n") == 1
@@ -207,6 +207,20 @@ class TestSimulate:
         rows = dump.read_text().splitlines()
         assert rows[0] == "trial,j,alpha,kept,fidelity"
         assert len(rows) == 501
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_dump_and_out_naming_one_file_is_refused_before_the_work(self, existing, tmp_path, monkeypatch, capsys):
+        # ./x.csv and x.csv are one file; the dump would be overwritten by the report
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            Path("x.csv").write_text("kept\n")
+        args = ("simulate", "--n", "20", "--lambda", "0.6", "--trials", "100", "--seed", "1")
+        assert run_cli(*args, "--dump-trials", "x.csv", out="./x.csv") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --out and --dump-trials name the same file")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == (["x.csv"] if existing else [])
+        assert not existing or Path("x.csv").read_text() == "kept\n"
 
 
 class TestFigure1:
@@ -325,6 +339,32 @@ def test_output_bytes_golden(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "stats --n 8 --lambda 0.5",
+        "clone --n 4 --m 8 --lambda 0.5",
+        "figure1 --n 10",
+        "simulate --n 20 --lambda 0.6 --trials 1000 --seed 1",
+        "simulate --dense --n 4 --lambda 0.5 --trials 500 --seed 2",
+        "verify --n 4 --lambda 0.37",
+        "verify --n 2 --lambda 0.5 --tol 1e-20",
+    ],
+)
+def test_one_writer_for_every_command(argv, tmp_path, capsys):
+    # the delimiter is the only difference between csv and tsv, --out holds the bytes stdout gets,
+    # and exit 1 goes with a last line of status=fail
+    code = main(argv.split())
+    csv = capsys.readouterr().out
+    assert main([*argv.split(), "--format", "tsv"]) == code
+    assert capsys.readouterr().out.replace("\t", ",") == csv
+    assert main([*argv.split(), "--out", str(tmp_path / "out.txt")]) == code
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.txt").read_bytes() == csv.encode()
+    assert (code == 1) == (csv.splitlines()[-1] == "status=fail")
+    assert code in (0, 1)
+
+
 # blocks numpy before the first import of qpurify, so any import of it fails
 _WITHOUT_NUMPY = (
     "import sys; sys.modules['numpy'] = None; import qpurify; from qpurify.cli import main; "
@@ -377,7 +417,7 @@ class TestClosedFormSizeGuard:
         ],
     )
     def test_oversized_n_is_one_error_line_before_any_build(self, argv, capsys, monkeypatch):
-        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", lambda: 100 * 2**20)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
         analytics._multiplicity_columns.cache_clear()
         analytics._lambda_columns.cache_clear()
         assert main(argv.split()) == 2
@@ -388,7 +428,7 @@ class TestClosedFormSizeGuard:
 
     def test_runs_as_before_without_meminfo(self, capsys, monkeypatch):
         # 40000 is above the 64 MiB below which no memory figure is read
-        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", lambda: None)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
         assert main("clone --n 40000 --m inf --lambda 0.6".split()) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == f"lambda_mix_inf={cloning.estimation_lambda(40000, 0.6)!r}"
@@ -397,7 +437,7 @@ class TestClosedFormSizeGuard:
         def unread():
             raise AssertionError("MemAvailable read below 64 MiB of d_j")
 
-        monkeypatch.setattr("qpurify.analytics._mem_available_bytes", unread)
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", unread)
         analytics._multiplicity_columns.cache_clear()
         assert main("clone --n 36000 --m inf --lambda 0.6".split()) == 0
         assert main("figure1 --n 200".split()) == 0

@@ -274,3 +274,14 @@ class TestRandomDirectionFromTheStandardLibrary:
         sample = np.array([random_direction(rng) for _ in range(10_000)])
         sigma = math.sqrt(1.0 / 3.0 / len(sample))
         assert np.all(np.abs(sample.mean(axis=0)) < 4.0 * sigma)
+
+
+def test_memory_refusal_names_the_need_and_the_available_memory(monkeypatch):
+    from qpurify.core import _check_memory
+
+    monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 3 * 2**20)
+    _check_memory(3 * 2**20, "n=4")
+    with pytest.raises(SizeLimitError, match=r"^n=4 needs about 4 MiB of dense arrays, more than the 3 MiB available$"):
+        _check_memory(4 * 2**20, "n=4", " of dense arrays")
+    monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
+    _check_memory(2**80, "n=4")

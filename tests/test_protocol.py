@@ -354,12 +354,12 @@ def test_outcome_dump_memory_is_bounded(tmp_path):
 
 def test_kept_outcomes_must_fit_in_memory(monkeypatch):
     # 1 byte a trial: 11 outcomes at N = 20, 6 labels at n = 4
-    monkeypatch.setattr("qpurify.protocol._mem_available_bytes", lambda: 999)
+    monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 999)
     with pytest.raises(SizeLimitError):
         run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True)
     with pytest.raises(SizeLimitError):
         run_protocol_dense(MixedQubit(0.6), 4, 1000, 1, keep_outcomes=True)
     assert run_protocol(MixedQubit(0.6), 20, 1000, 1).outcomes is None
     assert len(run_protocol(MixedQubit(0.6), 20, 999, 1, keep_outcomes=True).outcomes) == 999
-    monkeypatch.setattr("qpurify.protocol._mem_available_bytes", lambda: None)
+    monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
     assert len(run_protocol(MixedQubit(0.6), 20, 1000, 1, keep_outcomes=True).outcomes) == 1000
