@@ -26,7 +26,7 @@ _MODULES = {
     "blocks": "block_swap build_schur_basis density_matrix dicke_state haar_unitary kron_power max_abs "
     "measure_block outer partial_trace qubit_eigenstates random_direction",
     "cloning": "estimation_lambda mixed_cloning_fidelity pure_cloning_fidelity",
-    "core": "BlockLabel MixedQubit SizeLimitError dense_cap",
+    "core": "DENSE_CAP BlockLabel MixedQubit SizeLimitError",
     "oracle": "block_state_matrix covariance_residual purification_map_outputs quadrature_check "
     "reversibility_check verify_decomposition",
     "protocol": "run_protocol run_protocol_dense write_outcomes_csv",

@@ -25,7 +25,7 @@ from collections import namedtuple
 import numpy as np
 
 from .analytics import multiplicity
-from .core import BlockLabel, MixedQubit, SizeLimitError, _check_memory, _check_register, dense_cap
+from .core import DENSE_CAP, BlockLabel, MixedQubit, SizeLimitError, _check_memory, _check_register
 
 
 def _fix_global_phase(v: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
 
     The first factor is the most significant one, so for qubit operators
     the result follows the register ordering of this package.  Raises
-    SizeLimitError once the total dimension exceeds 2^dense_cap().
+    SizeLimitError once the total dimension exceeds 2^DENSE_CAP.
     """
     a = np.asarray(a, dtype=complex)
     if n < 1:
@@ -80,11 +80,8 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("matrix factor must be square")
     if a.ndim not in (1, 2):
         raise ValueError("factor must be a vector or a matrix")
-    if a.shape[0] ** n > 2 ** dense_cap():
-        raise SizeLimitError(
-            f"{n} factors of dimension {a.shape[0]} exceed the dense cap "
-            f"of {dense_cap()} qubits"
-        )
+    if a.shape[0] ** n > 2**DENSE_CAP:
+        raise SizeLimitError(f"{n} factors of dimension {a.shape[0]} exceed the dense cap of {DENSE_CAP} qubits")
     out = a
     for _ in range(n - 1):
         out = np.kron(out, a)
@@ -286,8 +283,8 @@ def _build_basis(n: int) -> SchurBasis:
 
 def _check_dense(n: int) -> None:
     _check_register(n)
-    if n > dense_cap():
-        raise SizeLimitError(f"n={n} exceeds the dense cap of {dense_cap()} qubits")
+    if n > DENSE_CAP:
+        raise SizeLimitError(f"n={n} exceeds the dense cap of {DENSE_CAP} qubits")
 
 
 def build_schur_basis(n: int) -> SchurBasis:
@@ -296,12 +293,12 @@ def build_schur_basis(n: int) -> SchurBasis:
     Qubit pairs couple in register order; alpha numbers the coupling paths
     as ``_add_pair`` lists them, so copy 1 is seed_vector(n, j, .) and
     copies 1..d_j(n - 2) are the n - 2 basis followed by a singlet.  Cached
-    per n and immutable.  Raises SizeLimitError above the dense cap, or
-    when the dense work would not fit in the available memory: the real
-    basis (8 4^n bytes), four complex copies of the largest spin sector
-    for the temporaries of ``power_coordinates``, and 64 MiB for buffers
-    and allocator slack.  At 12 qubits that is 536 MiB, above the 410 MiB
-    peak of ``qpurify verify``.
+    per n and immutable, but every call checks again: it raises
+    SizeLimitError above DENSE_CAP qubits, or when the dense work would not
+    fit in the memory available then: the real basis (8 4^n bytes), four
+    complex copies of the largest spin sector for the temporaries of
+    ``power_coordinates``, and 64 MiB for buffers and allocator slack.  At
+    12 qubits that is 536 MiB, above the 410 MiB peak of ``qpurify verify``.
     """
     _check_dense(n)
     sector = max(multiplicity(n, j) * (2 * j + 1) for j in range(n // 2 + 1))

@@ -14,36 +14,23 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from collections import namedtuple
 
-DEFAULT_QUBIT_CAP = 12
-CAP_ENV_VAR = "SCHUR_CAP"
+# Largest register, in qubits, for dense objects.  On a 2-core machine
+# ``qpurify verify`` takes 0.46 s at 10 qubits and 3.2-3.7 s at 410 MiB at
+# 12.  At 14 the real basis alone takes 2.1 GB, and ``build_schur_basis``
+# estimates 7.0 GiB for the whole dense route, so it would also need that
+# much available memory.
+DENSE_CAP = 12
 
 
 class SizeLimitError(ValueError):
-    """A request would exceed the dense cap or the available memory, or the cap is unreadable."""
+    """A request would exceed the dense cap of DENSE_CAP qubits or the available memory."""
 
 
 def _check_register(n: int) -> None:
     if n < 2 or n % 2:
         raise ValueError(f"register size must be a positive even integer, got {n}")
-
-
-def dense_cap() -> int:
-    """Maximum register size, in qubits, for dense objects.
-
-    The SCHUR_CAP environment variable overrides the built-in default of
-    12 qubits.  On a 2-core machine ``qpurify verify`` takes 0.46 s at 10
-    qubits and 3.2-3.7 s at 410 MiB at 12.  At 14 the real basis alone takes
-    2.1 GB, and ``build_schur_basis`` estimates 7.0 GiB for the whole
-    dense route, so it also needs that much available memory.
-    """
-    env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_QUBIT_CAP)
-    try:
-        return int(env)
-    except ValueError:
-        raise SizeLimitError(f"{CAP_ENV_VAR} must be an integer qubit count, got {env!r}") from None
 
 
 def _mem_available_bytes() -> int | None:

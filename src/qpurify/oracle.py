@@ -60,9 +60,10 @@ def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _power_coordinates(q: MixedQubit, n: int) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The blocks of q's n-fold power, and an empty store for the reversibility lifts of the same basis."""
-    return power_coordinates(build_schur_basis(n), density_matrix(q)), {}
+def _power_coordinates(q: MixedQubit, n: int) -> tuple[SchurBasis, dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The basis, the blocks of q's n-fold power on it, and an empty store for its reversibility lifts."""
+    basis = build_schur_basis(n)
+    return basis, power_coordinates(basis, density_matrix(q)), {}
 
 
 def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLabel, float]]:
@@ -78,7 +79,7 @@ def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLa
     BlockLabel: the normalised block against block_state_matrix.  The rows
     are returned whatever the residuals are; the caller judges them.
     """
-    coords, _ = _power_coordinates(q, n)
+    basis, coords, _ = _power_coordinates(q, n)
     post_state = []
     copy_traces = 0.0
     for j, blocks in coords.items():
@@ -92,7 +93,7 @@ def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLa
                 post_state.append(("post_state", BlockLabel(j, alpha), max_abs(measured / prob - predicted)))
     weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
     return [
-        ("decomposition", "orthonormality", orthonormality_residual(build_schur_basis(n))),
+        ("decomposition", "orthonormality", orthonormality_residual(basis)),
         ("decomposition", "off_block_weight", abs(weight - (q.c0**2 + q.c1**2) ** n)),
         ("decomposition", "copy_traces", copy_traces),
         *sorted(post_state),
@@ -159,11 +160,11 @@ def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     singlet pairs, re-appending fresh singlets and projecting back must
     reproduce the block exactly.  The round trip contracts copy 1's rows as
     (2j+1, 2^2j kept, 2^(n-2j) discarded), with no 2^n or 2^2j square matrix.
-    The tensor power's block coordinates are computed once per (q, n).  The
-    lift, (2^(n-2j), 2j+1, 2j+1) slices of the round trip, is built once
-    per spin and stored beside those coordinates, so the copies of a spin
-    share it and it goes when they go.  Each label still pays the cap
-    check, its label validation and one (2j+1)-square sandwich per slice.
+    The basis and the tensor power's block coordinates, with the cap and
+    memory checks, come once per (q, n).  The lift, (2^(n-2j), 2j+1, 2j+1)
+    slices of the round trip, is built once per spin and stored beside
+    them, so the copies of a spin share it and it goes when they go.  Each
+    label pays only its validation and one (2j+1)-square sandwich per slice.
 
     build_schur_basis makes copy 1 the Dicke rows followed by singlet
     pairs, so the lift is the Dicke rows times the singlet amplitudes s and
@@ -171,9 +172,8 @@ def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
     therefore tests that factorisation of the basis, once per label; it
     cannot fail for a measured block.
     """
-    basis = build_schur_basis(n)
+    basis, coords, lifts = _power_coordinates(q, n)
     basis.block(label.j, label.alpha)  # label validation
-    coords, lifts = _power_coordinates(q, n)
     measured = coords[label.j][label.alpha - 1]
     prob = float(np.trace(measured).real)
     if prob < _PROB_FLOOR:

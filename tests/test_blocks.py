@@ -182,12 +182,11 @@ class TestBasisConstruction:
                 lowered = collective_lowering(basis.block(j, alpha)[0], n)
                 assert np.linalg.norm(lowered) < 1e-10
 
-    def test_rejects_odd_or_oversized(self, monkeypatch):
+    def test_rejects_odd_or_oversized(self):
         with pytest.raises(ValueError):
             build_schur_basis(5)
-        monkeypatch.setenv("SCHUR_CAP", "1")
-        with pytest.raises(SizeLimitError):
-            build_schur_basis(2)
+        with pytest.raises(SizeLimitError, match="dense cap of 12 qubits"):
+            build_schur_basis(14)
 
     def test_memory_estimate_follows_the_block_route(self, monkeypatch):
         # n = 10 needs about 95 MiB: the 8 MiB basis, four complex copies of the
@@ -211,7 +210,7 @@ class TestCouplingPaths:
         src = str(Path(qpurify.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, SCHUR_CAP="10")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             done = subprocess.run(
                 [sys.executable, "-c", _BASIS_DIGEST], env=env, capture_output=True, text=True

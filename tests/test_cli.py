@@ -4,6 +4,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,11 +103,26 @@ class TestVerify:
         assert run_cli("verify", "--n", "14", "--lambda", "0.5") == 2
         assert "cap" in capsys.readouterr().err
 
-    def test_non_integer_cap_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SCHUR_CAP", "abc")
-        assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: SCHUR_CAP") and err.count("\n") == 1
+    @pytest.mark.parametrize("value", ["abc", "20"])
+    def test_cap_ignores_the_environment(self, value, capsys, monkeypatch):
+        # the cap is a constant: no variable can break it or lift it
+        monkeypatch.setenv("SCHUR_CAP", value)
+        assert run_cli("verify", "--n", "4", "--lambda", "0.5") == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run_cli("verify", "--n", "14", "--lambda", "0.5") == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n=14 exceeds the dense cap of 12 qubits\n"
+
+    def test_dense_gate_passed_once_per_basis(self, capsys, monkeypatch):
+        # one MemAvailable read for the blocks' basis and one for covariance_residual's, not one per label
+        reads = []
+        real = qpurify.core._mem_available_bytes
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: reads.append(1) or real())
+        qpurify.oracle._power_coordinates.cache_clear()
+        assert run_cli("verify", "--n", "8", "--lambda", "0.6", "--seed", "1") == 0
+        assert len(reads) == 2
 
     def test_memory_estimate_usage_error(self, capsys, monkeypatch):
         # the n = 4 estimate is about 64 MiB, nearly all of it the fixed allowance
@@ -542,7 +558,7 @@ def test_verify_covariance_row_reads_only_the_basis(capsys):
         ("clone --n 4 --m four --lambda 0.5", {}),
         ("clone --n 4 --m 0 --lambda 0.5", {}),
         ("simulate --n 20 --lambda 0.6 --trials 0 --seed 1", {}),
-        ("verify --n 4 --lambda 0.5", {"SCHUR_CAP": "abc"}),
+        ("verify --n 14 --lambda 0.5", {"SCHUR_CAP": "abc"}),
         ("stats --n 4 --lambda 0.5 --out {missing}/x.csv", {}),
         ("simulate --n 20 --lambda 0.6 --trials 10 --seed 1 --dump-trials {missing}/d.csv", {}),
         ("stats --n 4 --lambda 0.5 --out ''", {}),

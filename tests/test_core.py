@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpurify import (
+    DENSE_CAP,
     BlockLabel,
     MixedQubit,
     SizeLimitError,
     block_spectrum,
     block_swap,
     build_schur_basis,
-    dense_cap,
     density_matrix,
     haar_unitary,
     kron_power,
@@ -209,13 +209,7 @@ class TestKronPower:
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
-            kron_power(np.eye(2), dense_cap() + 1)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SCHUR_CAP", "4")
-        assert dense_cap() == 4
-        with pytest.raises(SizeLimitError):
-            kron_power(np.eye(2), 5)
+            kron_power(np.eye(2), DENSE_CAP + 1)
 
 
 class TestPartialTrace:
