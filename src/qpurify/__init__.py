@@ -27,8 +27,7 @@ _MODULES = {
     "measure_block outer partial_trace qubit_eigenstates random_direction",
     "cloning": "estimation_lambda mixed_cloning_fidelity pure_cloning_fidelity",
     "core": "DENSE_CAP BlockLabel MixedQubit SizeLimitError",
-    "oracle": "block_state_matrix covariance_residual purification_map_outputs quadrature_check "
-    "reversibility_check verify_decomposition",
+    "oracle": "block_state_matrix covariance_residual purification_map_outputs quadrature_check verify_decomposition",
     "protocol": "run_protocol run_protocol_dense write_outcomes_csv",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}

@@ -53,10 +53,9 @@ def qubit_eigenstates(q: MixedQubit) -> tuple[np.ndarray, np.ndarray]:
     return _fix_global_phase(aligned), _fix_global_phase(anti)
 
 
-def outer(u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """Dense |u><v| (|u><u| when v is omitted)."""
-    w = u if v is None else v
-    return np.outer(u, w.conj())
+def outer(u: np.ndarray) -> np.ndarray:
+    """Dense |u><u|."""
+    return np.outer(u, u.conj())
 
 
 def density_matrix(q: MixedQubit) -> np.ndarray:
@@ -124,9 +123,9 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-distributed unitary: complex Ginibre QR with the phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 2x2 unitary: complex Ginibre QR with the phase fix."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     qmat, rmat = np.linalg.qr(z / math.sqrt(2.0))
     diag = np.diagonal(rmat)
     return qmat * (diag / np.abs(diag))

@@ -72,7 +72,8 @@ Report = namedtuple("Report", "comment header rows values verdict", defaults=(()
 
 def _text(value) -> str:
     """A float in shortest round-trip form, a plain tuple as ``(x,y,z)``, a dict as ``k:v;k:v`` by key, and
-    anything else by ``str``: an integer exactly, or as <mantissa>e<exponent> past Python's int-to-str limit."""
+    anything else by ``str``: an integer exactly, or past Python's int-to-str limit as <mantissa>e<exponent>
+    with only the digits that the float logarithm fixes."""
     if isinstance(value, float):
         return repr(float(value))  # a numpy scalar's own repr names its type
     if type(value) is tuple:  # not a named tuple such as BlockLabel, which has its own str
@@ -83,7 +84,14 @@ def _text(value) -> str:
         return str(value)
     except ValueError:  # an integer past the limit
         log = math.log10(value)
-        return f"{10 ** (log - math.floor(log))!r}e{math.floor(log)}"
+        exponent = math.floor(log)
+        # the log is off by a few units in its last place, ln(10) times that relative error in the mantissa,
+        # so round to the places in which that error is under half a unit: the exact count is within one unit
+        # of the last printed digit
+        mantissa = round(10 ** (log - exponent), math.floor(-math.log10(400 * math.ulp(log))))
+        if mantissa == 10:  # 9.99...95 and up rounds into the next decade
+            mantissa, exponent = 1.0, exponent + 1
+        return f"{mantissa!r}e{exponent}"
 
 
 def _render(report: Report, d: str) -> str:
@@ -134,19 +142,13 @@ def cmd_stats(args: argparse.Namespace) -> Report:
 def cmd_verify(args: argparse.Namespace) -> Report:
     import random
 
-    from .blocks import random_direction
-    from .oracle import covariance_residual, quadrature_check, reversibility_check, verify_decomposition
+    from .blocks import build_schur_basis, random_direction
+    from .oracle import verify_decomposition
 
     n, lam = args.n, args.lam
     tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
     direction = random_direction(random.Random(args.seed))
-    q = MixedQubit(lam, direction)
-
-    rows = verify_decomposition(q, n)
-    labels = [label for check, label, _ in rows if check == "post_state"]  # the defined post-states
-    rows += [("quadrature", f"j={j}", quadrature_check(q, j)) for j in range(1, n // 2 + 1)]
-    rows += [("reversibility", label, reversibility_check(q, n, label)) for label in labels]
-    rows.append(("covariance", "collective_lowering", covariance_residual(n)))
+    rows = verify_decomposition(MixedQubit(lam, direction), build_schur_basis(n))
     comment = (("n", n), ("lambda", lam), ("direction", direction), ("tol", tol), ("seed", args.seed))
     ok = all(residual < tol for _, _, residual in rows)
     return Report(comment=comment, header=("check", "label", "residual"), rows=rows, verdict=ok)

@@ -8,9 +8,11 @@ whole weight of the power, and each copy's trace and normalised block
 match the closed forms; block states are rebuilt by quadrature over pure
 components; the maps are reversible; and the rows obey the collective
 lowering relation, so the maps commute with every rotation.  Each check
-returns its residuals, ``verify_decomposition`` as the (check, label,
-residual) rows that ``qpurify verify`` prints, and never raises on their
-size: the tolerance and the verdict belong to ``qpurify verify``.
+returns its residuals.  ``verify_decomposition(q, basis)`` runs them all
+on the basis it is given, from one ``power_coordinates`` call, and
+returns the (check, label, residual) rows that ``qpurify verify`` prints.
+Nothing is cached, and no check raises on the size of a residual: the
+tolerance and the verdict belong to ``qpurify verify``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from .analytics import block_probability, cross_power_sum
-from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates, build_schur_basis
+from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates
 from .blocks import collective_lowering, density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates
 from .blocks import qubit_eigenstates
 from .core import BlockLabel, MixedQubit
@@ -59,44 +61,51 @@ def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
     return (rot * weights) @ rot.conj().T
 
 
-@functools.lru_cache(maxsize=1)
-def _power_coordinates(q: MixedQubit, n: int) -> tuple[SchurBasis, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The basis, the blocks of q's n-fold power on it, and an empty store for its reversibility lifts."""
-    basis = build_schur_basis(n)
-    return basis, power_coordinates(basis, density_matrix(q)), {}
-
-
-def verify_decomposition(q: MixedQubit, n: int) -> list[tuple[str, str | BlockLabel, float]]:
+def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, str | BlockLabel, float]]:
     """Residuals of rho^(x n) = sum_j p_j rho_j (x) 1_{d_j} on the blocks of ``q``'s tensor power.
 
     The (check, label, residual) rows that ``qpurify verify`` prints, all
-    in block coordinates.  Three ``decomposition`` rows: the basis rows are
-    orthonormal (``orthonormality_residual``); the blocks B hold the whole
-    weight, |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis
-    vanishes exactly when every off-diagonal block does; and each copy's
-    trace is p_j / d_j.  Then one ``post_state`` row per block whose
-    post-state is defined (trace >= ``_PROB_FLOOR``), labelled by its
-    BlockLabel: the normalised block against block_state_matrix.  The rows
-    are returned whatever the residuals are; the caller judges them.
+    in block coordinates of one ``power_coordinates`` call.  Three
+    ``decomposition`` rows: the basis rows are orthonormal
+    (``orthonormality_residual``); the blocks B hold the whole weight,
+    |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis vanishes
+    exactly when every off-diagonal block does; and each copy's trace is
+    p_j / d_j.  Then one ``post_state`` row per block whose post-state is
+    defined (trace >= ``_PROB_FLOOR``), labelled by its BlockLabel: the
+    normalised block against block_state_matrix.  Then a ``quadrature``
+    row per spin j >= 1, a ``reversibility`` row per defined post-state and
+    the ``covariance`` row.  The rows are returned whatever the residuals
+    are; the caller judges them.
     """
-    basis, coords, _ = _power_coordinates(q, n)
-    post_state = []
+    n = basis.n
+    post_state, reversibility = [], []
     copy_traces = 0.0
+    coords = power_coordinates(basis, density_matrix(q))
     for j, blocks in coords.items():
         # every copy's block is the kept 2j-qubit state in Dicke coordinates
         predicted = block_state_matrix(q, j) if j > 0 else np.eye(1)
         share = block_probability(n, q.lam, j) / len(blocks)
+        lift = None
         for alpha, measured in enumerate(blocks, start=1):
             prob = float(np.trace(measured).real)
             copy_traces = max(copy_traces, abs(prob - share))
             if prob >= _PROB_FLOOR:
-                post_state.append(("post_state", BlockLabel(j, alpha), max_abs(measured / prob - predicted)))
+                if lift is None:  # once per spin: copy 1's rows as (2j+1, 2^2j kept, 2^(n-2j) discarded)
+                    first = basis.spins[j][0].reshape(2 * j + 1, 4**j, -1)
+                    back = first @ functools.reduce(np.kron, [SINGLET] * (n // 2 - j), np.ones(1))
+                    lift = np.einsum("xa,lar->rxl", back, first)  # kept ⊗ |singlets> projected back onto them
+                label, post = BlockLabel(j, alpha), measured / prob
+                post_state.append(("post_state", label, max_abs(post - predicted)))
+                reversibility.append(("reversibility", label, reversibility_check(lift, post)))
     weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
     return [
         ("decomposition", "orthonormality", orthonormality_residual(basis)),
         ("decomposition", "off_block_weight", abs(weight - (q.c0**2 + q.c1**2) ** n)),
         ("decomposition", "copy_traces", copy_traces),
         *sorted(post_state),
+        *(("quadrature", f"j={j}", quadrature_check(q, j)) for j in range(1, n // 2 + 1)),
+        *sorted(reversibility),
+        ("covariance", "collective_lowering", covariance_residual(basis)),
     ]
 
 
@@ -153,41 +162,22 @@ def quadrature_check(q: MixedQubit, j: int) -> float:
     return max_abs(rho_quad - block_state_matrix(q, j))
 
 
-def reversibility_check(q: MixedQubit, n: int, label: BlockLabel) -> float:
-    """Undo the protocol on one outcome and compare with the measured block.
+def reversibility_check(lift: np.ndarray, post: np.ndarray) -> float:
+    """Undo the protocol on one outcome and compare with its normalised block ``post``.
 
-    Lifting the block of ``label`` onto the first copy, discarding the
-    singlet pairs, re-appending fresh singlets and projecting back must
-    reproduce the block exactly.  The round trip contracts copy 1's rows as
-    (2j+1, 2^2j kept, 2^(n-2j) discarded), with no 2^n or 2^2j square matrix.
-    The basis and the tensor power's block coordinates, with the cap and
-    memory checks, come once per (q, n).  The lift, (2^(n-2j), 2j+1, 2j+1)
-    slices of the round trip, is built once per spin and stored beside
-    them, so the copies of a spin share it and it goes when they go.  Each
-    label pays only its validation and one (2j+1)-square sandwich per slice.
+    Lifting the block onto the first copy, discarding the singlet pairs,
+    re-appending fresh singlets and projecting back must reproduce the
+    block exactly.  ``lift`` is that round trip as (2^(n-2j), 2j+1, 2j+1)
+    slices, which ``verify_decomposition`` builds once per spin from copy
+    1's rows, so no 2^n or 2^2j square matrix appears and each block pays
+    one (2j+1)-square sandwich per slice.
 
     build_schur_basis makes copy 1 the Dicke rows followed by singlet
     pairs, so the lift is the Dicke rows times the singlet amplitudes s and
     the round trip returns sum(s^2) * post = post for any block.  The check
-    therefore tests that factorisation of the basis, once per label; it
+    therefore tests that factorisation of the basis, once per block; it
     cannot fail for a measured block.
     """
-    basis, coords, lifts = _power_coordinates(q, n)
-    basis.block(label.j, label.alpha)  # label validation
-    measured = coords[label.j][label.alpha - 1]
-    prob = float(np.trace(measured).real)
-    if prob < _PROB_FLOOR:
-        raise ValueError(
-            f"block (j={label.j}, alpha={label.alpha}) has probability {prob:.1e}; "
-            "post-measurement state undefined"
-        )
-    post = measured / prob
-    if label.j not in lifts:
-        first = basis.block(label.j, 1).reshape(2 * label.j + 1, 4**label.j, -1)
-        singlets = functools.reduce(np.kron, [SINGLET] * (n // 2 - label.j), np.ones(1))
-        back = first @ singlets  # kept ⊗ |singlets> projected back onto the first copy
-        lifts[label.j] = np.einsum("xa,lar->rxl", back, first)
-    lift = lifts[label.j]
     # kept = sum_r first[:, :, r]^T post first[:, :, r]; back kept back^H, one slice r at a time
     return max_abs((lift @ post @ lift.conj().transpose(0, 2, 1)).sum(axis=0) - post)
 
@@ -207,7 +197,7 @@ def purification_map_outputs(basis: SchurBasis, state: np.ndarray) -> dict[int, 
     return outs
 
 
-def covariance_residual(n: int) -> float:
+def covariance_residual(basis: SchurBasis) -> float:
     """Largest defect of the basis rows from the standard collective lowering relation.
 
     Every row must obey J- |j, m, alpha> = sqrt((j+m)(j-m+1)) |j, m-1, alpha>,
@@ -219,9 +209,9 @@ def covariance_residual(n: int) -> float:
     and no unitary needs to be sampled.
     """
     worst = 0.0
-    for j, rows in build_schur_basis(n).spins.items():
+    for j, rows in basis.spins.items():
         m = np.arange(1 - j, j + 1)
         expected = np.zeros_like(rows)
         expected[:, 1:] = np.sqrt((j + m) * (j - m + 1))[:, None] * rows[:, :-1]
-        worst = max(worst, max_abs(collective_lowering(rows, n) - expected))
+        worst = max(worst, max_abs(collective_lowering(rows, basis.n) - expected))
     return worst

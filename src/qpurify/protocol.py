@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from array import array
 from collections import namedtuple
@@ -307,19 +306,13 @@ def run_protocol_dense(
     return _simulate(n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
 
 
-def write_outcomes_csv(outcomes: TrialOutcomes, dest) -> None:
-    """Dump per-trial outcomes as CSV rows ``trial,j,alpha,kept,fidelity``.
+def write_outcomes_csv(outcomes: TrialOutcomes, fh) -> None:
+    """Dump per-trial outcomes to the open text file ``fh`` as CSV rows ``trial,j,alpha,kept,fidelity``.
 
     The text is built and written one chunk of trials at a time, from
     per-outcome ``,j,`` and ``,kept,fidelity`` strings."""
     head = [f",{j}," for j in outcomes.js]
     tail = [f",{2 * j},{fid!r}\n" for j, fid in zip(outcomes.js, outcomes.fids)]
-    own = isinstance(dest, (str, os.PathLike))
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        fh.write("trial,j,alpha,kept,fidelity\n")
-        for trials, idx, alphas in outcomes._chunks():
-            fh.write("".join([f"{t}{head[i]}{a}{tail[i]}" for t, i, a in zip(trials, idx, alphas)]))
-    finally:
-        if own:
-            fh.close()
+    fh.write("trial,j,alpha,kept,fidelity\n")
+    for trials, idx, alphas in outcomes._chunks():
+        fh.write("".join([f"{t}{head[i]}{a}{tail[i]}" for t, i, a in zip(trials, idx, alphas)]))

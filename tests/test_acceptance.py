@@ -26,7 +26,6 @@ from qpurify import (
     pure_cloning_fidelity,
     quadrature_check,
     random_direction,
-    reversibility_check,
     run_protocol,
     run_protocol_dense,
     qubit_eigenstates,
@@ -69,7 +68,8 @@ def test_criterion_02_decomposition_identity():
     for n in (2, 4, 6, 8):
         for _ in range(10):
             q = MixedQubit(float(rng.uniform(0, 1)), random_direction(rng))
-            worst = max(worst, *(residual for _, _, residual in verify_decomposition(q, n)))
+            rows = verify_decomposition(q, build_schur_basis(n))
+            worst = max(worst, *(residual for check, _, residual in rows if check in ("decomposition", "post_state")))
     ok = worst < 1e-9
     assert report(2, ok, f"worst reconstruction residual {worst:.2e}"), worst
 
@@ -307,12 +307,13 @@ def test_criterion_10_figure_reproduction(tmp_path):
 def test_criterion_11_covariance_and_reversibility():
     rng = np.random.default_rng(1111)
     q = MixedQubit(0.55, random_direction(rng))
-    cov = max(covariance_residual(n) for n in (4, 6))  # every copy a standard spin-j ladder
+    cov = max(covariance_residual(build_schur_basis(n)) for n in (4, 6))  # every copy a standard spin-j ladder
     ok = cov < 1e-9
     worst_rev = 0.0
     for n in (4, 6):
         basis = build_schur_basis(n)
-        for label in basis.labels():
-            worst_rev = max(worst_rev, reversibility_check(q, n, label))
+        reversibility = [residual for check, _, residual in verify_decomposition(q, basis) if check == "reversibility"]
+        assert len(reversibility) == len(basis.labels())  # every block of a mixed input is defined
+        worst_rev = max(worst_rev, *reversibility)
     ok = ok and worst_rev < 1e-10
     assert report(11, ok, f"covariance {cov:.2e}, reversibility {worst_rev:.2e}")

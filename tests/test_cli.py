@@ -12,7 +12,16 @@ import pytest
 
 import qpurify
 from qpurify import analytics, cloning, random_direction
-from qpurify.cli import main
+from qpurify.cli import _text, main
+
+
+def assert_digits_right(text, value):
+    """``text`` is <mantissa>e<exponent> with 1 <= mantissa < 10, within one unit of its last digit of ``value``."""
+    mantissa, exponent = text.split("e")
+    assert 1 <= float(mantissa) < 10
+    digits = mantissa.replace(".", "")
+    unit = 10 ** (int(exponent) - len(digits) + 1)
+    assert abs(int(digits) * unit - value) < unit
 
 
 def run_cli(*args, out=None):
@@ -64,11 +73,19 @@ class TestStats:
                 assert int(d) == row.multiplicity
                 continue
             scientific += 1
+            assert_digits_right(d, row.multiplicity)
             mantissa, exponent = d.split("e")
-            assert 1 <= float(mantissa) < 10
             error = Fraction(mantissa) * 10 ** int(exponent) - row.multiplicity
             assert abs(error) * 10**9 <= row.multiplicity
         assert scientific > 0
+
+    @pytest.mark.parametrize(
+        "value, text", [(3**200000, "1.78214868e95424"), (10**5000 - 1, "1.0e5000")], ids=["3**200000", "10**5000-1"]
+    )
+    def test_text_past_the_int_to_str_limit(self, value, text):
+        # 10^k - 1 rounds up into the next decade, never to a mantissa of 10
+        assert _text(value) == text
+        assert_digits_right(text, value)
 
     def test_tsv_format(self, capsys):
         assert run_cli("stats", "--n", "2", "--lambda", "0.5", "--format", "tsv") == 0
@@ -116,13 +133,12 @@ class TestVerify:
         assert out == "" and err == "error: n=14 exceeds the dense cap of 12 qubits\n"
 
     def test_dense_gate_passed_once_per_basis(self, capsys, monkeypatch):
-        # one MemAvailable read for the blocks' basis and one for covariance_residual's, not one per label
+        # one basis serves every row, so one MemAvailable read, not one per check or per label
         reads = []
         real = qpurify.core._mem_available_bytes
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: reads.append(1) or real())
-        qpurify.oracle._power_coordinates.cache_clear()
         assert run_cli("verify", "--n", "8", "--lambda", "0.6", "--seed", "1") == 0
-        assert len(reads) == 2
+        assert len(reads) == 1
 
     def test_memory_estimate_usage_error(self, capsys, monkeypatch):
         # the n = 4 estimate is about 64 MiB, nearly all of it the fixed allowance

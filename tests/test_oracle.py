@@ -21,10 +21,8 @@ from qpurify import (
     purification_map_outputs,
     quadrature_check,
     random_direction,
-    reversibility_check,
     verify_decomposition,
 )
-from qpurify import oracle
 from qpurify.analytics import cross_power_sum
 from qpurify.blocks import SINGLET, SchurBasis, dicke_rows
 from qpurify.blocks import outer, qubit_eigenstates
@@ -41,37 +39,54 @@ def row_residual(rows, label):
     return next(residual for _, row_label, residual in rows if row_label == label)
 
 
+def checked(rows, *checks):
+    return [row for row in rows if row[0] in checks]
+
+
+def reversibility_rows(q, n):
+    """The reversibility residual of every defined post-state, by label."""
+    return {label: residual for check, label, residual in verify(q, n) if check == "reversibility"}
+
+
+def verify(q, n):
+    return verify_decomposition(q, build_schur_basis(n))
+
+
 class TestVerifyDecomposition:
     def test_two_qubits_any_direction(self, rng):
         for lam in (0.0, 0.3, 0.8, 1.0):
-            rows = verify_decomposition(MixedQubit(lam, random_direction(rng)), 2)
+            rows = verify(MixedQubit(lam, random_direction(rng)), 2)
             assert worst_residual(rows) < 1e-10
 
     def test_pure_input_single_block(self, rng):
-        rows = verify_decomposition(MixedQubit(1.0, random_direction(rng)), 4)
+        rows = verify(MixedQubit(1.0, random_direction(rng)), 4)
         live = {label for check, label, _ in rows if check == "post_state"}
         assert live == {BlockLabel(2, 1)}
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_random_parameters(self, n, rng):
         for _ in range(3):
-            rows = verify_decomposition(random_qubit(rng), n)
+            rows = verify(random_qubit(rng), n)
             assert worst_residual(rows) < 1e-9
             # every copy's trace is p_j / d_j, so the traces sum to the closed-form total of one
             assert row_residual(rows, "copy_traces") < 1e-10
 
     def test_copy_probabilities_match_within_spin(self, rng):
         # the copy_traces row is the largest |tr B - p_j / d_j| over all copies
-        assert row_residual(verify_decomposition(random_qubit(rng), 6), "copy_traces") < 1e-10
+        assert row_residual(verify(random_qubit(rng), 6), "copy_traces") < 1e-10
 
     def test_report_rows_shape(self, rng):
-        rows = verify_decomposition(random_qubit(rng), 2)
+        rows = verify(random_qubit(rng), 2)
         assert [(check, str(label)) for check, label, _ in rows] == [
             ("decomposition", "orthonormality"),
             ("decomposition", "off_block_weight"),
             ("decomposition", "copy_traces"),
             ("post_state", "j=0;alpha=1"),
             ("post_state", "j=1;alpha=1"),
+            ("quadrature", "j=1"),
+            ("reversibility", "j=0;alpha=1"),
+            ("reversibility", "j=1;alpha=1"),
+            ("covariance", "collective_lowering"),
         ]
 
 
@@ -107,21 +122,14 @@ def _negate_copy(spins):  # |1,m,2> -> -|1,m,2> for every m: still a valid basis
     spins[1][1] *= -1
 
 
-def _mutated_rows(n, mutate, monkeypatch):
-    """The basis-dependent rows of ``qpurify verify`` on a mutated basis: decomposition and post_state,
-    reversibility and covariance."""
+_MUTATED_Q = MixedQubit(0.6, (0.48, 0.6, 0.64))
+
+
+def _mutated_rows(n, mutate):
+    """The rows of ``qpurify verify`` on a copy of the n-qubit basis after ``mutate`` of its spin arrays."""
     spins = {j: np.array(rows) for j, rows in build_schur_basis(n).spins.items()}
     mutate(spins)
-    monkeypatch.setattr(oracle, "build_schur_basis", lambda size: SchurBasis(size, spins))
-    oracle._power_coordinates.cache_clear()
-    q = MixedQubit(0.6, (0.48, 0.6, 0.64))
-    try:
-        rows = verify_decomposition(q, n)
-        labels = [label for check, label, _ in rows if check == "post_state"]
-        reversibility = [("reversibility", label, reversibility_check(q, n, label)) for label in labels]
-        return rows, reversibility, covariance_residual(n)
-    finally:
-        oracle._power_coordinates.cache_clear()
+    return verify_decomposition(_MUTATED_Q, SchurBasis(n, spins))
 
 
 _MUTATIONS = [
@@ -135,18 +143,24 @@ _MOVE_REVERSIBILITY = (_mix_spins, _rotate_copies, _unannihilated_singlet)
 
 
 @pytest.mark.parametrize("n, mutate", [pytest.param(n, f, id=f.__name__) for n, f in _MUTATIONS])
-def test_verify_fails_a_mutated_basis(n, mutate, monkeypatch):
-    rows, reversibility, covariance = _mutated_rows(n, mutate, monkeypatch)
-    assert worst_residual(rows) >= 1e-9
-    assert covariance >= 1e-9
-    assert (worst_residual(reversibility) >= 1e-9) == (mutate in _MOVE_REVERSIBILITY)
+def test_verify_fails_a_mutated_basis(n, mutate):
+    rows = _mutated_rows(n, mutate)
+    assert worst_residual(checked(rows, "decomposition", "post_state")) >= 1e-9
+    assert worst_residual(checked(rows, "covariance")) >= 1e-9
+    assert (worst_residual(checked(rows, "reversibility")) >= 1e-9) == (mutate in _MOVE_REVERSIBILITY)
 
 
-def test_verify_passes_a_negated_copy(monkeypatch):
+def test_verify_passes_a_negated_copy():
     # a copy's overall sign is a free choice of basis, so no row may see it
-    rows, reversibility, covariance = _mutated_rows(6, _negate_copy, monkeypatch)
-    assert worst_residual(rows + reversibility) < 1e-9
-    assert covariance < 1e-9
+    assert worst_residual(_mutated_rows(6, _negate_copy)) < 1e-9
+
+
+def test_each_basis_gets_its_own_rows():
+    # one q and n on a mutated basis, then on the real one: nothing of the first run may reach the second
+    mutated = _mutated_rows(8, _mix_spins)
+    real = verify_decomposition(_MUTATED_Q, build_schur_basis(8))
+    assert worst_residual(mutated) >= 1e-9
+    assert worst_residual(real) < 1e-9
 
 
 class TestMeasureBlock:
@@ -230,22 +244,26 @@ class TestGaussLegendre:
 class TestReversibility:
     def test_first_copy_trivial(self, rng):
         q = random_qubit(rng, lam=0.5)
-        assert reversibility_check(q, 4, BlockLabel(2, 1)) < 1e-12
+        assert reversibility_rows(q, 4)[BlockLabel(2, 1)] < 1e-12
 
     def test_four_qubit_swapped_copies(self, rng):
-        q = random_qubit(rng, lam=0.5)
+        rows = reversibility_rows(random_qubit(rng, lam=0.5), 4)
         for alpha in (2, 3):
-            assert reversibility_check(q, 4, BlockLabel(1, alpha)) < 1e-10
+            assert rows[BlockLabel(1, alpha)] < 1e-10
 
     def test_six_qubit_sweep(self, rng):
-        q = random_qubit(rng)
-        basis = build_schur_basis(6)
-        for label in basis.labels():
-            assert reversibility_check(q, 6, label) < 1e-9
+        rows = reversibility_rows(random_qubit(rng), 6)
+        assert list(rows) == build_schur_basis(6).labels()
+        assert max(rows.values()) < 1e-9
 
-    def test_vanishing_probability_rejected(self):
-        with pytest.raises(ValueError):
-            reversibility_check(MixedQubit(1.0), 2, BlockLabel(0, 1))
+    @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+    def test_rows_follow_the_defined_post_states(self, lam, rng):
+        for n in (2, 4):
+            rows = verify(MixedQubit(lam, random_direction(rng)), n)
+            post_state = [label for check, label, _ in rows if check == "post_state"]
+            assert [label for check, label, _ in rows if check == "reversibility"] == post_state
+            # a pure input leaves only the symmetric block, so j = 0 has neither row
+            assert (BlockLabel(0, 1) in post_state) == (lam < 1)
 
 
 def lab_frame_covariance(q, n, unitaries):
@@ -333,9 +351,11 @@ class TestKroneckerReferenceRoutes:
         q = random_qubit(rng)
         basis = build_schur_basis(n)
         state = kron_power(density_matrix(q), n)
+        reversibility = reversibility_rows(q, n)
         for label in basis.labels():
             prob, post = measure_block(state, basis, label)
             if post is None:
+                assert label not in reversibility
                 continue
             rows, first = basis.block(label.j, label.alpha), basis.block(label.j, 1)
             measured = rows @ post @ rows.T  # the post-state's block, relabelled as copy 1
@@ -345,12 +365,12 @@ class TestKroneckerReferenceRoutes:
             back = first.reshape(2 * label.j + 1, kept.shape[0], singlets.size) @ singlets
             old = max_abs(back @ kept @ back.conj().T - measured)
             assert old < 1e-12
-            assert abs(reversibility_check(q, n, label) - old) < 1e-12
+            assert abs(reversibility[label] - old) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_covariance(self, n, rng):
         # the sampled lab-frame route stays the independent check of what the ladder row implies
         unitaries = [haar_unitary(rng) for _ in range(3)] + [np.diag([1.0, 1j]), np.array([[0, 1], [1, 0]])]
         assert lab_frame_covariance(random_qubit(rng), n, unitaries) < 1e-12
-        assert covariance_residual(n) < 1e-12
+        assert covariance_residual(build_schur_basis(n)) < 1e-12
 

@@ -344,7 +344,8 @@ def test_outcome_dump_memory_is_bounded(tmp_path):
     tracemalloc.start()
     try:
         summary = run_protocol(MixedQubit(0.6), 100, 10**6, 3, keep_outcomes=True)
-        write_outcomes_csv(summary.outcomes, tmp_path / "trials.csv")
+        with open(tmp_path / "trials.csv", "w", encoding="utf-8", newline="") as fh:
+            write_outcomes_csv(summary.outcomes, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
