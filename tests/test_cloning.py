@@ -122,7 +122,7 @@ class TestMixedCloningFidelity:
     @pytest.mark.parametrize("n,lam,gap", [(2, 0.3, 0.0231761), (4, 0.6, 0.0111208), (20, 0.6, 4.011e-5)])
     def test_purification_differs_from_mean_fidelity_by_the_spin_zero_guess(self, n, lam, gap):
         # mixed_cloning_fidelity(n, 1, lam) scores the spin-0 outcome 1/2, the certified optimum;
-        # mean_fidelity scores it at the continuity value f_0 (ROADMAP item 2)
+        # mean_fidelity scores it at the continuity value f_0 (ROADMAP item 4)
         spect = block_spectrum(n, lam)
         expected = spect.probabilities[0] * (spect.fidelities[0] - 0.5) / spect.total()
         assert abs(mean_fidelity(n, lam) - mixed_cloning_fidelity(n, 1, lam) - expected) <= 1e-15
@@ -269,10 +269,19 @@ class TestSuperbroadcasting:
 
     def test_region_on_the_closed_form(self):
         # two copies never gain: for M <= 2 the best output is an input, 2F - 1 = lam up to
-        # rounding; the workflow certifies 2F - 1 = 0.6272 at (4, 5, 0.6) and 0.5973 at (4, 6, 0.6)
+        # rounding; test_certified_gain_ends_at_five_clones certifies 2F - 1 = 0.6272 at (4, 5, 0.6) and
+        # 0.5973 at (4, 6, 0.6)
         lams = (0.1, 0.2, 0.3, 0.6)
         assert {lam: self.last_gain(2, lam) for lam in lams} == dict.fromkeys(lams)
         assert {lam: self.last_gain(4, lam) for lam in lams} == {0.1: 7, 0.2: 7, 0.3: 7, 0.6: 5}
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_certified_gain_ends_at_five_clones(self, m):
+        # on the all-channel bracket: some 4 -> 5 map gives clones purer than the inputs, no 4 -> 6 map does
+        bracket = certified(4, m, 0.6)
+        assert_bracketed(mixed_cloning_fidelity(4, m, 0.6), bracket)
+        low, high = (2 * f - 1 for f in bracket)
+        assert low > 0.6 if m == 5 else high < 0.6
 
 
 class TestOptimalityScan:

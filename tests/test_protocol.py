@@ -2,7 +2,6 @@ import hashlib
 import io
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +25,8 @@ from qpurify import (
     yield_factor,
 )
 from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial
+
+from conftest import ROOT, run_python
 
 
 def dumped_csv(outcomes) -> str:
@@ -339,18 +340,38 @@ def test_outcome_csv_is_repeatable():
         assert [int(line.split(",")[0]) for line in first.splitlines()[1:]] == list(range(summary.trials))
 
 
+# main(argv), then the child's own peak RSS on stderr: VmHWM starts afresh at exec, where ru_maxrss would start
+# from the RSS of the parent that forked the child
+_PEAK_RSS = (
+    "import sys; from qpurify.cli import main; code = main(sys.argv[1:]); "
+    "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
 def test_outcome_dump_memory_is_bounded(tmp_path):
-    # one 1-byte outcome index per trial plus one chunk of text; a list of records reached 195 MB
-    tracemalloc.start()
-    try:
-        summary = run_protocol(MixedQubit(0.6), 100, 10**6, 3, keep_outcomes=True)
-        with open(tmp_path / "trials.csv", "w", encoding="utf-8", newline="") as fh:
-            write_outcomes_csv(summary.outcomes, fh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
-    assert len(summary.outcomes) == 10**6
+    # one 1-byte outcome index per trial plus one chunk of text over the same run without a dump; a list of
+    # records reached 195 MB
+    argv = "simulate --n 100 --lambda 0.6 --trials 1000000 --seed 1".split()
+    dump = tmp_path / "trials.csv"
+    peaks = []
+    for extra in ([], ["--dump-trials", str(dump)]):
+        run = run_python("-c", _PEAK_RSS, *argv, *extra)
+        assert run.returncode == 0 and run.stdout.endswith(b"\nstatus=pass\n")
+        value, unit = run.stderr.split()[-2:]
+        assert unit == b"kB"
+        peaks.append(int(value) * 1024)
+    assert peaks[1] - peaks[0] < 40e6
+    with open(dump, "rb") as fh:
+        assert sum(1 for _ in fh) == 10**6 + 1
+
+
+def test_scaling_script_runs():
+    # the exact averages against their large-N forms to N = 40, and 10^6 Monte Carlo trials at N = 40
+    args = ("--lambda", "0.6", "--n-max", "40", "--trials", "1000000")
+    run = run_python(str(ROOT / "scripts" / "protocol_scaling.py"), *args)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout.splitlines()[-1].startswith(b"monte carlo at N=40: ")
 
 
 def test_kept_outcomes_must_fit_in_memory(monkeypatch):
