@@ -146,11 +146,10 @@ def cmd_verify(args: argparse.Namespace) -> Report:
     from .oracle import verify_decomposition
 
     n, lam = args.n, args.lam
-    tol = (1e-10 if n <= 4 else 1e-9) if args.tol is None else args.tol
     direction = random_direction(random.Random(args.seed))
     rows = verify_decomposition(MixedQubit(lam, direction), build_schur_basis(n))
-    comment = (("n", n), ("lambda", lam), ("direction", direction), ("tol", tol), ("seed", args.seed))
-    ok = all(residual < tol for _, _, residual in rows)
+    comment = (("n", n), ("lambda", lam), ("direction", direction), ("tol", args.tol), ("seed", args.seed))
+    ok = all(residual < args.tol for _, _, residual in rows)
     return Report(comment=comment, header=("check", "label", "residual"), rows=rows, verdict=ok)
 
 
@@ -254,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the dense verification suite")
     p.add_argument("--n", type=_even, required=True)
     p.add_argument("--lambda", dest="lam", type=_length, required=True)
-    p.add_argument("--tol", type=_tol, default=None)
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p.add_argument("--seed", type=_seed, default=0)
     finish(p, cmd_verify)
 

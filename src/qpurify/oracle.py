@@ -4,13 +4,14 @@ Every closed-form claim made by :mod:`qpurify.analytics` is re-derived
 here for small registers from the blocks of the tensor power, which
 ``power_coordinates`` reads off the basis rows without the 2^n-square
 power: the basis is orthonormal weight by weight, the blocks carry the
-whole weight of the power, and each copy's trace and normalised block
-match the closed forms; block states are rebuilt by quadrature over pure
-components; the maps are reversible; and the rows obey the collective
-lowering relation, so the maps commute with every rotation.  Each check
-returns its residuals.  ``verify_decomposition(q, basis)`` runs them all
-on the basis it is given, from one ``power_coordinates`` call, and
-returns the (check, label, residual) rows that ``qpurify verify`` prints.
+whole weight of the power, and each copy's trace and block match the
+closed forms p_j / d_j and (p_j / d_j) rho_j; block states are rebuilt
+by quadrature over pure components; the maps are reversible; and the
+rows obey the collective lowering relation, so the maps commute with
+every rotation.  Each check returns its residuals.
+``verify_decomposition(q, basis)`` runs them all on the basis it is
+given, from one ``power_coordinates`` call, and returns the (check,
+label, residual) rows that ``qpurify verify`` prints.
 Nothing is cached, and no check raises on the size of a residual: the
 tolerance and the verdict belong to ``qpurify verify``.
 """
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from .analytics import block_probability, cross_power_sum
-from .blocks import _PROB_FLOOR, SINGLET, SchurBasis, _popcounts, block_coordinates
+from .blocks import SINGLET, SchurBasis, _popcounts, block_coordinates
 from .blocks import collective_lowering, density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates
 from .blocks import qubit_eigenstates
 from .core import BlockLabel, MixedQubit
@@ -70,11 +71,11 @@ def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, st
     (``orthonormality_residual``); the blocks B hold the whole weight,
     |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis vanishes
     exactly when every off-diagonal block does; and each copy's trace is
-    p_j / d_j.  Then one ``post_state`` row per block whose post-state is
-    defined (trace >= ``_PROB_FLOOR``), labelled by its BlockLabel: the
-    normalised block against block_state_matrix.  Then a ``quadrature``
-    row per spin j >= 1, a ``reversibility`` row per defined post-state and
-    the ``covariance`` row.  The rows are returned whatever the residuals
+    p_j / d_j.  Then one ``post_state`` row per copy, by BlockLabel:
+    max|B - (p_j / d_j) block_state_matrix| on the unnormalised block, the
+    state's own scale.  Then a ``quadrature`` row per spin j >= 1, a
+    ``reversibility`` row per copy and the ``covariance`` row: 3 +
+    2 C(n, n/2) + n/2 + 1 rows at every lambda, whatever the residuals
     are; the caller judges them.
     """
     n = basis.n
@@ -82,21 +83,18 @@ def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, st
     copy_traces = 0.0
     coords = power_coordinates(basis, density_matrix(q))
     for j, blocks in coords.items():
-        # every copy's block is the kept 2j-qubit state in Dicke coordinates
-        predicted = block_state_matrix(q, j) if j > 0 else np.eye(1)
+        # every copy's block is its share p_j / d_j of the kept 2j-qubit state, in Dicke coordinates
         share = block_probability(n, q.lam, j) / len(blocks)
-        lift = None
+        predicted = share * (block_state_matrix(q, j) if j > 0 else np.eye(1))
+        # copy 1's rows as (2j+1, 2^2j kept, 2^(n-2j) discarded); kept ⊗ |singlets> projected back onto them
+        first = basis.spins[j][0].reshape(2 * j + 1, 4**j, -1)
+        back = first @ functools.reduce(np.kron, [SINGLET] * (n // 2 - j), np.ones(1))
+        lift = np.einsum("xa,lar->rxl", back, first)
         for alpha, measured in enumerate(blocks, start=1):
-            prob = float(np.trace(measured).real)
-            copy_traces = max(copy_traces, abs(prob - share))
-            if prob >= _PROB_FLOOR:
-                if lift is None:  # once per spin: copy 1's rows as (2j+1, 2^2j kept, 2^(n-2j) discarded)
-                    first = basis.spins[j][0].reshape(2 * j + 1, 4**j, -1)
-                    back = first @ functools.reduce(np.kron, [SINGLET] * (n // 2 - j), np.ones(1))
-                    lift = np.einsum("xa,lar->rxl", back, first)  # kept ⊗ |singlets> projected back onto them
-                label, post = BlockLabel(j, alpha), measured / prob
-                post_state.append(("post_state", label, max_abs(post - predicted)))
-                reversibility.append(("reversibility", label, reversibility_check(lift, post)))
+            label = BlockLabel(j, alpha)
+            copy_traces = max(copy_traces, abs(float(np.trace(measured).real) - share))
+            post_state.append(("post_state", label, max_abs(measured - predicted)))
+            reversibility.append(("reversibility", label, reversibility_check(lift, measured)))
     weight = math.fsum(float(np.vdot(blocks, blocks).real) for blocks in coords.values())
     return [
         ("decomposition", "orthonormality", orthonormality_residual(basis)),
@@ -163,7 +161,7 @@ def quadrature_check(q: MixedQubit, j: int) -> float:
 
 
 def reversibility_check(lift: np.ndarray, post: np.ndarray) -> float:
-    """Undo the protocol on one outcome and compare with its normalised block ``post``.
+    """Undo the protocol on one outcome and compare with its block ``post``.
 
     Lifting the block onto the first copy, discarding the singlet pairs,
     re-appending fresh singlets and projecting back must reproduce the
@@ -174,9 +172,9 @@ def reversibility_check(lift: np.ndarray, post: np.ndarray) -> float:
 
     build_schur_basis makes copy 1 the Dicke rows followed by singlet
     pairs, so the lift is the Dicke rows times the singlet amplitudes s and
-    the round trip returns sum(s^2) * post = post for any block.  The check
-    therefore tests that factorisation of the basis, once per block; it
-    cannot fail for a measured block.
+    the round trip returns sum(s^2) * post = post for any block, of any
+    trace.  The check therefore tests that factorisation of the basis, once
+    per block; it cannot fail for a measured block.
     """
     # kept = sum_r first[:, :, r]^T post first[:, :, r]; back kept back^H, one slice r at a time
     return max_abs((lift @ post @ lift.conj().transpose(0, 2, 1)).sum(axis=0) - post)

@@ -313,7 +313,7 @@ def test_criterion_11_covariance_and_reversibility():
     for n in (4, 6):
         basis = build_schur_basis(n)
         reversibility = [residual for check, _, residual in verify_decomposition(q, basis) if check == "reversibility"]
-        assert len(reversibility) == len(basis.labels())  # every block of a mixed input is defined
+        assert len(reversibility) == len(basis.labels())  # one round trip per copy
         worst_rev = max(worst_rev, *reversibility)
     ok = ok and worst_rev < 1e-10
     assert report(11, ok, f"covariance {cov:.2e}, reversibility {worst_rev:.2e}")
