@@ -12,12 +12,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .core import _check_memory, _check_register
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"Bloch length must lie in [0, 1], got {lam}")
+from .core import _check_lambda, _check_memory, _check_register
 
 
 def multiplicity(n: int, j: int) -> int:
@@ -36,29 +31,30 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
 
 
 def _prefix_sums(lam: float, J: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """log S0[2j] and f_j for j = 0..J, read off the cached columns of lam."""
+    """log S0[2j] and delta_j for j = 0..J, read off the cached columns of lam."""
     _check_lambda(lam)  # before the lookup, so no bad lam becomes a key
-    log_s0, fids = _lambda_columns(lam, 1 << J.bit_length())
-    return log_s0[: J + 1], fids[: J + 1]
+    log_s0, blochs = _lambda_columns(lam, 1 << J.bit_length())
+    return log_s0[: J + 1], blochs[: J + 1]
 
 
 @functools.lru_cache(maxsize=32)
 def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """log S0[2j] and f_j for j < size from one pass of prefix sums.
+    """log S0[2j] and the kept qubit's Bloch length delta_j = 2 f_j - 1 for j < size.
 
     A spin-j block holds k = 0..2j anti-aligned qubits with weight r^k,
-    r = c0/c1.  With S0[m] = sum_{k<=m} r^k and S1[m] = sum_{k<=m} k r^k,
-    f_j = 1 - S1[2j] / (2j S0[2j]); every term is positive, so nothing
-    cancels for any lam.  j = 0 takes the continuous limit.  The sums run
-    in order, so each entry is the same float whatever ``size`` is; callers
+    r = c0/c1.  With S0[m] = sum_{k<=m} r^k, delta_j = nu_j / (j S0[2j]) for
+    nu_j = sum_k (j - k) r^k = r nu_{j-1} + (1 - r) j S0[2j-1], nu_0 = 0, and
+    1 - r = 2 lam/(1 + lam) formed directly: every term is positive, so
+    nothing cancels for any lam.  j = 0 takes the continuous limit.  The sums
+    run in order, so each entry is the same float whatever ``size`` is; callers
     round size up to a power of two, so a growing J costs O(log J) builds.
     """
-    r = (1.0 - lam) / (1.0 + lam)
-    weights = [r**k for k in range(2 * size - 1)]
-    s0 = list(itertools.accumulate(weights))[::2]
-    s1 = list(itertools.accumulate(k * w for k, w in enumerate(weights)))[::2]
-    fids = (1.0 - s1[j] / (2 * j * s0[j]) for j in range(1, size))
-    return tuple(map(math.log, s0)), (_fidelity_limit_j0(lam), *fids)
+    r, gap = (1.0 - lam) / (1.0 + lam), 2.0 * lam / (1.0 + lam)
+    s0 = list(itertools.accumulate(r**k for k in range(2 * size - 1)))
+    steps = (gap * j * s0[2 * j - 1] for j in range(1, size))
+    nus = itertools.accumulate(steps, lambda nu, step: r * nu + step)
+    blochs = (nu / (j * s0[2 * j]) for j, nu in enumerate(nus, 1))
+    return tuple(map(math.log, s0[::2])), (_bloch_limit_j0(lam), *blochs)
 
 
 def _check_multiplicity_size(n: int) -> None:
@@ -81,7 +77,7 @@ def _multiplicity_columns(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
 
 
 def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """Exact d_j and float p_j, f_j for j = 0..n/2.
+    """Exact d_j and float p_j, delta_j for j = 0..n/2.
 
     p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
     c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
@@ -91,9 +87,8 @@ def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float,
     _check_lambda(lam)
     J = n // 2
     mults, log_mults = _multiplicity_columns(n)  # first, so an oversized n is refused before any build
-    log_s0, fids = _prefix_sums(lam, J)
-    c1 = (1.0 + lam) / 2.0
-    c0 = (1.0 - lam) / 2.0
+    log_s0, blochs = _prefix_sums(lam, J)
+    c1, c0 = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     if c0 == 0.0:
         probs = tuple(float(j == J) for j in range(J + 1))
     else:
@@ -102,7 +97,7 @@ def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float,
             math.exp(log_d + (J - j) * log_pair + 2 * j * log_c1 + log_s)
             for j, (log_d, log_s) in enumerate(zip(log_mults, log_s0))
         )
-    return mults, probs, fids
+    return mults, probs, blochs
 
 
 def block_probability(n: int, lam: float, j: int) -> float:
@@ -112,38 +107,39 @@ def block_probability(n: int, lam: float, j: int) -> float:
     return _spectrum_columns(n, lam)[1][j]
 
 
-def _fidelity_limit_j0(lam: float) -> float:
-    # Continuous j -> 0 limit of block_fidelity; series for small lam where
-    # the closed form cancels catastrophically.
+def _bloch_limit_j0(lam: float) -> float:
+    # continuous j -> 0 limit of delta_j, by its series where the closed form cancels
     if lam < 1e-2:
         l2 = lam * lam
-        return 0.5 + lam * (1.0 / 3.0 + l2 * (1.0 / 15.0 + l2 / 35.0))
-    c1 = (1.0 + lam) / 2.0
-    c0 = (1.0 - lam) / 2.0
-    if c0 == 0.0:
+        return lam * (2.0 / 3.0 + l2 * (2.0 / 15.0 + 2.0 * l2 / 35.0))
+    if lam == 1.0:
         return 1.0
-    return c1 / lam + c1 * c0 * math.log(c0 / c1) / lam**2
+    return 1.0 / lam - (1.0 - lam * lam) * math.atanh(lam) / lam**2
 
 
 def block_fidelity(lam: float, j: int) -> float:
-    """Fidelity of each kept qubit after the spin-j measurement outcome.
+    """Fidelity (1 + delta_j)/2 of each kept qubit after the spin-j measurement outcome.
 
-    Defined for j >= 1 by the geometric-weight average over the block.
     j = 0 keeps no qubits; the continuous j -> 0 limit returned there is a
     convention, above the 1/2 that any channel achieves on that outcome.
     """
     if j < 0:
         raise ValueError("total spin j must be nonnegative")
-    return _prefix_sums(lam, j)[1][j]
+    return (1.0 + _prefix_sums(lam, j)[1][j]) / 2.0
 
 
 SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
 
 
-class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilities fidelities")):
-    """Per-j columns of block multiplicity, probability and kept-qubit fidelity, as tuples."""
+class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilities bloch_lengths")):
+    """Per-j columns of block multiplicity, probability and the kept qubit's Bloch length delta_j, as tuples."""
 
     __slots__ = ()
+
+    @property
+    def fidelities(self) -> tuple[float, ...]:
+        """The kept qubit's fidelity f_j = (1 + delta_j)/2, built on each read."""
+        return tuple((1.0 + delta) / 2.0 for delta in self.bloch_lengths)
 
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:
@@ -154,9 +150,13 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilit
         """The fsum of the p_j, which every average divides by."""
         return math.fsum(self.probabilities)
 
+    def bloch_average(self, weights) -> float:
+        """sum_j p_j w_j delta_j / total() for weights w_0, w_1, ...; every fidelity average is 1/2 + 1/2 of one."""
+        return math.fsum(p * w * d for p, w, d in zip(self.probabilities, weights, self.bloch_lengths)) / self.total()
+
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
-    """All (j, d_j, p_j, f_j) columns for a register of n qubits."""
+    """All (j, d_j, p_j, delta_j) columns for a register of n qubits."""
     return BlockSpectrum(n, lam, *_spectrum_columns(n, lam))
 
 
@@ -168,16 +168,13 @@ def yield_factor(n: int, lam: float) -> float:
 
 
 def mean_fidelity(n: int, lam: float) -> float:
-    """Probability-weighted kept-qubit fidelity.
+    """Probability-weighted kept-qubit fidelity: 1/2 + 1/2 the bloch_average with w_j = 1.
 
-    The spin-0 outcome keeps no qubits; its weight multiplies the
-    continuity value block_fidelity(lam, 0), a convention shared with
-    simulate's fidelity_target and run_protocol_dense that lifts the
-    average p_0 (f_0 - 1/2) above the best over all channels.
-    Divided by the fsum of all the p_j, as the simulator's draw is.
+    The spin-0 outcome, which keeps no qubits, is scored at the continuity value
+    block_fidelity(lam, 0), a convention shared with simulate's fidelity_target and
+    run_protocol_dense that lifts the average p_0 (f_0 - 1/2) above the best over all channels.
     """
-    spect = block_spectrum(n, lam)
-    return math.fsum(p * f for p, f in zip(spect.probabilities, spect.fidelities)) / spect.total()
+    return 0.5 + 0.5 * block_spectrum(n, lam).bloch_average(itertools.repeat(1.0))
 
 
 def yield_asymptote(n: int, lam: float) -> float:

@@ -225,9 +225,9 @@ def cmd_clone(args: argparse.Namespace) -> Report:
     spect = analytics.block_spectrum(n, lam)
     columns = zip(spect.probabilities, spect.fidelities, cloning.clone_terms(spect, m_out))
     rows = [(j, p, f, f_pure, term) for j, (p, f, (f_pure, term)) in enumerate(columns)]
-    f_mix = cloning.mixed_cloning_fidelity(n, m_out, lam)
     values = (
-        ("F_mix", f_mix), ("lambda_mix", 2.0 * f_mix - 1.0), ("lambda_mix_inf", cloning.estimation_lambda(n, lam))
+        ("F_mix", cloning.mixed_cloning_fidelity(n, m_out, lam)),
+        ("lambda_mix", cloning.clone_bloch_length(spect, m_out)), ("lambda_mix_inf", cloning.estimation_lambda(n, lam)),
     )
     return Report(header=("j", "p_j", "f_j", "f_pur", "term"), rows=rows, values=values)
 

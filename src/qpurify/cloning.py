@@ -2,18 +2,19 @@
 
 The N -> M cloning fidelity of a mixed input decomposes over the spin
 blocks: a spin-j outcome clones its 2j purified qubits like 2j pure copies
-(Gisin & Massar, PRL 79, 2153 (1997)), degraded by the block fidelity, so
-2F - 1 = (2F_inf - 1)(M + 2)/M block by block when M >= N.  A block with
-2j >= M keeps M of its qubits and the spin-0 block guesses, so the same
-rule serves every M >= 1.  M -> infinity is the best state estimation.
-The tests' primal-dual bound over all N -> M channels finds both optimal.
-Both averages divide by the fsum of the p_j, as ``analytics`` does.  The
+(Gisin & Massar, PRL 79, 2153 (1997)) with per-clone fidelity f_pur, so a
+clone's Bloch length is (2 f_pur - 1) delta_j block by block, and
+2F - 1 = (2F_inf - 1)(M + 2)/M when M >= N.  A block with 2j >= M keeps M
+of its qubits and the spin-0 block guesses, so the same rule serves every
+M >= 1.  M -> infinity is the best state estimation.  The tests' bounds
+over all N -> M channels and over all measurements find both optimal.  The
 spectrum rejects an odd n and lam outside [0, 1], and
 ``pure_cloning_fidelity`` an m_out that is not an integer >= 1 or inf.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import analytics
@@ -44,31 +45,29 @@ def clone_terms(spect: analytics.BlockSpectrum, m_out: float) -> list[tuple[floa
     f_pur is ``pure_cloning_fidelity`` of the block.  A clone matches the
     block's kept qubit with probability f_pur and its orthogonal state
     otherwise, so the block's share of the mixed fidelity, its term, is
-    p_j (f_pur f_j + (1 - f_pur)(1 - f_j)).
+    p_j (1/2 + (f_pur - 1/2) delta_j).
     """
-    terms = []
-    for j, (p, f) in enumerate(zip(spect.probabilities, spect.fidelities)):
-        g = pure_cloning_fidelity(j, m_out)
-        terms.append((g, p * (g * f + (1.0 - g) * (1.0 - f))))
-    return terms
+    fpurs = (pure_cloning_fidelity(j, m_out) for j in itertools.count())
+    return [(g, p * (0.5 + (g - 0.5) * delta)) for g, p, delta in zip(fpurs, spect.probabilities, spect.bloch_lengths)]
+
+
+def clone_bloch_length(spect: analytics.BlockSpectrum, m_out: float) -> float:
+    """Bloch length of each of m_out clones: the bloch_average with w_j = 2 f_pur - 1, exact for f_pur in [1/2, 1]."""
+    return spect.bloch_average(2.0 * pure_cloning_fidelity(j, m_out) - 1.0 for j in itertools.count())
 
 
 def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
     """Optimal per-clone fidelity for n_in mixed copies cloned to m_out (an integer >= 1 or math.inf)."""
-    spect = analytics.block_spectrum(n_in, lam)
-    return math.fsum(term for _, term in clone_terms(spect, m_out)) / spect.total()
+    return 0.5 + 0.5 * clone_bloch_length(analytics.block_spectrum(n_in, lam), m_out)
 
 
 def estimation_lambda(n: int, lam: float) -> float:
-    """Bloch length achievable by estimating the aligned state from n copies.
+    """Bloch length achievable by estimating the aligned state from n copies: the bloch_average with w_j = j/(j + 1).
 
-    Equals 2 F - 1 at m_out = infinity; the spin-0 block carries no
-    direction information and contributes nothing.  The value is not
-    bounded by lam: it tends to 1 as n grows and already exceeds lam at
-    n = 6 for lam = 0.2 (superbroadcasting).  Estimate-and-prepare is one
-    purification map, so it never exceeds 2 mean_fidelity(n, lam) - 1.
+    The spin-0 block carries no direction information and contributes
+    nothing.  The value is not bounded by lam: it tends to 1 as n grows and
+    already exceeds lam at n = 6 for lam = 0.2 (superbroadcasting).
+    Estimate-and-prepare is one purification map, so it never exceeds
+    2 mean_fidelity(n, lam) - 1.
     """
-    spect = analytics.block_spectrum(n, lam)
-    columns = zip(range(1, n // 2 + 1), spect.probabilities[1:], spect.fidelities[1:])
-    terms = (p * (2.0 * f - 1.0) * j / (j + 1) for j, p, f in columns)
-    return math.fsum(terms) / spect.total()
+    return analytics.block_spectrum(n, lam).bloch_average(j / (j + 1) for j in itertools.count())

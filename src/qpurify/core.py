@@ -33,6 +33,11 @@ def _check_register(n: int) -> None:
         raise ValueError(f"register size must be a positive even integer, got {n}")
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= float(lam) <= 1.0:
+        raise ValueError(f"Bloch length must lie in [0, 1], got {lam}")
+
+
 def _mem_available_bytes() -> int | None:
     """MemAvailable from /proc/meminfo, or None where it cannot be read."""
     try:
@@ -67,9 +72,7 @@ class MixedQubit(namedtuple("MixedQubit", "lam direction")):
     __slots__ = ()
 
     def __new__(cls, lam: float, direction: tuple[float, float, float] = (0.0, 0.0, 1.0)) -> MixedQubit:
-        length = float(lam)
-        if not 0.0 <= length <= 1.0:
-            raise ValueError(f"Bloch length must lie in [0, 1], got {lam}")
+        _check_lambda(lam)
         try:
             vec = tuple(direction)
         except TypeError:  # a scalar
@@ -79,7 +82,7 @@ class MixedQubit(namedtuple("MixedQubit", "lam direction")):
         vec = tuple(map(float, vec))
         if not abs(math.hypot(*vec) - 1.0) <= 1e-12:
             raise ValueError("direction must be a unit vector to within 1e-12")
-        return super().__new__(cls, length, vec)
+        return super().__new__(cls, float(lam), vec)
 
     _make = _checked_make
 

@@ -28,6 +28,8 @@ from qpurify import (
 from qpurify import analytics
 from qpurify.blocks import dicke_rows
 
+from exact import exact_bloch_lengths
+
 lam_st = st.floats(0.0, 1.0, allow_nan=False)
 even_n_st = st.integers(1, 20).map(lambda k: 2 * k)
 
@@ -186,6 +188,13 @@ class TestBlockSpectrum:
         assert all(row.probability >= 0.0 for row in spect.rows)
         big = block_spectrum(2000, 0.6)
         assert [row.multiplicity for row in big.rows] == [multiplicity(2000, j) for j in range(1001)]
+
+    @pytest.mark.parametrize("lam, J", [(1e-12, 200), (1e-100, 40)])
+    def test_bloch_lengths_match_exact_rationals_at_small_lengths(self, lam, J):
+        # delta_j is a sum of positive terms, not 2 f_j - 1 formed from f_j ~ 1/2, so it keeps its relative accuracy
+        blochs = block_spectrum(2 * J, lam).bloch_lengths
+        for j, exact in enumerate(exact_bloch_lengths(J, Fraction(lam)), 1):
+            assert abs(Fraction(blochs[j]) - exact) <= Fraction(1e-14) * exact, j
 
     @given(n=st.integers(1, 200).map(lambda k: 2 * k), lam=lam_st)
     @settings(max_examples=80, deadline=None)

@@ -28,7 +28,7 @@ def test_converged_values(n, m, lam, optimum):
 @pytest.mark.xfail(
     strict=True,
     reason="mean_fidelity scores the spin-0 outcome, which keeps no qubit, at the continuity value f_0 > 1/2, "
-    "above every channel; ROADMAP item 4 scores it 1/2 once perfbench/reference.py (fidelity_j0, "
+    "above every channel; ROADMAP item 2 scores it 1/2 once perfbench/reference.py (fidelity_j0, "
     "Spectrum.mean_fidelity) stops pinning f_0",
 )
 @pytest.mark.parametrize("n,lam", [(2, 0.3), (4, 0.6)])

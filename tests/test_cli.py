@@ -14,6 +14,7 @@ from qpurify import analytics, cloning, random_direction
 from qpurify.cli import _text, main
 
 from conftest import run_python
+from exact import exact_clone_lambda, exact_estimation_lambda
 
 
 def assert_digits_right(text, value):
@@ -298,6 +299,15 @@ class TestFigure1:
             values = [v for _, v in sorted(curve)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_small_lengths_keep_their_relative_accuracy(self, capsys):
+        # the curve is a sum of Bloch lengths, so it stays nonzero and exact to rounding down to lam = 1e-100
+        assert run_cli("figure1", "--n", "6", "--lambda", "1e-100,1e-12") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2 * 3
+        for n, lam, value in rows:
+            exact = exact_estimation_lambda(int(n), Fraction(float(lam)))
+            assert float(value) > 0.0 and abs(Fraction(float(value)) - exact) <= Fraction(1e-14) * exact, (n, lam)
+
     def test_custom_lambda_list(self, tmp_path):
         path = tmp_path / "fig1.csv"
         assert run_cli("figure1", "--n", "10", "--lambda", "0.3,0.9", out=path) == 0
@@ -360,6 +370,16 @@ class TestClone:
         )
         assert float(fields["lambda_mix"]) == pytest.approx(0.5, abs=1e-14)
 
+    def test_lambda_mix_is_the_clones_bloch_length(self, capsys):
+        # summed from the Bloch lengths, not 2 F_mix - 1 with F_mix ~ 1/2
+        assert run_cli("clone", "--n", "40", "--m", "8", "--lambda", "1e-12") == 0
+        fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+        for name, exact in (
+            ("lambda_mix", exact_clone_lambda(40, 8, Fraction(1e-12))),
+            ("lambda_mix_inf", exact_estimation_lambda(40, Fraction(1e-12))),
+        ):
+            assert abs(Fraction(float(fields[name])) - exact) <= Fraction(1e-14) * exact, name
+
     def test_too_few_clones_usage_error(self):
         for m in ("0", "-1"):
             assert run_cli("clone", "--n", "4", "--m", m, "--lambda", "0.5") == 2
@@ -382,16 +402,16 @@ def test_unknown_command_exits_two():
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        ("stats --n 8 --lambda 0.5", "3a900cd197fdbdf6"),
-        ("stats --n 8 --lambda 0.5 --format tsv", "cc3a690f5a9ab3e6"),
-        ("clone --n 4 --m 8 --lambda 0.5", "651aab6de8b6a1d6"),
-        ("clone --n 4 --m inf --lambda 0.5", "6d9022bedf9bb89d"),
-        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "abeba5aceb302964"),
-        ("figure1 --n 6 --lambda 0.6,0.2,0.6", "3891d784c4716ac2"),
-        ("figure1 --n 200", "870a6ac544da060a"),
-        ("stats --n 2000 --lambda 0.6", "3f6701670a11ec49"),
-        ("clone --n 2000 --m inf --lambda 0.6", "e761c2f93942e325"),
-        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "6d8e6f0631333f39"),
+        ("stats --n 8 --lambda 0.5", "ad572eea3007a1f1"),
+        ("stats --n 8 --lambda 0.5 --format tsv", "9b901f1a2771389e"),
+        ("clone --n 4 --m 8 --lambda 0.5", "17715576be0a3fda"),
+        ("clone --n 4 --m inf --lambda 0.5", "2a894c8569aa66b1"),
+        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "6a8439c77db4aa5e"),
+        ("figure1 --n 6 --lambda 0.6,0.2,0.6", "73dd051397ea9e25"),
+        ("figure1 --n 200", "4f5aec18a0ec7333"),
+        ("stats --n 2000 --lambda 0.6", "1a6a31ca6e184ce1"),
+        ("clone --n 2000 --m inf --lambda 0.6", "33ba5fe792ad12bf"),
+        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "fa04a774f70f4b50"),
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):

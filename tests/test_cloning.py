@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,28 +25,10 @@ from qpurify import (
 
 from certificate import assert_bracketed, certified, certify, fidelity_operator
 from conftest import random_qubit
+from exact import exact_estimation_lambda
 
 
 EXACT_LAMS = (Fraction(3, 10), Fraction(3, 5), Fraction(9, 10))
-
-
-def exact_estimation_lambda(n: int, lam: Fraction) -> Fraction:
-    """sum_{j>=1} p_j (2 f_j - 1) j/(j+1) in integers, for lam = a/b.
-
-    With u = b + a, v = b - a, g = sum_k u^(2j-k) v^k and h = sum_k k u^(2j-k) v^k
-    over the k anti-aligned qubits of the block, p_j = d_j (uv)^(J-j) g / (2b)^n
-    and 2 f_j - 1 = (j g - h) / (j g).
-    """
-    a, b = lam.numerator, lam.denominator
-    u, v = b + a, b - a
-    J = n // 2
-    g, h, total = 1, 0, Fraction(0)
-    for j in range(1, J + 1):
-        for m in (2 * j - 1, 2 * j):
-            g, h = u * g + v**m, u * h + m * v**m
-        d = math.comb(n, J - j) * (2 * j + 1) // (J + j + 1)
-        total += Fraction(d * (u * v) ** (J - j) * (j * g - h), j + 1)
-    return total / (2 * b) ** n
 
 
 class TestPureCloningFidelity:
@@ -122,7 +105,7 @@ class TestMixedCloningFidelity:
     @pytest.mark.parametrize("n,lam,gap", [(2, 0.3, 0.0231761), (4, 0.6, 0.0111208), (20, 0.6, 4.011e-5)])
     def test_purification_differs_from_mean_fidelity_by_the_spin_zero_guess(self, n, lam, gap):
         # mixed_cloning_fidelity(n, 1, lam) scores the spin-0 outcome 1/2, the certified optimum;
-        # mean_fidelity scores it at the continuity value f_0 (ROADMAP item 4)
+        # mean_fidelity scores it at the continuity value f_0 (ROADMAP item 2)
         spect = block_spectrum(n, lam)
         expected = spect.probabilities[0] * (spect.fidelities[0] - 0.5) / spect.total()
         assert abs(mean_fidelity(n, lam) - mixed_cloning_fidelity(n, 1, lam) - expected) <= 1e-15
@@ -143,6 +126,13 @@ class TestEstimationLambda:
         for lam in EXACT_LAMS:
             exact = float(exact_estimation_lambda(n, lam))
             assert abs(estimation_lambda(n, float(lam)) - exact) <= 5e-16 * exact, lam
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-12, 1e-100])
+    def test_matches_exact_rationals_at_small_lengths(self, x):
+        # the Bloch lengths are summed, never formed as 2 f - 1 from f ~ 1/2, so nothing cancels as lam -> 0
+        for n in (2, 4, 40, 400):
+            exact = exact_estimation_lambda(n, Fraction(x))
+            assert abs(Fraction(estimation_lambda(n, x)) - exact) <= Fraction(1e-14) * exact, n
 
     def test_two_copy_value_is_half_lambda(self):
         # exact identity: the symmetric-block weight times its length gain
@@ -231,6 +221,49 @@ class TestDenseEstimationRoute:
             for lam in DENSE_LAMS
         }
         assert first == {0.2: 6, 0.4: 8, 0.6: 8, 0.8: None, 1.0: None}
+
+
+def measurement_bound(n: int, lam: float) -> float:
+    """2 tr Y - 1 for tr Y, a bound on the mean fidelity of every measurement that guesses the direction from n copies.
+
+    A measurement {E_m dm} that guesses m scores (1 + n.m)/2 on a direction n, so its mean fidelity is
+    the integral over m of tr(E_m Omega_m), with Omega_m the integral over n of rho_n^(x)n (1 + n.m)/2.  Each
+    Omega_m is a rotation of Omega_z, and Y = (+)_j y_j 1 commutes with every rotation, so Y >= Omega_z bounds
+    every POVM, continuous outcomes included: F <= tr Y.  On one spin-j copy Omega_z is (c0 c1)^(J-j) times
+    the diagonal [S_j + m T_j/(j(j + 1))]/(2(2j + 1)), m = -j..j, by the rotation integrals of |d^j_mk|^2 and
+    |d^j_mk|^2 cos(theta) (1/(2j + 1) and mk/(j(j + 1)(2j + 1))), where S_j = sum_k c1^(j+k) c0^(j-k) and
+    T_j = sum_k k c1^(j+k) c0^(j-k) over k = -j..j.  T_j >= 0 puts the top entry at m = j, so over the
+    d_j copies of dimension 2j + 1, tr Y = 1/2 sum_j d_j (c0 c1)^(J-j) [S_j + T_j/(j + 1)].  Evaluated at
+    250 digits, enough for 2 tr Y - 1 to survive at lam = 1e-100; no package code is used.
+    """
+    with mpmath.workdps(250):
+        x = mpmath.mpf(lam)
+        c1, c0 = (1 + x) / 2, (1 - x) / 2
+        J = n // 2
+        total = mpmath.mpf(0)
+        for j in range(J + 1):
+            weights = [(k, c1 ** (j + k) * c0 ** (j - k)) for k in range(-j, j + 1)]
+            s = mpmath.fsum(w for _, w in weights)
+            t = mpmath.fsum(k * w for k, w in weights)
+            d = math.comb(n, J - j) * (2 * j + 1) // (J + j + 1)
+            total += d * (c0 * c1) ** (J - j) * (s + t / (j + 1))
+        return float(total - 1)  # 2 tr Y - 1
+
+
+class TestMeasurementBound:
+    """Figure 1's curve is the best that any measurement on the n copies achieves (Massar & Popescu,
+    PRL 74, 1259 (1995), for pure copies), down to lam = 1e-100."""
+
+    @pytest.mark.parametrize("lam", [0.3, 0.6, 1e-6, 1e-12, 1e-100])
+    def test_estimation_attains_the_bound(self, lam):
+        for n in (2, 4, 10, 40, 100):
+            bound = measurement_bound(n, lam)
+            assert abs(estimation_lambda(n, lam) - bound) <= 1e-14 * bound, n
+
+    def test_pure_copies_give_the_known_limit(self):
+        # c0 = 0 leaves the top block: 2 tr Y - 1 = n/(n + 2)
+        for n in (2, 10, 40):
+            assert measurement_bound(n, 1.0) == pytest.approx(n / (n + 2), rel=1e-15)
 
 
 class TestScalingRelation:

@@ -317,8 +317,8 @@ def test_outcome_csv_roundtrip():
 @pytest.mark.parametrize(
     ("n", "trials", "seed", "dense", "digest"),
     [
-        (20, 5000, 9, False, "f10aba647426b32c"),
-        (100, 100_000, 3, False, "69bc7fab35ff6920"),
+        (20, 5000, 9, False, "bc60e04b21ef2002"),
+        (100, 100_000, 3, False, "2ab8361f8f9d2d68"),
         (4, 500, 2, True, "81e8975a8a778e05"),
     ],
 )
