@@ -14,14 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from array import array
 from collections import namedtuple
 
 from . import analytics
-from .core import MixedQubit, _check_memory
+from .core import MixedQubit, SizeLimitError, _check_memory
 
 
-_CHUNK = 1 << 16  # trials per chunk of copy indices and CSV text
+_CHUNK = 1 << 14  # trials per chunk of copy indices and CSV text
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -107,6 +108,18 @@ def _multinomial(rng: random.Random, trials: int, probs: list[float]) -> list[in
     return counts
 
 
+def _shuffle(rng: random.Random, x: memoryview) -> None:
+    """``rng.shuffle(x)`` as CPython runs it, without its Python call per swap: for i = len - 1 ... 1, swap
+    x[i] with x[r], r = getrandbits((i + 1).bit_length()) drawn again while r > i.  Same draws, same state."""
+    bits, n = rng.getrandbits, len(x)
+    for k in range(n.bit_length(), 1, -1):  # i + 1 has k bits for i in 2**(k-1) - 1 .. 2**k - 2
+        for i in range(min(n, (1 << k) - 1) - 1, (1 << k - 1) - 2, -1):
+            r = bits(k)
+            while r > i:
+                r = bits(k)
+            x[i], x[r] = x[r], x[i]
+
+
 def _typecode(outcomes: int) -> str:
     """The smallest unsigned array typecode that indexes ``outcomes`` outcomes."""
     return next(code for code in "BHIL" if outcomes <= 1 << 8 * array(code).itemsize)
@@ -115,13 +128,14 @@ def _typecode(outcomes: int) -> str:
 class TrialOutcomes:
     """The per-trial outcomes of a simulation, held as its outcome order.
 
-    Trial t fell on outcome ``order[t]``, which has spin ``js[i]`` and
-    fidelity ``fids[i]``.  In dense mode ``copies[i]`` is the outcome's copy
-    index; in fast mode it is the multiplicity d_j, and the trials draw
-    their copy indices in trial order, uniform in 1..d_j, from one
-    ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of the
-    smallest unsigned typecode that indexes every outcome: 1 byte a trial
-    up to 256 outcomes, 2 up to 65,536.  Its one reader,
+    Trial t fell on outcome i = ``order[t]``, which has spin ``js[i]`` and
+    fidelity ``fids[i]``; ``order`` is the drawn counts laid out by outcome
+    and shuffled in place by ``_shuffle``.  In dense mode ``copies[i]`` is
+    the outcome's copy index; in fast mode it is the multiplicity d_j, and
+    the trials draw their copy indices in trial order, uniform in 1..d_j,
+    from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
+    the smallest unsigned typecode that indexes every outcome: 1 byte a
+    trial up to 256 outcomes, 2 up to 65,536.  Its one reader,
     ``write_outcomes_csv``, makes the rows a chunk at a time.
     """
 
@@ -135,7 +149,7 @@ class TrialOutcomes:
         index is ``randrange(d) + 1`` written out, exact for any d."""
         copies, bits = self.copies, None
         if self.alpha_seed is not None:
-            bits, widths = random.Random(self.alpha_seed).getrandbits, [d.bit_length() for d in copies]
+            bits, pairs = random.Random(self.alpha_seed).getrandbits, [(d, d.bit_length()) for d in copies]
         for start in range(0, len(self.order), _CHUNK):
             idx = self.order[start : start + _CHUNK].tolist()
             if bits is None:
@@ -143,7 +157,7 @@ class TrialOutcomes:
             else:
                 alphas = []
                 for i in idx:
-                    d, w = copies[i], widths[i]
+                    d, w = pairs[i]
                     r = bits(w)
                     while r >= d:
                         r = bits(w)
@@ -225,7 +239,7 @@ def _simulate(
         order = array(code)
         for i, c in enumerate(counts):
             order += array(code, [i]) * c
-        rng.shuffle(order)
+        _shuffle(rng, memoryview(order))
         alpha_seed = rng.getrandbits(63) if mode == "fast" else None
         outcomes = TrialOutcomes(order, js, fids, copies, alpha_seed)
     total = math.fsum(probs)
@@ -250,13 +264,17 @@ def run_protocol(
     multinomial draw of the j counts gives every average exactly, at a cost
     that does not grow with ``trials``.  With ``keep_outcomes`` each trial
     also gets a copy index alpha, uniform among its d_j copies, and
-    ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes up to
-    N = 131,070 (SizeLimitError if that exceeds the available memory).
-    Results are bit-reproducible for a given seed; only the standard
-    library runs.
+    ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes beyond
+    (SizeLimitError if that exceeds the available memory, or if a d_j has
+    more digits than ``sys.get_int_max_str_digits()`` lets the dump write:
+    past N = 14,298 at the default 4,300).  Results are bit-reproducible
+    for a given seed; only the standard library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, where Python predates the limit
+    if keep_outcomes and digits and max(spect.multiplicities) >= 10**digits:
+        raise SizeLimitError(f"a trial dump at n={n} has copy indices past Python's {digits}-digit int-to-str limit")
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
     return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
 
@@ -309,10 +327,9 @@ def run_protocol_dense(
 def write_outcomes_csv(outcomes: TrialOutcomes, fh) -> None:
     """Dump per-trial outcomes to the open text file ``fh`` as CSV rows ``trial,j,alpha,kept,fidelity``.
 
-    The text is built and written one chunk of trials at a time, from
-    per-outcome ``,j,`` and ``,kept,fidelity`` strings."""
-    head = [f",{j}," for j in outcomes.js]
-    tail = [f",{2 * j},{fid!r}\n" for j, fid in zip(outcomes.js, outcomes.fids)]
+    The text is built and written one chunk of trials at a time: the chunk's per-outcome
+    ``%d,j,%d,kept,fidelity`` rows joined, then one ``%`` over its trial numbers and copy indices."""
+    rows = [f"%d,{j},%d,{2 * j},{fid!r}\n" for j, fid in zip(outcomes.js, outcomes.fids)]
     fh.write("trial,j,alpha,kept,fidelity\n")
     for trials, idx, alphas in outcomes._chunks():
-        fh.write("".join([f"{t}{head[i]}{a}{tail[i]}" for t, i, a in zip(trials, idx, alphas)]))
+        fh.write("".join(map(rows.__getitem__, idx)) % tuple(itertools.chain.from_iterable(zip(trials, alphas))))

@@ -220,6 +220,21 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not dump.exists()
 
+    @pytest.mark.parametrize("n, code", [(14298, 0), (14300, 2)])
+    def test_dump_past_the_int_to_str_limit_is_refused(self, n, code, tmp_path):
+        # the largest d_j has 4,300 digits at N = 14,298 and more at 14,300: refused before the draw and the file
+        dump = tmp_path / "trials.csv"
+        args = f"simulate --n {n} --lambda 0.6 --trials 10 --seed 1 --dump-trials {dump}".split()
+        run = run_python("-X", "int_max_str_digits=4300", "-m", "qpurify", *args)
+        assert run.returncode == code
+        if code:
+            assert run.stderr == (
+                f"error: a trial dump at n={n} has copy indices past Python's 4300-digit int-to-str limit\n"
+            ).encode()
+            assert run.stdout == b"" and not dump.exists()
+        else:
+            assert run.stderr == b"" and len(dump.read_text().splitlines()) == 11
+
     def test_pure_input_exact_yield(self, tmp_path):
         path = tmp_path / "sim.txt"
         assert (

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +25,7 @@ from qpurify import (
     write_outcomes_csv,
     yield_factor,
 )
-from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial
+from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial, _shuffle
 
 from conftest import ROOT, run_python
 
@@ -320,6 +321,7 @@ def test_outcome_csv_roundtrip():
         (20, 5000, 9, False, "bc60e04b21ef2002"),
         (100, 100_000, 3, False, "2ab8361f8f9d2d68"),
         (4, 500, 2, True, "81e8975a8a778e05"),
+        (600, 20_000, 7, False, "f5d0e6c136015f24"),  # 301 outcomes: a 2-byte order
     ],
 )
 def test_outcome_csv_golden(n, trials, seed, dense, digest):
@@ -327,6 +329,19 @@ def test_outcome_csv_golden(n, trials, seed, dense, digest):
     run = run_protocol_dense if dense else run_protocol
     text = dumped_csv(run(MixedQubit(0.6), n, trials, seed, keep_outcomes=True).outcomes)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("code", "BHIL")
+@pytest.mark.parametrize("length", [1, 2, 3, 255, 256, 257, 65535, 65536, 65537, 100_000])
+def test_shuffle_is_the_standard_librarys(code, length):
+    # the same permutation and the same generator state afterwards as random.Random.shuffle
+    a = array(code, [i % (1 << 8 * array(code).itemsize) for i in range(length)])
+    expected, ref = a.tolist(), random.Random(length)
+    ref.shuffle(expected)
+    rng = random.Random(length)
+    _shuffle(rng, memoryview(a))
+    assert a.tolist() == expected
+    assert rng.getstate() == ref.getstate()
 
 
 def test_outcome_csv_is_repeatable():
