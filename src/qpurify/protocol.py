@@ -265,16 +265,18 @@ def run_protocol(
     that does not grow with ``trials``.  With ``keep_outcomes`` each trial
     also gets a copy index alpha, uniform among its d_j copies, and
     ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes beyond
-    (SizeLimitError if that exceeds the available memory, or if a d_j has
-    more digits than ``sys.get_int_max_str_digits()`` lets the dump write:
-    past N = 14,298 at the default 4,300).  Results are bit-reproducible
-    for a given seed; only the standard library runs.
+    (SizeLimitError if that exceeds the available memory, or if an outcome
+    with p_j > 0 has a d_j past ``sys.get_int_max_str_digits()`` digits:
+    at the default 4,300, past N = 14,298 for lam <= 0.3 and N = 15,596 at
+    lam = 0.6).  Results are bit-reproducible for a given seed; only the
+    standard library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, where Python predates the limit
-    if keep_outcomes and digits and max(spect.multiplicities) >= 10**digits:
-        raise SizeLimitError(f"a trial dump at n={n} has copy indices past Python's {digits}-digit int-to-str limit")
+    drawable = (d for d, p in zip(spect.multiplicities, spect.probabilities) if p)  # _multinomial never draws p = 0
+    if keep_outcomes and digits and max(drawable) >= 10**digits:
+        raise SizeLimitError(f"a trial dump at n={n} may draw an alpha past Python's {digits}-digit int-to-str limit")
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
     return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
 

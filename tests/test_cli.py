@@ -220,16 +220,18 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not dump.exists()
 
-    @pytest.mark.parametrize("n, code", [(14298, 0), (14300, 2)])
-    def test_dump_past_the_int_to_str_limit_is_refused(self, n, code, tmp_path):
-        # the largest d_j has 4,300 digits at N = 14,298 and more at 14,300: refused before the draw and the file
+    @pytest.mark.parametrize("n, lam, code", [(14298, 0.02, 0), (14300, 0.02, 2), (14300, 0.6, 0), (20000, 0.6, 2)])
+    def test_dump_past_the_int_to_str_limit_is_refused(self, n, lam, code, tmp_path):
+        # refused before the draw and the file when an outcome with p_j > 0 has a d_j past 4,300 digits: at
+        # lam = 0.02 the peak d_j (j = 59, p_j ~ 1e-3) passes between N = 14,298 and 14,300; at lam = 0.6 the
+        # drawable d_j have 3,969 digits at most at N = 14,300, and at N = 20,000 90 % of the mass is past the limit
         dump = tmp_path / "trials.csv"
-        args = f"simulate --n {n} --lambda 0.6 --trials 10 --seed 1 --dump-trials {dump}".split()
+        args = f"simulate --n {n} --lambda {lam} --trials 10 --seed 1 --dump-trials {dump}".split()
         run = run_python("-X", "int_max_str_digits=4300", "-m", "qpurify", *args)
         assert run.returncode == code
         if code:
             assert run.stderr == (
-                f"error: a trial dump at n={n} has copy indices past Python's 4300-digit int-to-str limit\n"
+                f"error: a trial dump at n={n} may draw an alpha past Python's 4300-digit int-to-str limit\n"
             ).encode()
             assert run.stdout == b"" and not dump.exists()
         else:
