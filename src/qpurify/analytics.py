@@ -77,7 +77,13 @@ def _multiplicity_columns(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
 
 
 def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """Exact d_j and float p_j, delta_j for j = 0..n/2.
+    """Exact d_j and float p_j, delta_j for j = 0..n/2."""
+    probs = _probabilities(n, lam, range(n // 2 + 1))  # first, so a bad n or lam is refused before any build
+    return _multiplicity_columns(n)[0], probs, _prefix_sums(lam, n // 2)[1]
+
+
+def _probabilities(n: int, lam: float, js) -> tuple[float, ...]:
+    """Float p_j for j in ``js``, read off the cached columns.
 
     p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
     c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
@@ -86,25 +92,20 @@ def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float,
     _check_register(n)
     _check_lambda(lam)
     J = n // 2
-    mults, log_mults = _multiplicity_columns(n)  # first, so an oversized n is refused before any build
-    log_s0, blochs = _prefix_sums(lam, J)
+    log_mults = _multiplicity_columns(n)[1]  # first, so an oversized n is refused before any build
+    log_s0 = _lambda_columns(lam, 1 << J.bit_length())[0]
     c1, c0 = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     if c0 == 0.0:
-        probs = tuple(float(j == J) for j in range(J + 1))
-    else:
-        log_pair, log_c1 = math.log(c0 * c1), math.log(c1)
-        probs = tuple(
-            math.exp(log_d + (J - j) * log_pair + 2 * j * log_c1 + log_s)
-            for j, (log_d, log_s) in enumerate(zip(log_mults, log_s0))
-        )
-    return mults, probs, blochs
+        return tuple(float(j == J) for j in js)
+    log_pair, log_c1 = math.log(c0 * c1), math.log(c1)
+    return tuple(math.exp(log_mults[j] + (J - j) * log_pair + 2 * j * log_c1 + log_s0[j]) for j in js)
 
 
 def block_probability(n: int, lam: float, j: int) -> float:
-    """Probability that n copies with Bloch length lam land in total spin j."""
+    """Probability that n copies with Bloch length lam land in total spin j, evaluated for row j alone."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
-    return _spectrum_columns(n, lam)[1][j]
+    return _probabilities(n, lam, (j,))[0]
 
 
 def _bloch_limit_j0(lam: float) -> float:

@@ -286,14 +286,14 @@ def run_protocol_dense(
 ) -> SimulationSummary:
     """Run the protocol on the blocks of the input's tensor power.
 
-    The blocks come from ``power_coordinates``: the trace of a copy's
-    block B is its probability, and after relabelling it as the first copy
-    and discarding the singlet pairs, the 2j kept qubits are B in Dicke
-    coordinates.  In the eigenbasis of the input, W B W^H for W =
-    dicke_power of the basis change, diagonal entry k is the weight of k
-    aligned qubits, so the mean kept-qubit fidelity is <k> / 2j.  Outcome
-    states depend only on the block label, so the (j, alpha) label counts
-    come from one multinomial draw over the block traces.
+    The blocks come from ``power_coordinates``: a copy's trace is its
+    probability, 0 below ``blocks._PROB_FLOOR``, where it is never drawn.
+    Every copy of spin j holds one kept state, so the spin is scored once,
+    on the sum B of its blocks: the 2j kept qubits are B in Dicke
+    coordinates, and diagonal entry k of W B W^H, W = dicke_power of the
+    change to the input's eigenbasis, weighs k aligned qubits.  Every copy
+    gets that diagonal's <k> / 2j, or 0.0 if none of the spin's copies can
+    be drawn.  One multinomial draw over the traces gives the (j, alpha) counts.
     """
     import numpy as np
 
@@ -304,23 +304,23 @@ def run_protocol_dense(
     basis = blocks.build_schur_basis(n)
     coords = blocks.power_coordinates(basis, blocks.density_matrix(q))
     aligned, anti = blocks.qubit_eigenstates(q)
-    to_eigenbasis = {j: blocks.dicke_power(np.vstack([anti, aligned]).conj(), j) for j in coords}
-    labels = basis.labels()
-
-    probs, fids = [0.0] * len(labels), [0.0] * len(labels)
-    for i, label in enumerate(labels):
-        block = coords[label.j][label.alpha - 1]
-        prob = float(np.trace(block).real)
-        if prob < blocks._PROB_FLOOR:
-            continue  # never drawn: its probability stays zero
-        probs[i] = prob
-        if label.j == 0:  # nothing kept: the continuity value keeps averages comparable with the fast path
-            fids[i] = analytics.block_fidelity(q.lam, 0)
+    to_eigenbasis = np.vstack([anti, aligned]).conj()
+    probs, fids = [], []
+    for j in basis.j_values():
+        traces = np.trace(coords[j], axis1=1, axis2=2).real
+        drawn = traces >= blocks._PROB_FLOOR
+        probs += np.where(drawn, traces, 0.0).tolist()  # a floored copy's probability stays zero
+        if not drawn.any():
+            fid = 0.0
+        elif j == 0:  # nothing kept: the continuity value keeps averages comparable with the fast path
+            fid = analytics.block_fidelity(q.lam, 0)
         else:
-            w = to_eigenbasis[label.j]
-            aligned_counts = (w @ block @ w.conj().T).diagonal().real
-            fids[i] = float(np.arange(2 * label.j + 1) @ aligned_counts) / (2 * label.j * prob)
+            w = blocks.dicke_power(to_eigenbasis, j)
+            weights = (w @ coords[j].sum(axis=0) @ w.conj().T).diagonal().real
+            fid = float(np.arange(2 * j + 1) @ weights / (2 * j * weights.sum()))
+        fids += [fid] * len(traces)
 
+    labels = basis.labels()
     outcome = ([label.j for label in labels], probs, fids)
     copies = [label.alpha for label in labels]
     return _simulate(n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)

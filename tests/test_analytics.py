@@ -118,6 +118,13 @@ class TestBlockProbability:
                 got = block_probability(n, float(lam), j)
                 assert got == pytest.approx(exact, rel=1e-11, abs=1e-300)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, 0.6, 1.0])
+    @pytest.mark.parametrize("n", [2, 40, 2000])
+    def test_one_row_is_the_spectrums_row(self, n, lam):
+        # row j alone, from the cached columns, is the same float as row j of the full spectrum
+        spect = block_spectrum(n, lam)
+        assert [block_probability(n, lam, j) for j in range(n // 2 + 1)] == list(spect.probabilities)
+
     @given(n=even_n_st, lam=lam_st)
     @settings(max_examples=80, deadline=None)
     def test_normalization(self, n, lam):

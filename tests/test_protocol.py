@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import warnings
 from array import array
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from scipy import stats
 from qpurify import (
     MixedQubit,
     SizeLimitError,
+    block_fidelity,
     block_probability,
     block_spectrum,
     build_schur_basis,
@@ -20,6 +22,7 @@ from qpurify import (
     kron_power,
     mean_fidelity,
     multiplicity,
+    random_direction,
     run_protocol,
     run_protocol_dense,
     write_outcomes_csv,
@@ -292,14 +295,41 @@ class TestDensePath:
         assert stats.chi2_contingency(table).pvalue > 0.001
 
     def test_fidelities_match_closed_form(self):
-        from qpurify import block_fidelity
-
         for n in (4, 6, 8):
             q = MixedQubit(0.5, (0.6, 0.0, 0.8))
             summary = run_protocol_dense(q, n, trials=5000, seed=12, keep_outcomes=True)
             expected = {j: block_fidelity(0.5, j) for j in range(n // 2 + 1)}
             for _, j, _, _, fid in dumped_rows(summary.outcomes):
                 assert fid == pytest.approx(expected[j], abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.99, 0.999])
+    def test_drawable_copies_share_their_spins_fidelity(self, lam):
+        # a copy scored over its own trace (6.2e-14 for spin 1 at lam = 0.999) lands up to 1.2e-6 off
+        from qpurify.blocks import power_coordinates
+
+        n, q = 10, MixedQubit(lam, random_direction(random.Random(0)))
+        outcomes = run_protocol_dense(q, n, 10, 0, keep_outcomes=True).outcomes
+        coords = power_coordinates(build_schur_basis(n), density_matrix(q))
+        traces = np.concatenate([np.trace(coords[j], axis1=1, axis2=2).real for j in sorted(coords)])
+        drawable = {}  # spin -> the fidelities of its copies with trace >= 1e-14
+        for j, fid, trace in zip(outcomes.js, outcomes.fids, traces):
+            if trace >= 1e-14:
+                drawable.setdefault(j, set()).add(fid)
+        assert set(range(1, n // 2 + 1)) <= set(drawable)  # spin 0 has none at lam = 0.999
+        for j, fids in drawable.items():
+            assert len(fids) == 1, j
+            assert abs(fids.pop() - block_fidelity(lam, j)) <= 1e-8, j
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_spins_that_cannot_be_drawn(self, n):
+        # at lam = 1 every copy below the top spin has trace 0, so a spin's ratio would be 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_protocol_dense(MixedQubit(1.0), n, 1000, n)
+        moments = (summary.empirical_yield, summary.yield_se, summary.empirical_mean_fidelity, summary.fidelity_se)
+        assert all(map(math.isfinite, moments))
+        assert summary.empirical_mean_fidelity == 1.0
+        assert summary.histogram[n // 2] == 1000
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -320,7 +350,7 @@ def test_outcome_csv_roundtrip():
     [
         (20, 5000, 9, False, "bc60e04b21ef2002"),
         (100, 100_000, 3, False, "2ab8361f8f9d2d68"),
-        (4, 500, 2, True, "81e8975a8a778e05"),
+        (4, 500, 2, True, "4090e82b67d94d1c"),
         (600, 20_000, 7, False, "f5d0e6c136015f24"),  # 301 outcomes: a 2-byte order
     ],
 )
