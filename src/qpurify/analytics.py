@@ -1,8 +1,8 @@
 """Closed-form statistics of the total-spin blocks of N identical qubits.
 
-Everything here is binomial/geometric arithmetic on plain floats and exact
-integers, so it needs only the standard library and stays cheap for
-register sizes far beyond any dense 2^N object.
+Everything here is binomial/geometric arithmetic on plain floats, with one
+exact d_k per spectrum, so it needs only the standard library and stays
+cheap for register sizes far beyond any dense 2^N object.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .core import _check_lambda, _check_memory, _check_register
@@ -31,15 +32,15 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
 
 
 def _prefix_sums(lam: float, J: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """log S0[2j] and delta_j for j = 0..J, read off the cached columns of lam."""
+    """S0[2j] and delta_j for j = 0..J, read off the cached columns of lam."""
     _check_lambda(lam)  # before the lookup, so no bad lam becomes a key
-    log_s0, blochs = _lambda_columns(lam, 1 << J.bit_length())
-    return log_s0[: J + 1], blochs[: J + 1]
+    s0, blochs = _lambda_columns(lam, 1 << J.bit_length())
+    return s0[: J + 1], blochs[: J + 1]
 
 
 @functools.lru_cache(maxsize=32)
 def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """log S0[2j] and the kept qubit's Bloch length delta_j = 2 f_j - 1 for j < size.
+    """S0[2j] and the kept qubit's Bloch length delta_j = 2 f_j - 1 for j < size.
 
     A spin-j block holds k = 0..2j anti-aligned qubits with weight r^k,
     r = c0/c1.  With S0[m] = sum_{k<=m} r^k, delta_j = nu_j / (j S0[2j]) for
@@ -54,58 +55,40 @@ def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[flo
     steps = (gap * j * s0[2 * j - 1] for j in range(1, size))
     nus = itertools.accumulate(steps, lambda nu, step: r * nu + step)
     blochs = (nu / (j * s0[2 * j]) for j, nu in enumerate(nus, 1))
-    return tuple(map(math.log, s0[::2])), (_bloch_limit_j0(lam), *blochs)
+    return tuple(s0[::2]), (_bloch_limit_j0(lam), *blochs)
 
 
-def _check_multiplicity_size(n: int) -> None:
-    """Refuse an n whose exact d_j, about n^2/20 bytes, exceed MemAvailable; read only above 64 MiB."""
-    if n * n // 20 > 2**26:
-        _check_memory(n * n // 20, f"n={n}", " of exact multiplicities")
+def _probabilities(n: int, lam: float) -> tuple[float, ...]:
+    """Float p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] for j = 0..n/2, one product walk out of the mode.
 
-
-@functools.lru_cache(maxsize=1)
-def _multiplicity_columns(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Exact d_j = C(n, J-j)(2j+1)/(J+j+1) and log d_j for j = 0..n/2, once n passes the size check."""
-    _check_multiplicity_size(n)
-    J = n // 2
-    mults = []
-    comb = math.comb(n, J)  # C(n, J - j)
-    for j in range(J + 1):
-        mults.append(comb * (2 * j + 1) // (J + j + 1))
-        comb = comb * (J - j) // (J + j + 1)
-    return tuple(mults), tuple(map(math.log, mults))
-
-
-def _spectrum_columns(n: int, lam: float) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """Exact d_j and float p_j, delta_j for j = 0..n/2."""
-    probs = _probabilities(n, lam, range(n // 2 + 1))  # first, so a bad n or lam is refused before any build
-    return _multiplicity_columns(n)[0], probs, _prefix_sums(lam, n // 2)[1]
-
-
-def _probabilities(n: int, lam: float, js) -> tuple[float, ...]:
-    """Float p_j for j in ``js``, read off the cached columns.
-
-    p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] is evaluated in log space; at
-    c0 = 0 (lam = 1) the logarithm is undefined and p_j is the top-block
-    indicator.
+    Each factor of p_{j+1}/p_j = (J-j)(2j+3)/((2j+1)(J+j+2)) (c1/c0) S0[2j+2]/S0[2j] falls with j, so
+    the mode k is the number of ratios above 1.  Only p_k is evaluated in log space, from the exact d_k;
+    the other rows are running products of the ratios.  At c0 = 0 (lam = 1) p is the top-block indicator.
     """
     _check_register(n)
     _check_lambda(lam)
+    if 400 * n > 2**26:  # the float columns hold about 400 bytes a qubit; read only above 64 MiB
+        _check_memory(400 * n, f"n={n}", " of float columns")
     J = n // 2
-    log_mults = _multiplicity_columns(n)[1]  # first, so an oversized n is refused before any build
-    log_s0 = _lambda_columns(lam, 1 << J.bit_length())[0]
+    s0 = _prefix_sums(lam, J)[0]
     c1, c0 = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
     if c0 == 0.0:
-        return tuple(float(j == J) for j in js)
-    log_pair, log_c1 = math.log(c0 * c1), math.log(c1)
-    return tuple(math.exp(log_mults[j] + (J - j) * log_pair + 2 * j * log_c1 + log_s0[j]) for j in js)
+        return (0.0,) * J + (1.0,)
+    a, b = lam.as_integer_ratio()
+    odds = (b + a) / (b - a)  # c1/c0 rounded once, so the walk's bias is half an ulp a step
+    ratios = [(J - j) * (2 * j + 3) / ((2 * j + 1) * (J + j + 2)) * odds * (s0[j + 1] / s0[j]) for j in range(J)]
+    k = sum(ratio > 1.0 for ratio in ratios)
+    log_peak = math.log(multiplicity(n, k)) + (J - k) * math.log(c0 * c1) + 2 * k * math.log(c1) + math.log(s0[k])
+    down = list(itertools.accumulate(reversed(ratios[:k]), operator.truediv, initial=math.exp(log_peak)))
+    up = itertools.accumulate(ratios[k:], operator.mul, initial=down[0])
+    return (*reversed(down[1:]), *up)
 
 
 def block_probability(n: int, lam: float, j: int) -> float:
-    """Probability that n copies with Bloch length lam land in total spin j, evaluated for row j alone."""
+    """Probability that n copies with Bloch length lam land in total spin j: row j of the spectrum's walk."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
-    return _probabilities(n, lam, (j,))[0]
+    return _probabilities(n, lam)[j]
 
 
 def _bloch_limit_j0(lam: float) -> float:
@@ -132,10 +115,23 @@ def block_fidelity(lam: float, j: int) -> float:
 SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
 
 
-class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilities bloch_lengths")):
-    """Per-j columns of block multiplicity, probability and the kept qubit's Bloch length delta_j, as tuples."""
+class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengths")):
+    """Per-j columns of block probability and the kept qubit's Bloch length delta_j, as tuples."""
 
     __slots__ = ()
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Exact d_j = C(n, J-j)(2j+1)/(J+j+1), built on each read once their n^2/20 bytes fit MemAvailable
+        (read only above 64 MiB): only ``stats`` rows and trial dumps read them."""
+        n, J = self.n, self.n // 2
+        if n * n // 20 > 2**26:
+            _check_memory(n * n // 20, f"n={n}", " of exact multiplicities")
+        mults, comb = [], math.comb(n, J)  # C(n, J - j)
+        for j in range(J + 1):
+            mults.append(comb * (2 * j + 1) // (J + j + 1))
+            comb = comb * (J - j) // (J + j + 1)
+        return tuple(mults)
 
     @property
     def fidelities(self) -> tuple[float, ...]:
@@ -157,8 +153,9 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam multiplicities probabilit
 
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
-    """All (j, d_j, p_j, delta_j) columns for a register of n qubits."""
-    return BlockSpectrum(n, lam, *_spectrum_columns(n, lam))
+    """The float (j, p_j, delta_j) columns for a register of n qubits; the exact d_j are built only when read."""
+    probs = _probabilities(n, lam)  # first, so a bad n or lam is refused before any build
+    return BlockSpectrum(n, lam, probs, _prefix_sums(lam, n // 2)[1])
 
 
 def yield_factor(n: int, lam: float) -> float:

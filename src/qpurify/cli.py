@@ -189,13 +189,17 @@ def _z_score(value: float, target: float, se: float) -> float:
     return diff / se
 
 
+_FIGURE1_ROWS = 10**8  # spectrum rows a figure1 run may build: about 85 s at 0.85 us a row, measured on 2 cores
+
+
 def cmd_figure1(args: argparse.Namespace) -> Report:
-    analytics._check_multiplicity_size(args.n)  # the largest N, refused before the smaller ones run
-    n_values = list(range(2, args.n + 1, 2))
-    curves = {lam: [] for lam in args.lam}  # a repeated lam shares one curve
-    for n in n_values:  # N outer, so one build of the exact d_j serves every lam
-        for lam, curve in curves.items():
-            curve.append(cloning.estimation_lambda(n, lam))
+    lams = dict.fromkeys(args.lam)  # a repeated lam shares one curve
+    K = args.n // 2
+    needed = len(lams) * K * (K + 3) // 2  # sum of J + 1 over J = 1..K, for each lam
+    if needed > _FIGURE1_ROWS:
+        raise SizeLimitError(f"figure1 needs {needed} spectrum rows for {len(lams)} lambdas, above {_FIGURE1_ROWS}")
+    n_values = range(2, args.n + 1, 2)
+    curves = {lam: [cloning.estimation_lambda(n, lam) for n in n_values] for lam in lams}  # lam outer
     if args.plot:
         _render_figure1(args.plot, n_values, curves)
     rows = [(n, lam, value) for lam in args.lam for n, value in zip(n_values, curves[lam])]
@@ -267,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     finish(p, cmd_simulate)
 
     p = sub.add_parser("figure1", help="achievable Bloch length vs input copies")
-    p.add_argument("--n", type=_even, default=40, help="largest even N (default 40); needs N^2/20 bytes of memory")
+    p.add_argument("--n", type=_even, default=40, help="largest even N (default 40); at most 10^8 spectrum rows")
     p.add_argument("--lambda", dest="lam", type=_lengths, default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--plot", type=_plottable, help="also render the curves to this image file")
     finish(p, cmd_figure1)

@@ -273,12 +273,13 @@ def run_protocol(
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
+    mults = spect.multiplicities if keep_outcomes else ()  # only a dump reads the exact d_j, for its copy indices
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, where Python predates the limit
-    drawable = (d for d, p in zip(spect.multiplicities, spect.probabilities) if p)  # _multinomial never draws p = 0
+    drawable = (d for d, p in zip(mults, spect.probabilities) if p)  # _multinomial never draws p = 0
     if keep_outcomes and digits and max(drawable) >= 10**digits:
         raise SizeLimitError(f"a trial dump at n={n} may draw an alpha past Python's {digits}-digit int-to-str limit")
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
-    return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, spect.multiplicities)
+    return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, mults)
 
 
 def run_protocol_dense(

@@ -25,6 +25,17 @@ def block_sums(J: int, lam: Fraction):
         yield j, g, h
 
 
+def exact_probabilities(n: int, lam: Fraction) -> list[Fraction]:
+    """p_j for j = 0..n/2."""
+    a, b = lam.numerator, lam.denominator
+    J = n // 2
+    gs = [1, *(g for _, g, _ in block_sums(J, lam))]
+    return [
+        Fraction(math.comb(n, J - j) * (2 * j + 1) // (J + j + 1) * ((b + a) * (b - a)) ** (J - j) * g, (2 * b) ** n)
+        for j, g in enumerate(gs)
+    ]
+
+
 def exact_bloch_lengths(J: int, lam: Fraction) -> list[Fraction]:
     """delta_j for j = 1..J."""
     return [Fraction(j * g - h, j * g) for j, g, h in block_sums(J, lam)]

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from qpurify import (
 from qpurify import analytics
 from qpurify.blocks import dicke_rows
 
-from exact import exact_bloch_lengths
+from exact import exact_bloch_lengths, exact_probabilities
 
 lam_st = st.floats(0.0, 1.0, allow_nan=False)
 even_n_st = st.integers(1, 20).map(lambda k: 2 * k)
@@ -124,6 +125,18 @@ class TestBlockProbability:
         # row j alone, from the cached columns, is the same float as row j of the full spectrum
         spect = block_spectrum(n, lam)
         assert [block_probability(n, lam, j) for j in range(n // 2 + 1)] == list(spect.probabilities)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-12, 0.3, 0.6, 0.999, 1 - 2**-52])
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 40, 400])
+    def test_every_row_matches_the_exact_rational(self, n, x):
+        # rows on both sides of the mode, which lies at j = J for the largest x; an exact p_j below the smallest
+        # normal float is only held to 1e-300
+        exact = exact_probabilities(n, Fraction(x))
+        got = block_spectrum(n, x).probabilities
+        assert len(got) == len(exact) == n // 2 + 1
+        for j, (p, q) in enumerate(zip(got, exact)):
+            error = abs(Fraction(p) - q)
+            assert error <= Fraction(1e-12) * q or (q < Fraction(sys.float_info.min) and error <= Fraction(1e-300)), j
 
     @given(n=even_n_st, lam=lam_st)
     @settings(max_examples=80, deadline=None)
@@ -221,12 +234,8 @@ class TestBlockSpectrum:
             assert block_fidelity(lam, 1) > (1 + lam) / 2
 
 
-def _clear_spectrum_caches():
-    analytics._lambda_columns.cache_clear()
-    analytics._multiplicity_columns.cache_clear()
-
-
 class TestSpectrumCaches:
+    # the per-lambda columns are the one spectrum cache; nothing is cached per n
     @given(n=even_n_st, lam=lam_st, others=st.lists(lam_st, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_warm_caches_give_the_cold_spectrum(self, n, lam, others):
@@ -234,16 +243,16 @@ class TestSpectrumCaches:
             summary = (yield_factor(n, lam), mean_fidelity(n, lam), estimation_lambda(n, lam))
             return block_spectrum(n, lam), summary, block_fidelity(lam, n // 2)
 
-        _clear_spectrum_caches()
+        analytics._lambda_columns.cache_clear()
         cold = everything()
         block_spectrum(8 * n + 6, lam)  # lam's columns now reach past n's power of two
-        for other in others:  # n's d_j built last under another lam
+        for other in others:  # n's spectrum built last under another lam
             block_spectrum(n, other)
         assert everything() == cold
 
     def test_columns_are_tuples(self):
         spect = block_spectrum(10, 0.3)
-        cached = (*analytics._lambda_columns(0.3, 8), *analytics._multiplicity_columns(10))
+        cached = analytics._lambda_columns(0.3, 8)
         for column in (spect.multiplicities, spect.probabilities, spect.fidelities, *cached):
             assert isinstance(column, tuple)
         with pytest.raises(AttributeError):
@@ -253,21 +262,19 @@ class TestSpectrumCaches:
         for i in range(100):
             block_spectrum(2 * (i + 1), i / 99)
             block_fidelity(i / 99, 300)
-        for cache in (analytics._lambda_columns, analytics._multiplicity_columns):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+        info = analytics._lambda_columns.cache_info()
+        assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("n, lam", [(4, math.nan), (4, -0.1), (4, 1.5), (4, math.inf), (5, 0.5), (0, 0.5)])
     def test_bad_input_is_refused_before_the_lookup(self, n, lam):
-        _clear_spectrum_caches()
+        analytics._lambda_columns.cache_clear()
         for call in (block_spectrum, yield_factor, mean_fidelity, estimation_lambda):
             with pytest.raises(ValueError):
                 call(n, lam)
         if n == 4:
             with pytest.raises(ValueError):
                 block_fidelity(lam, 2)
-        for cache in (analytics._lambda_columns, analytics._multiplicity_columns):
-            assert cache.cache_info()[:2] == (0, 0)  # no hit, no miss
+        assert analytics._lambda_columns.cache_info()[:2] == (0, 0)  # no hit, no miss
 
 
 class TestAverages:

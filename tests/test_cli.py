@@ -342,15 +342,31 @@ class TestFigure1:
         for n, lam, value in rows:
             assert float(value) == cloning.estimation_lambda(int(n), float(lam))
 
-    def test_one_build_of_the_exact_multiplicities_per_n(self, capsys):
-        # N outer: one d_j build for each of the 100 N serves all five lambdas, and
-        # each lambda's prefix sums are built once per power of two >= J + 1, 7 up to J = 100
-        analytics._multiplicity_columns.cache_clear()
+    def test_no_cache_cliff_past_32_values_of_lambda(self, capsys):
+        # lam outer: each of 40 lambdas builds its columns once per power of two >= J + 1, 8 up to J = 200;
+        # an N-outer loop over more lambdas than the cache holds would miss on every call
         analytics._lambda_columns.cache_clear()
+        lams = ",".join(str(i / 40) for i in range(40))
+        assert run_cli("figure1", "--n", "400", "--lambda", lams) == 0
+        capsys.readouterr()
+        assert analytics._lambda_columns.cache_info().misses == 40 * 8
+
+    def test_builds_no_exact_multiplicities(self, capsys, monkeypatch):
+        # each spectrum with lam < 1 takes one exact anchor d_k, and no column of d_j is built
+        anchors, exact = [], analytics.multiplicity
+
+        def anchor(n, j):
+            anchors.append((n, j))
+            return exact(n, j)
+
+        def unread(self):
+            raise AssertionError("exact d_j built for figure1")
+
+        monkeypatch.setattr(analytics, "multiplicity", anchor)
+        monkeypatch.setattr(analytics.BlockSpectrum, "multiplicities", property(unread))
         assert run_cli("figure1", "--n", "200") == 0
         capsys.readouterr()
-        assert analytics._multiplicity_columns.cache_info().misses == 100
-        assert analytics._lambda_columns.cache_info().misses == 5 * 7
+        assert sorted(n for n, _ in anchors) == sorted(list(range(2, 201, 2)) * 4)  # lam = 1 needs no anchor
 
     def test_bad_range(self):
         assert run_cli("figure1", "--n", "7") == 2
@@ -418,17 +434,21 @@ def test_unknown_command_exits_two():
 
 @pytest.mark.parametrize(
     "argv, digest",
+    # each case is named by its command line alone, so a re-pinned digest keeps the test's id
     [
-        ("stats --n 8 --lambda 0.5", "ad572eea3007a1f1"),
-        ("stats --n 8 --lambda 0.5 --format tsv", "9b901f1a2771389e"),
-        ("clone --n 4 --m 8 --lambda 0.5", "17715576be0a3fda"),
-        ("clone --n 4 --m inf --lambda 0.5", "2a894c8569aa66b1"),
-        ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "6a8439c77db4aa5e"),
-        ("figure1 --n 6 --lambda 0.6,0.2,0.6", "73dd051397ea9e25"),
-        ("figure1 --n 200", "4f5aec18a0ec7333"),
-        ("stats --n 2000 --lambda 0.6", "1a6a31ca6e184ce1"),
-        ("clone --n 2000 --m inf --lambda 0.6", "33ba5fe792ad12bf"),
-        ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "fa04a774f70f4b50"),
+        pytest.param(argv, digest, id=argv)
+        for argv, digest in [
+            ("stats --n 8 --lambda 0.5", "3a2790cb33082b1f"),
+            ("stats --n 8 --lambda 0.5 --format tsv", "78df57a7f6bb8d4c"),
+            ("clone --n 4 --m 8 --lambda 0.5", "d1a2409b3bc317ef"),
+            ("clone --n 4 --m inf --lambda 0.5", "05a1354d1a715789"),
+            ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "32b246f95f7e371b"),
+            ("figure1 --n 6 --lambda 0.6,0.2,0.6", "194c8aaee07ec5f6"),
+            ("figure1 --n 200", "2cb0078e355ab721"),
+            ("stats --n 2000 --lambda 0.6", "9a3064e8bc11089a"),
+            ("clone --n 2000 --m inf --lambda 0.6", "31bf92d455859a12"),
+            ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "2ed02d4caeef0cf0"),
+        ]
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):
@@ -436,7 +456,8 @@ def test_output_bytes_golden(argv, digest, capsys):
     # math.log), so numpy's CPU dispatch cannot move them; the simulate row also pins the
     # seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
     assert main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert got == digest, f"{argv!r} printed bytes with digest {got}"
 
 
 @pytest.mark.parametrize(
@@ -497,40 +518,48 @@ def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, tmp_path,
 
 
 class TestClosedFormSizeGuard:
-    """The exact d_j hold about N^2/20 bytes; an N whose d_j exceed the available memory is refused."""
+    """The exact d_j hold about N^2/20 bytes and only stats rows and trial dumps build them: there an N whose d_j
+    exceed the available memory is refused, and every other closed-form command runs on the float columns."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            "clone --n 100000 --m inf --lambda 0.6",
-            "stats --n 100000 --lambda 0.6",
-            "simulate --n 100000 --lambda 0.6 --trials 10 --seed 1",
-            "figure1 --n 100000",
+            pytest.param(argv, message, id=argv)
+            for argv, message in [
+                ("stats --n 100000 --lambda 0.6", "n=100000 needs about 477 MiB"),
+                ("figure1 --n 100000", "figure1 needs 6250375000 spectrum rows for 5 lambdas, above 100000000"),
+            ]
         ],
     )
-    def test_oversized_n_is_one_error_line_before_any_build(self, argv, capsys, monkeypatch):
+    def test_oversized_n_is_one_error_line_before_any_build(self, argv, message, capsys, monkeypatch):
+        # stats after its float columns, before the exact d_j; figure1 by its row budget, before any spectrum
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
-        analytics._multiplicity_columns.cache_clear()
         analytics._lambda_columns.cache_clear()
         assert main(argv.split()) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: n=100000 needs about 477 MiB") and err.count("\n") == 1
-        assert analytics._multiplicity_columns.cache_info().currsize == 0
-        assert analytics._lambda_columns.cache_info().currsize == 0
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert argv.startswith("stats") or analytics._lambda_columns.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "argv", ["clone --n 100000 --m inf --lambda 0.6", "simulate --n 100000 --lambda 0.6 --trials 10 --seed 1"]
+    )
+    def test_float_columns_run_where_the_exact_d_j_would_not_fit(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
+        assert main(argv.split()) == 0
+        capsys.readouterr()
 
     def test_runs_as_before_without_meminfo(self, capsys, monkeypatch):
-        # 40000 is above the 64 MiB below which no memory figure is read
+        # 40000 is above the 64 MiB of exact d_j below which no memory figure is read
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
-        assert main("clone --n 40000 --m inf --lambda 0.6".split()) == 0
+        assert main("stats --n 40000 --lambda 0.6".split()) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == f"lambda_mix_inf={cloning.estimation_lambda(40000, 0.6)!r}"
+        assert lines[-1] == f"mean_fidelity={analytics.mean_fidelity(40000, 0.6)!r}"
 
     def test_small_n_reads_no_memory_figure(self, capsys, monkeypatch):
         def unread():
-            raise AssertionError("MemAvailable read below 64 MiB of d_j")
+            raise AssertionError("MemAvailable read below 64 MiB")
 
         monkeypatch.setattr("qpurify.core._mem_available_bytes", unread)
-        analytics._multiplicity_columns.cache_clear()
         assert main("clone --n 36000 --m inf --lambda 0.6".split()) == 0
         assert main("figure1 --n 200".split()) == 0
         capsys.readouterr()
@@ -677,15 +706,28 @@ def test_usage_error_is_one_stderr_line(argv, capsys, tmp_path):
     [
         "verify --n 12 --lambda 0.6 --out {missing}/v.csv",
         "verify --n 12 --lambda 0.6 --tol nan",
-        "clone --n 1000000 --m inf --lambda 0.6",
+        "stats --n 1000000 --lambda 0.6",
+        "clone --n 1000000000 --m inf --lambda 0.6",
     ],
 )
 def test_refusal_at_the_largest_sizes_comes_before_the_work(argv, tmp_path):
     # in a fresh process against the real MemAvailable: one error line within 10 s, where the work would take
-    # seconds (verify) or more memory than a machine has (clone, whose exact d_j need about 47 GiB)
+    # seconds (verify) or more memory than a machine has (stats, whose exact d_j need about 47 GiB after its float
+    # columns, and clone, whose float columns need about 370 GiB)
     run = run_python("-m", "qpurify", *argv.format(missing=tmp_path / "missing").split(), timeout=10)
     assert (run.returncode, run.stdout) == (2, b"")
     assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+
+
+def test_figure1_row_budget_is_one_line_within_a_second():
+    # in a fresh process that reads MemAvailable as 4 EiB, so the row budget alone refuses
+    code = (
+        "import sys, qpurify.core; qpurify.core._mem_available_bytes = lambda: 2**62; "
+        "from qpurify.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    run = run_python("-c", code, "figure1", "--n", "100000", timeout=1)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == b"error: figure1 needs 6250375000 spectrum rows for 5 lambdas, above 100000000\n"
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,7 @@ def _value_types():
     return [
         (MixedQubit(0.5), "MixedQubit(lam=0.5, direction=(0.0, 0.0, 1.0))"),
         (BlockLabel(1, 2), "BlockLabel(j=1, alpha=2)"),
-        (spect, f"BlockSpectrum(n=4, lam=0.5, multiplicities=(2, 3, 1), probabilities={p!r}, bloch_lengths={b!r})"),
+        (spect, f"BlockSpectrum(n=4, lam=0.5, probabilities={p!r}, bloch_lengths={b!r})"),
         (spect.rows[2], f"SpectrumRow(j=2, multiplicity=1, probability={p[2]!r}, fidelity={f[2]!r})"),
         (basis, f"SchurBasis(n=4, spins={basis.spins!r})"),
         (swap, f"BlockSwap(label=BlockLabel(j=1, alpha=2), matrix={swap.matrix!r}, is_identity=False)"),

@@ -91,15 +91,14 @@ def relative_error(got, exact):
 
 @pytest.fixture(scope="module", autouse=True)
 def _release_spectra():
-    # the exact d_j of N = 10^5 take about 0.5 GB; no other module needs them
+    # the per-lambda columns of N = 10^5 are not needed by any other module
     yield
-    analytics._multiplicity_columns.cache_clear()
     analytics._lambda_columns.cache_clear()
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda case: "{}-{}".format(*case))
 def case(request):
-    # module scope groups the tests by case, so the cached N = 10^5 multiplicities are built once
+    # module scope groups the tests by case
     return request.param
 
 

@@ -347,18 +347,23 @@ def test_outcome_csv_roundtrip():
 
 @pytest.mark.parametrize(
     ("n", "trials", "seed", "dense", "digest"),
+    # each case is named by its run alone, so a re-pinned digest keeps the test's id
     [
-        (20, 5000, 9, False, "bc60e04b21ef2002"),
-        (100, 100_000, 3, False, "2ab8361f8f9d2d68"),
-        (4, 500, 2, True, "4090e82b67d94d1c"),
-        (600, 20_000, 7, False, "f5d0e6c136015f24"),  # 301 outcomes: a 2-byte order
+        pytest.param(n, trials, seed, dense, digest, id=f"{('fast', 'dense')[dense]}-n{n}-trials{trials}-seed{seed}")
+        for n, trials, seed, dense, digest in [
+            (20, 5000, 9, False, "bc60e04b21ef2002"),
+            (100, 100_000, 3, False, "2ab8361f8f9d2d68"),
+            (4, 500, 2, True, "4090e82b67d94d1c"),
+            (600, 20_000, 7, False, "f5d0e6c136015f24"),  # 301 outcomes: a 2-byte order
+        ]
     ],
 )
 def test_outcome_csv_golden(n, trials, seed, dense, digest):
     # sha256 prefixes of `simulate --lambda 0.6 ... --dump-trials`, pinning the seed -> CSV mapping
     run = run_protocol_dense if dense else run_protocol
     text = dumped_csv(run(MixedQubit(0.6), n, trials, seed, keep_outcomes=True).outcomes)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    got = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == digest, f"the dump printed bytes with digest {got}"
 
 
 @pytest.mark.parametrize("code", "BHIL")
@@ -409,6 +414,17 @@ def test_outcome_dump_memory_is_bounded(tmp_path):
     assert peaks[1] - peaks[0] < 40e6
     with open(dump, "rb") as fh:
         assert sum(1 for _ in fh) == 10**6 + 1
+
+
+@pytest.mark.parametrize(
+    "argv", ["clone --n 100000 --m inf --lambda 0.6", "simulate --n 100000 --lambda 0.6 --trials 1000000000 --seed 1"]
+)
+def test_float_columns_alone_at_the_advertised_size(argv):
+    # neither command reads the exact d_j, which would take about 0.5 GB at this N
+    run = run_python("-c", _PEAK_RSS, *argv.split())
+    assert run.returncode == 0
+    value, unit = run.stderr.split()[-2:]
+    assert unit == b"kB" and int(value) * 1024 < 100e6
 
 
 def test_scaling_script_runs():
