@@ -1,8 +1,8 @@
 """Closed-form statistics of the total-spin blocks of N identical qubits.
 
-Everything here is binomial/geometric arithmetic on plain floats, with one
-exact d_k per spectrum, so it needs only the standard library and stays
-cheap for register sizes far beyond any dense 2^N object.
+Everything here is binomial/geometric arithmetic on plain floats, with no
+exact d_j on the float route, so it needs only the standard library and
+stays cheap for register sizes far beyond any dense 2^N object.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ def _lambda_columns(lam: float, size: int) -> tuple[tuple[float, ...], tuple[flo
 def _probabilities(n: int, lam: float) -> tuple[float, ...]:
     """Float p_j = d_j (c0 c1)^(J-j) c1^(2j) S0[2j] for j = 0..n/2, one product walk out of the mode.
 
-    Each factor of p_{j+1}/p_j = (J-j)(2j+3)/((2j+1)(J+j+2)) (c1/c0) S0[2j+2]/S0[2j] falls with j, so
-    the mode k is the number of ratios above 1.  Only p_k is evaluated in log space, from the exact d_k;
-    the other rows are running products of the ratios.  At c0 = 0 (lam = 1) p is the top-block indicator.
+    Each factor of p_{j+1}/p_j = (J-j)(2j+3)/((2j+1)(J+j+2)) (c1/c0) S0[2j+2]/S0[2j] falls with j, so the
+    mode k is the number of ratios above 1: the walk starts at 1.0 on row k and is divided by its own sum.
     """
     _check_register(n)
     _check_lambda(lam)
@@ -71,17 +70,17 @@ def _probabilities(n: int, lam: float) -> tuple[float, ...]:
         _check_memory(400 * n, f"n={n}", " of float columns")
     J = n // 2
     s0 = _prefix_sums(lam, J)[0]
-    c1, c0 = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    if c0 == 0.0:
+    if lam == 1.0:
         return (0.0,) * J + (1.0,)
     a, b = lam.as_integer_ratio()
     odds = (b + a) / (b - a)  # c1/c0 rounded once, so the walk's bias is half an ulp a step
     ratios = [(J - j) * (2 * j + 3) / ((2 * j + 1) * (J + j + 2)) * odds * (s0[j + 1] / s0[j]) for j in range(J)]
     k = sum(ratio > 1.0 for ratio in ratios)
-    log_peak = math.log(multiplicity(n, k)) + (J - k) * math.log(c0 * c1) + 2 * k * math.log(c1) + math.log(s0[k])
-    down = list(itertools.accumulate(reversed(ratios[:k]), operator.truediv, initial=math.exp(log_peak)))
-    up = itertools.accumulate(ratios[k:], operator.mul, initial=down[0])
-    return (*reversed(down[1:]), *up)
+    down = list(itertools.accumulate(reversed(ratios[:k]), operator.truediv, initial=1.0))
+    up = list(itertools.accumulate(ratios[k:], operator.mul, initial=1.0))
+    # each side of the mode smallest row first: fsum is slow here and sum() rounds anew from Python 3.12
+    total = functools.reduce(operator.add, itertools.chain(reversed(down), reversed(up[1:])))
+    return tuple(p / total for p in itertools.chain(reversed(down[1:]), up))
 
 
 def block_probability(n: int, lam: float, j: int) -> float:

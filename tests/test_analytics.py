@@ -110,14 +110,14 @@ class TestBlockProbability:
                     assert got == pytest.approx(exact, rel=1e-13, abs=1e-300)
 
     def test_log_space_path_matches_exact_oracle(self):
-        # p_j is an exponential of a log sum; its rounding grows with n
+        # p_j is a product of up to n/2 ratios over the rows' sum, far out on both sides of the mode
         cases = [(60, Fraction(1, 2), (0, 5, 15, 30))]
         cases += [(2000, Fraction(num, 10), (0, 100, 600, 1000)) for num in (1, 6, 9)]
         for n, lam, js in cases:
             for j in js:
                 exact = float(exact_probability(n, lam, j))
                 got = block_probability(n, float(lam), j)
-                assert got == pytest.approx(exact, rel=1e-11, abs=1e-300)
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-12, 0.6, 1.0])
     @pytest.mark.parametrize("n", [2, 40, 2000])
@@ -220,7 +220,7 @@ class TestBlockSpectrum:
     @settings(max_examples=80, deadline=None)
     def test_spectrum_properties(self, n, lam):
         spect = block_spectrum(n, lam)
-        assert abs(math.fsum(row.probability for row in spect.rows) - 1.0) < 1e-12
+        assert abs(math.fsum(row.probability for row in spect.rows) - 1.0) <= 16 * np.finfo(float).eps
         # when lam is within a few ulps of 0, the prefix sums of ~2j weights
         # near 1 round f_j by up to ~1e-14 around its exact value 1/2 + O(lam j)
         tol = 64 * np.finfo(float).eps

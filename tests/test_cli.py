@@ -352,7 +352,7 @@ class TestFigure1:
         assert analytics._lambda_columns.cache_info().misses == 40 * 8
 
     def test_builds_no_exact_multiplicities(self, capsys, monkeypatch):
-        # each spectrum with lam < 1 takes one exact anchor d_k, and no column of d_j is built
+        # the float spectrum takes no exact d_j: not one multiplicity, and no column of them
         anchors, exact = [], analytics.multiplicity
 
         def anchor(n, j):
@@ -366,7 +366,7 @@ class TestFigure1:
         monkeypatch.setattr(analytics.BlockSpectrum, "multiplicities", property(unread))
         assert run_cli("figure1", "--n", "200") == 0
         capsys.readouterr()
-        assert sorted(n for n, _ in anchors) == sorted(list(range(2, 201, 2)) * 4)  # lam = 1 needs no anchor
+        assert anchors == []
 
     def test_bad_range(self):
         assert run_cli("figure1", "--n", "7") == 2
@@ -438,23 +438,23 @@ def test_unknown_command_exits_two():
     [
         pytest.param(argv, digest, id=argv)
         for argv, digest in [
-            ("stats --n 8 --lambda 0.5", "3a2790cb33082b1f"),
-            ("stats --n 8 --lambda 0.5 --format tsv", "78df57a7f6bb8d4c"),
-            ("clone --n 4 --m 8 --lambda 0.5", "d1a2409b3bc317ef"),
-            ("clone --n 4 --m inf --lambda 0.5", "05a1354d1a715789"),
-            ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "32b246f95f7e371b"),
-            ("figure1 --n 6 --lambda 0.6,0.2,0.6", "194c8aaee07ec5f6"),
-            ("figure1 --n 200", "2cb0078e355ab721"),
-            ("stats --n 2000 --lambda 0.6", "9a3064e8bc11089a"),
-            ("clone --n 2000 --m inf --lambda 0.6", "31bf92d455859a12"),
-            ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "2ed02d4caeef0cf0"),
+            ("stats --n 8 --lambda 0.5", "5416f45e81d00496"),
+            ("stats --n 8 --lambda 0.5 --format tsv", "26c231a3875205f9"),
+            ("clone --n 4 --m 8 --lambda 0.5", "648120253165d167"),
+            ("clone --n 4 --m inf --lambda 0.5", "d6077d7c91a7e65c"),
+            ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "fadc9d2b5546aeb7"),
+            ("figure1 --n 6 --lambda 0.6,0.2,0.6", "6bb6f0fe8c8b98de"),
+            ("figure1 --n 200", "fc5c01046c499ce4"),
+            ("stats --n 2000 --lambda 0.6", "844ace7f39b2cd53"),
+            ("clone --n 2000 --m inf --lambda 0.6", "aaf51159bf3ba97d"),
+            ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "1fa8b3ec8b2968f3"),
         ]
     ],
 )
 def test_output_bytes_golden(argv, digest, capsys):
-    # sha256 prefixes of the stdout.  The closed-form rows are libm arithmetic (math.exp,
-    # math.log), so numpy's CPU dispatch cannot move them; the simulate row also pins the
-    # seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
+    # sha256 prefixes of the stdout.  The closed-form rows are plain float arithmetic and
+    # libm (pow, atanh), so numpy's CPU dispatch cannot move them; the simulate row also pins
+    # the seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
     assert main(argv.split()) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
     assert got == digest, f"{argv!r} printed bytes with digest {got}"

@@ -126,4 +126,4 @@ def test_probabilities_match_the_oracle(case):
     probs = block_spectrum(n, lam).probabilities
     errors = {j: relative_error(probs[j], p) for j, (p, _) in exact_window(n, lam).items()}
     worst = max(errors, key=errors.get)
-    assert errors[worst] <= 1e-10, (worst, errors[worst])
+    assert errors[worst] <= 1e-12, (worst, errors[worst])

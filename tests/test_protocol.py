@@ -149,7 +149,8 @@ class TestFastPath:
         summary = run_protocol(MixedQubit(0.6), 1000, trials=10, seed=1)
         probs = [row.probability for row in block_spectrum(1000, 0.6).rows]
         assert summary.norm_defect == math.fsum(probs) - 1.0
-        assert 0 < abs(summary.norm_defect) < 1e-12
+        # the rows are divided by their own sum, so only that division's rounding is left; 0.0 is a right value
+        assert abs(summary.norm_defect) <= 16 * np.finfo(float).eps
 
     def test_records_shape(self):
         summary = run_protocol(MixedQubit(0.5), 4, trials=200, seed=2, keep_outcomes=True)
