@@ -1,8 +1,8 @@
 """Closed-form statistics of the total-spin blocks of N identical qubits.
 
-Everything here is binomial/geometric arithmetic on plain floats, with no
-exact d_j on the float route, so it needs only the standard library and
-stays cheap for register sizes far beyond any dense 2^N object.
+Everything here is binomial/geometric arithmetic on plain floats, with no exact d_j on the float route, so it
+needs only the standard library and stays cheap for register sizes far beyond any dense 2^N object.  Exact d_j
+are built only where read and short enough to print: no other module knows Python's int-to-str limit.
 """
 
 from __future__ import annotations
@@ -11,9 +11,12 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections import namedtuple
 
 from .core import _check_lambda, _check_memory, _check_register
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def multiplicity(n: int, j: int) -> int:
@@ -32,8 +35,10 @@ def cross_power_sum(c1: float, c0: float, m: int) -> float:
 
 
 def _prefix_sums(lam: float, J: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """S0[2j] and delta_j for j = 0..J, read off the cached columns of lam."""
+    """S0[2j] and delta_j for j = 0..J, read off the cached columns of lam, once they fit MemAvailable."""
     _check_lambda(lam)  # before the lookup, so no bad lam becomes a key
+    if 800 * J > 2**26:  # the float columns hold about 400 bytes a qubit; read only above 64 MiB
+        _check_memory(800 * J, f"a spectrum to j={J}", " of float columns")
     s0, blochs = _lambda_columns(lam, 1 << J.bit_length())
     return s0[: J + 1], blochs[: J + 1]
 
@@ -65,11 +70,8 @@ def _probabilities(n: int, lam: float) -> tuple[float, ...]:
     mode k is the number of ratios above 1: the walk starts at 1.0 on row k and is divided by its own sum.
     """
     _check_register(n)
-    _check_lambda(lam)
-    if 400 * n > 2**26:  # the float columns hold about 400 bytes a qubit; read only above 64 MiB
-        _check_memory(400 * n, f"n={n}", " of float columns")
     J = n // 2
-    s0 = _prefix_sums(lam, J)[0]
+    s0 = _prefix_sums(lam, J)[0]  # which refuses a bad lam first
     if lam == 1.0:
         return (0.0,) * J + (1.0,)
     a, b = lam.as_integer_ratio()
@@ -111,6 +113,48 @@ def block_fidelity(lam: float, j: int) -> float:
     return (1.0 + _prefix_sums(lam, j)[1][j]) / 2.0
 
 
+def _stirling_error(x: int) -> float:
+    """lgamma(x + 1) - ((x + 1/2) log x - x + log(2 pi)/2), for x >= 1."""
+    if x < 16:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x  # error below 1.2e-14
+
+
+def _log_factorial_gap(a: int, b: int) -> float:
+    """log(a! / b!) + (b - a) log a for a >= 1, b >= 0, without the cancellation
+    of its two terms: -bd0(b, a) - log(b/a)/2 plus Stirling errors, where
+    bd0(b, a) = b log(b/a) + a - b comes from Loader's series near b = a."""
+    if b == 0:  # the limit of the form below, whose log(b/a) diverges
+        return 0.5 * math.log(a) - a + _HALF_LOG_2PI + _stirling_error(a)
+    t = b - a
+    v = t / (a + b)
+    if abs(v) < 0.1:
+        bd0, last, term, j = t * v, None, 2 * b * v, 1  # t v + 2b sum_i v^(2i+1) / (2i+1)
+        while bd0 != last:
+            term, j = term * v * v, j + 2
+            last, bd0 = bd0, bd0 + term / j
+    else:
+        bd0 = b * math.log(b / a) - t
+    return -bd0 - 0.5 * math.log(b / a) + _stirling_error(a) - _stirling_error(b)
+
+
+def _printable_digits() -> int:
+    """D, the most digits of a d_j printed exactly: 4,300, or Python's int-to-str limit where that is lower."""
+    return min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)  # 0 is no limit, as before Python had one
+
+
+def _scientific(log10: float) -> str:
+    """<mantissa>e<exponent> of 10**log10 with only the digits that a float logarithm fixes."""
+    exponent = math.floor(log10)
+    # the log is off by a few units in its last place, ln(10) times that relative error in the mantissa, so round to
+    # the places in which that error is under half a unit: the exact count is within one unit of the last printed digit
+    mantissa = round(10 ** (log10 - exponent), math.floor(-math.log10(400 * math.ulp(log10))))
+    if mantissa == 10:  # 9.99...95 and up rounds into the next decade
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{mantissa!r}e{exponent}"
+
+
 SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
 
 
@@ -120,17 +164,23 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengt
     __slots__ = ()
 
     @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """Exact d_j = C(n, J-j)(2j+1)/(J+j+1), built on each read once their n^2/20 bytes fit MemAvailable
-        (read only above 64 MiB): only ``stats`` rows and trial dumps read them."""
-        n, J = self.n, self.n // 2
-        if n * n // 20 > 2**26:
-            _check_memory(n * n // 20, f"n={n}", " of exact multiplicities")
-        mults, comb = [], math.comb(n, J)  # C(n, J - j)
-        for j in range(J + 1):
-            mults.append(comb * (2 * j + 1) // (J + j + 1))
-            comb = comb * (J - j) // (J + j + 1)
-        return tuple(mults)
+    def multiplicities(self) -> tuple[int | str, ...]:
+        """d_j = C(n, k)(2j+1)/(J+j+1), k = J-j, on each read: an int below 10^D, D = _printable_digits(), walked
+        up from d_J = 1 by C(n, k+1) = C(n, k)(n-k)/(k+1) until C(n, k) reaches (J+1) 10^D; past 10^D the text
+        ``_scientific`` makes of log d_j = gap(J, k) + gap(J, n-k) - gap(J, n) - gap(J, 0) + log((2j+1)/(J+j+1)),
+        with gap = ``_log_factorial_gap``.  Only ``stats`` rows and trial dumps read them."""
+        n, J, gap = self.n, self.n // 2, _log_factorial_gap
+        big = 10 ** _printable_digits()
+        stop, rest = (J + 1) * big, gap(J, n) + gap(J, 0)  # d_j >= C(n, k)/(J+1), and C(n, k) grows up to k = J
+        mults, comb = [], 1  # C(n, k), and 0 once the walk has stopped
+        for k in range(J + 1):
+            j = J - k
+            d = comb * (2 * j + 1) // (J + j + 1) if comb else big
+            if d >= big:
+                d = _scientific((gap(J, k) + gap(J, n - k) - rest + math.log((2 * j + 1) / (J + j + 1))) / math.log(10))
+            mults.append(d)
+            comb = comb * (n - k) // (k + 1) if comb < stop else 0
+        return tuple(reversed(mults))
 
     @property
     def fidelities(self) -> tuple[float, ...]:
@@ -152,7 +202,7 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengt
 
 
 def block_spectrum(n: int, lam: float) -> BlockSpectrum:
-    """The float (j, p_j, delta_j) columns for a register of n qubits; the exact d_j are built only when read."""
+    """The float (j, p_j, delta_j) columns for a register of n qubits; the d_j are built only when read."""
     probs = _probabilities(n, lam)  # first, so a bad n or lam is refused before any build
     return BlockSpectrum(n, lam, probs, _prefix_sums(lam, n // 2)[1])
 

@@ -72,26 +72,14 @@ Report = namedtuple("Report", "comment header rows values verdict", defaults=(()
 
 def _text(value) -> str:
     """A float in shortest round-trip form, a plain tuple as ``(x,y,z)``, a dict as ``k:v;k:v`` by key, and
-    anything else by ``str``: an integer exactly, or past Python's int-to-str limit as <mantissa>e<exponent>
-    with only the digits that the float logarithm fixes."""
+    anything else by ``str``: an integer exactly, and a d_j too long for that is already its own text."""
     if isinstance(value, float):
         return repr(float(value))  # a numpy scalar's own repr names its type
     if type(value) is tuple:  # not a named tuple such as BlockLabel, which has its own str
         return f"({','.join(map(_text, value))})"
     if isinstance(value, dict):
         return ";".join(f"{key}:{count}" for key, count in sorted(value.items()))
-    try:
-        return str(value)
-    except ValueError:  # an integer past the limit
-        log = math.log10(value)
-        exponent = math.floor(log)
-        # the log is off by a few units in its last place, ln(10) times that relative error in the mantissa,
-        # so round to the places in which that error is under half a unit: the exact count is within one unit
-        # of the last printed digit
-        mantissa = round(10 ** (log - exponent), math.floor(-math.log10(400 * math.ulp(log))))
-        if mantissa == 10:  # 9.99...95 and up rounds into the next decade
-            mantissa, exponent = 1.0, exponent + 1
-        return f"{mantissa!r}e{exponent}"
+    return str(value)
 
 
 def _render(report: Report, d: str) -> str:

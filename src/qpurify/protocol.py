@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from array import array
 from collections import namedtuple
 
@@ -23,33 +22,6 @@ from .core import MixedQubit, SizeLimitError, _check_memory
 
 
 _CHUNK = 1 << 14  # trials per chunk of copy indices and CSV text
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _stirling_error(x: int) -> float:
-    """lgamma(x + 1) - ((x + 1/2) log x - x + log(2 pi)/2), for x >= 1."""
-    if x < 16:
-        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _HALF_LOG_2PI
-    r = 1.0 / (x * x)
-    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x  # error below 1.2e-14
-
-
-def _log_factorial_gap(a: int, b: int) -> float:
-    """log(a! / b!) + (b - a) log a for a >= 1, b >= 0, without the cancellation
-    of its two terms: -bd0(b, a) - log(b/a)/2 plus Stirling errors, where
-    bd0(b, a) = b log(b/a) + a - b comes from Loader's series near b = a."""
-    if b == 0:  # the limit of the form below, whose log(b/a) diverges
-        return 0.5 * math.log(a) - a + _HALF_LOG_2PI + _stirling_error(a)
-    t = b - a
-    v = t / (a + b)
-    if abs(v) < 0.1:
-        bd0, last, term, j = t * v, None, 2 * b * v, 1  # t v + 2b sum_i v^(2i+1) / (2i+1)
-        while bd0 != last:
-            term, j = term * v * v, j + 2
-            last, bd0 = bd0, bd0 + term / j
-    else:
-        bd0 = b * math.log(b / a) - t
-    return -bd0 - 0.5 * math.log(b / a) + _stirling_error(a) - _stirling_error(b)
 
 
 def _log_binomial_ratio(n: int, p: float, m: int):
@@ -58,7 +30,7 @@ def _log_binomial_ratio(n: int, p: float, m: int):
     1e-14 relative accuracy up to n = 2**63 - 1, where lgamma differences are off by up to 5e4."""
     num, den = p.as_integer_ratio()
     c = math.log1p((n * num - m * den) / (m * (den - num)))
-    return lambda k: _log_factorial_gap(m, k) + _log_factorial_gap(n - m, n - k) + (k - m) * c
+    return lambda k: analytics._log_factorial_gap(m, k) + analytics._log_factorial_gap(n - m, n - k) + (k - m) * c
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:
@@ -131,9 +103,9 @@ class TrialOutcomes:
     Trial t fell on outcome i = ``order[t]``, which has spin ``js[i]`` and
     fidelity ``fids[i]``; ``order`` is the drawn counts laid out by outcome
     and shuffled in place by ``_shuffle``.  In dense mode ``copies[i]`` is
-    the outcome's copy index; in fast mode it is the multiplicity d_j, and
-    the trials draw their copy indices in trial order, uniform in 1..d_j,
-    from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
+    the outcome's copy index; in fast mode the multiplicity d_j, 0 where it is
+    never drawn, and the trials draw their copy indices in trial order, uniform
+    in 1..d_j, from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
     the smallest unsigned typecode that indexes every outcome: 1 byte a
     trial up to 256 outcomes, 2 up to 65,536.  Its one reader,
     ``write_outcomes_csv``, makes the rows a chunk at a time.
@@ -266,20 +238,19 @@ def run_protocol(
     also gets a copy index alpha, uniform among its d_j copies, and
     ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes beyond
     (SizeLimitError if that exceeds the available memory, or if an outcome
-    with p_j > 0 has a d_j past ``sys.get_int_max_str_digits()`` digits:
-    at the default 4,300, past N = 14,298 for lam <= 0.3 and N = 15,596 at
-    lam = 0.6).  Results are bit-reproducible for a given seed; only the
-    standard library runs.
+    with p_j > 0 has a d_j past ``BlockSpectrum.multiplicities``' printable
+    digits, 4,300: past N = 14,298 for lam <= 0.3 and N = 15,596 at lam = 0.6).
+    Results are bit-reproducible for a given seed; only the standard library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
-    mults = spect.multiplicities if keep_outcomes else ()  # only a dump reads the exact d_j, for its copy indices
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, where Python predates the limit
-    drawable = (d for d, p in zip(mults, spect.probabilities) if p)  # _multinomial never draws p = 0
-    if keep_outcomes and digits and max(drawable) >= 10**digits:
+    # only a dump reads the d_j, for its copy indices; an outcome of p_j = 0 is never drawn, so it needs none
+    copies = [d if p else 0 for d, p in zip(spect.multiplicities, spect.probabilities)] if keep_outcomes else ()
+    if any(isinstance(d, str) for d in copies):
+        digits = analytics._printable_digits()
         raise SizeLimitError(f"a trial dump at n={n} may draw an alpha past Python's {digits}-digit int-to-str limit")
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
-    return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, mults)
+    return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, copies)
 
 
 def run_protocol_dense(

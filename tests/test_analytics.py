@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qpurify import (
     MixedQubit,
+    SizeLimitError,
     block_fidelity,
     block_probability,
     block_spectrum,
@@ -180,6 +181,21 @@ class TestBlockFidelity:
             for j in (100, 600, 1000):
                 exact = float(exact_fidelity(lam, j))
                 assert block_fidelity(float(lam), j) == pytest.approx(exact, rel=1e-11)
+
+    def test_columns_past_the_available_memory_are_refused_before_the_build(self, monkeypatch):
+        # about 400 bytes a qubit: spin 10^6 needs about 763 MiB, and a spectrum of 10^6 qubits half that
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
+        analytics._lambda_columns.cache_clear()
+        for build in (lambda: block_fidelity(0.6, 10**6), lambda: block_spectrum(10**6, 0.6)):
+            with pytest.raises(SizeLimitError, match=r"^a spectrum to j=\d+ needs about \d+ MiB of float columns"):
+                build()
+        assert analytics._lambda_columns.cache_info()[:2] == (0, 0)
+
+        def unread():
+            raise AssertionError("MemAvailable read below 64 MiB")
+
+        monkeypatch.setattr("qpurify.core._mem_available_bytes", unread)
+        assert 0.5 < block_fidelity(0.6, 80000) < 1.0  # 61 MiB
 
     def test_monotone_and_bounded_in_block_spin(self):
         for lam in (0.1, 0.3, 0.5, 0.7, 0.9):

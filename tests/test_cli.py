@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import shlex
@@ -11,7 +12,7 @@ import pytest
 
 import qpurify
 from qpurify import analytics, cloning, random_direction
-from qpurify.cli import _text, main
+from qpurify.cli import main
 
 from conftest import run_python
 from exact import exact_clone_lambda, exact_estimation_lambda
@@ -24,6 +25,15 @@ def assert_digits_right(text, value):
     digits = mantissa.replace(".", "")
     unit = 10 ** (int(exponent) - len(digits) + 1)
     assert abs(int(digits) * unit - value) < unit
+
+
+def exact_counts(n):
+    """Every d_j = C(n, J - j)(2j + 1)/(J + j + 1), j = 0..J, from one ``math.comb`` walked down from the middle."""
+    J, comb, counts = n // 2, math.comb(n, n // 2), []
+    for j in range(J + 1):
+        counts.append(comb * (2 * j + 1) // (J + j + 1))
+        comb = comb * (J - j) // (J + j + 1)
+    return counts
 
 
 def run_cli(*args, out=None):
@@ -65,21 +75,36 @@ class TestStats:
         path = tmp_path / "stats.csv"
         assert run_cli("stats", "--n", "14300", "--lambda", "0.6", out=path) == 0
         rows = path.read_text().splitlines()[1:-2]
-        spectrum = analytics.block_spectrum(14300, 0.6).rows
-        assert len(rows) == len(spectrum)
+        counts = exact_counts(14300)
+        assert len(rows) == len(counts)
         scientific = 0
-        for line, row in zip(rows, spectrum):
-            j, d = line.split(",")[:2]
-            assert int(j) == row.j
-            if "e" not in d:
-                assert int(d) == row.multiplicity
+        for j, (line, count) in enumerate(zip(rows, counts)):
+            row_j, d = line.split(",")[:2]
+            assert int(row_j) == j
+            if count < 10**4300:  # exact below 4,300 digits, as at j = 0..9 here
+                assert int(d) == count
                 continue
             scientific += 1
-            assert_digits_right(d, row.multiplicity)
+            assert_digits_right(d, count)
             mantissa, exponent = d.split("e")
-            error = Fraction(mantissa) * 10 ** int(exponent) - row.multiplicity
-            assert abs(error) * 10**9 <= row.multiplicity
+            error = Fraction(mantissa) * 10 ** int(exponent) - count
+            assert abs(error) * 10**9 <= count
         assert scientific > 0
+
+    @pytest.mark.parametrize("n, step", [(20000, 1), (100000, 7)])
+    def test_every_scientific_cell_is_right_to_its_last_digit(self, n, step, capsys):
+        # the exact rows are exactly the d_j below 10^4300, and every step-th row past that is within one unit
+        # of its last printed digit: a log d_j from math.lgamma misses 1,640 of the 47,974 rows at N = 10^5,
+        # by up to 3.2 units
+        assert run_cli("stats", "--n", str(n), "--lambda", "0.6") == 0
+        cells = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:-2]]
+        counts = exact_counts(n)
+        assert len(cells) == len(counts)
+        assert [int(d) for d in cells if "e" not in d] == [count for count in counts if count < 10**4300]
+        scientific = [(d, count) for d, count in zip(cells, counts) if count >= 10**4300]
+        assert all("e" in d for d, _ in scientific)
+        for d, count in scientific[::step]:
+            assert_digits_right(d, count)
 
     @pytest.mark.parametrize(
         "value, text",
@@ -89,7 +114,7 @@ class TestStats:
     def test_text_past_the_int_to_str_limit(self, value, text):
         # 10^k - 1 rounds up into the next decade, never to a mantissa of 10; log10(10**5000 - 1) is 5000.0
         # already, so only a mantissa such as 9.9999999996, rounded to the printed places, reaches the carry
-        assert _text(value) == text
+        assert analytics._scientific(math.log10(value)) == text
         assert_digits_right(text, value)
 
     def test_tsv_format(self, capsys):
@@ -446,6 +471,7 @@ def test_unknown_command_exits_two():
             ("figure1 --n 6 --lambda 0.6,0.2,0.6", "6bb6f0fe8c8b98de"),
             ("figure1 --n 200", "fc5c01046c499ce4"),
             ("stats --n 2000 --lambda 0.6", "844ace7f39b2cd53"),
+            ("stats --n 20000 --lambda 0.6", "adaff12900b80a14"),
             ("clone --n 2000 --m inf --lambda 0.6", "aaf51159bf3ba97d"),
             ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "1fa8b3ec8b2968f3"),
         ]
@@ -453,7 +479,8 @@ def test_unknown_command_exits_two():
 )
 def test_output_bytes_golden(argv, digest, capsys):
     # sha256 prefixes of the stdout.  The closed-form rows are plain float arithmetic and
-    # libm (pow, atanh), so numpy's CPU dispatch cannot move them; the simulate row also pins
+    # libm (pow, atanh, and log and lgamma in the <mantissa>e<exponent> d_j of N = 20000),
+    # so numpy's CPU dispatch cannot move them; the simulate row also pins
     # the seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
     assert main(argv.split()) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
@@ -518,42 +545,49 @@ def test_closed_form_commands_print_the_same_bytes_without_numpy(argv, tmp_path,
 
 
 class TestClosedFormSizeGuard:
-    """The exact d_j hold about N^2/20 bytes and only stats rows and trial dumps build them: there an N whose d_j
-    exceed the available memory is refused, and every other closed-form command runs on the float columns."""
+    """The float columns hold about 400 bytes a qubit: there an N whose columns exceed the available memory is
+    refused.  The d_j hold O(N) bits a row, so stats rows and trial dumps run wherever the float columns fit."""
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             pytest.param(argv, message, id=argv)
             for argv, message in [
-                ("stats --n 100000 --lambda 0.6", "n=100000 needs about 477 MiB"),
                 ("figure1 --n 100000", "figure1 needs 6250375000 spectrum rows for 5 lambdas, above 100000000"),
             ]
         ],
     )
     def test_oversized_n_is_one_error_line_before_any_build(self, argv, message, capsys, monkeypatch):
-        # stats after its float columns, before the exact d_j; figure1 by its row budget, before any spectrum
+        # by its row budget, before any spectrum
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
         analytics._lambda_columns.cache_clear()
         assert main(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
-        assert argv.startswith("stats") or analytics._lambda_columns.cache_info().currsize == 0
+        assert analytics._lambda_columns.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
-        "argv", ["clone --n 100000 --m inf --lambda 0.6", "simulate --n 100000 --lambda 0.6 --trials 10 --seed 1"]
+        "argv",
+        [
+            "clone --n 100000 --m inf --lambda 0.6",
+            "simulate --n 100000 --lambda 0.6 --trials 10 --seed 1",
+            "stats --n 100000 --lambda 0.6",
+            "simulate --n 100000 --lambda 0.999 --trials 10 --seed 1 --dump-trials {tmp}/trials.csv",
+        ],
     )
-    def test_float_columns_run_where_the_exact_d_j_would_not_fit(self, argv, capsys, monkeypatch):
+    def test_float_columns_run_where_the_exact_d_j_would_not_fit(self, argv, tmp_path, capsys, monkeypatch):
+        # every exact d_j at N = 10^5 would take 477 MiB; the printed and drawn ones take a few MiB
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
-        assert main(argv.split()) == 0
+        assert main(argv.format(tmp=tmp_path).split()) == 0
         capsys.readouterr()
+        assert "--dump-trials" not in argv or len((tmp_path / "trials.csv").read_text().splitlines()) == 11
 
     def test_runs_as_before_without_meminfo(self, capsys, monkeypatch):
-        # 40000 is above the 64 MiB of exact d_j below which no memory figure is read
+        # 200000 is above the 64 MiB of float columns below which no memory figure is read
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
-        assert main("stats --n 40000 --lambda 0.6".split()) == 0
+        assert main("clone --n 200000 --m inf --lambda 0.6".split()) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == f"mean_fidelity={analytics.mean_fidelity(40000, 0.6)!r}"
+        assert lines[-1] == f"lambda_mix_inf={cloning.estimation_lambda(200000, 0.6)!r}"
 
     def test_small_n_reads_no_memory_figure(self, capsys, monkeypatch):
         def unread():
@@ -706,14 +740,13 @@ def test_usage_error_is_one_stderr_line(argv, capsys, tmp_path):
     [
         "verify --n 12 --lambda 0.6 --out {missing}/v.csv",
         "verify --n 12 --lambda 0.6 --tol nan",
-        "stats --n 1000000 --lambda 0.6",
+        "stats --n 1000000000 --lambda 0.6",
         "clone --n 1000000000 --m inf --lambda 0.6",
     ],
 )
 def test_refusal_at_the_largest_sizes_comes_before_the_work(argv, tmp_path):
     # in a fresh process against the real MemAvailable: one error line within 10 s, where the work would take
-    # seconds (verify) or more memory than a machine has (stats, whose exact d_j need about 47 GiB after its float
-    # columns, and clone, whose float columns need about 370 GiB)
+    # seconds (verify) or more memory than a machine has (stats and clone, whose float columns need about 370 GiB)
     run = run_python("-m", "qpurify", *argv.format(missing=tmp_path / "missing").split(), timeout=10)
     assert (run.returncode, run.stdout) == (2, b"")
     assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
