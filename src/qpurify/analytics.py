@@ -2,7 +2,7 @@
 
 Everything here is binomial/geometric arithmetic on plain floats, with no exact d_j on the float route, so it
 needs only the standard library and stays cheap for register sizes far beyond any dense 2^N object.  Exact d_j
-are built only where read and short enough to print: no other module knows Python's int-to-str limit.
+are walked only where read and only while they print: no other module knows the printable-digit rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .core import _check_lambda, _check_memory, _check_register
+from .core import SizeLimitError, _check_lambda, _check_memory, _check_register
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -86,7 +86,8 @@ def _probabilities(n: int, lam: float) -> tuple[float, ...]:
 
 
 def block_probability(n: int, lam: float, j: int) -> float:
-    """Probability that n copies with Bloch length lam land in total spin j: row j of the spectrum's walk."""
+    """Probability that n copies with Bloch length lam land in total spin j: row j of the spectrum's walk.
+    Each call walks all n/2 + 1 rows, so a caller that reads them row by row takes ``block_spectrum`` once."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"total spin must lie in 0..{n // 2}, got {j}")
     return _probabilities(n, lam)[j]
@@ -155,6 +156,17 @@ def _scientific(log10: float) -> str:
     return f"{mantissa!r}e{exponent}"
 
 
+def _exact_walk(n: int, big: int, low: int = 0):
+    """(j, d_j) for j = J, J-1, ..., low, d_j = C(n, k)(2j+1)/(J+j+1) walked up from d_J = 1 by C(n, k+1) =
+    C(n, k)(n-k)/(k+1), k = J-j: an int below ``big``, else None, as is every row once C(n, k) reaches (J+1) big
+    (d_j >= C(n, k)/(J+1), and C(n, k) grows up to k = J), where the walk stops and sets C(n, k) to 0."""
+    J, comb, stop = n // 2, 1, (n // 2 + 1) * big
+    for k in range(J - low + 1):
+        d = comb * (2 * (J - k) + 1) // (2 * J - k + 1) if comb else big
+        yield J - k, d if d < big else None
+        comb = comb * (n - k) // (k + 1) if comb < stop else 0
+
+
 SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
 
 
@@ -165,22 +177,26 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengt
 
     @property
     def multiplicities(self) -> tuple[int | str, ...]:
-        """d_j = C(n, k)(2j+1)/(J+j+1), k = J-j, on each read: an int below 10^D, D = _printable_digits(), walked
-        up from d_J = 1 by C(n, k+1) = C(n, k)(n-k)/(k+1) until C(n, k) reaches (J+1) 10^D; past 10^D the text
-        ``_scientific`` makes of log d_j = gap(J, k) + gap(J, n-k) - gap(J, n) - gap(J, 0) + log((2j+1)/(J+j+1)),
-        with gap = ``_log_factorial_gap``.  Only ``stats`` rows and trial dumps read them."""
+        """d_j on each read, for ``stats``: ``_exact_walk``'s int, or past 10^D the text ``_scientific`` makes of
+        log d_j = gap(J, J-j) + gap(J, J+j) - gap(J, n) - gap(J, 0) + log((2j+1)/(J+j+1)), gap = _log_factorial_gap."""
         n, J, gap = self.n, self.n // 2, _log_factorial_gap
-        big = 10 ** _printable_digits()
-        stop, rest = (J + 1) * big, gap(J, n) + gap(J, 0)  # d_j >= C(n, k)/(J+1), and C(n, k) grows up to k = J
-        mults, comb = [], 1  # C(n, k), and 0 once the walk has stopped
-        for k in range(J + 1):
-            j = J - k
-            d = comb * (2 * j + 1) // (J + j + 1) if comb else big
-            if d >= big:
-                d = _scientific((gap(J, k) + gap(J, n - k) - rest + math.log((2 * j + 1) / (J + j + 1))) / math.log(10))
+        rest, mults = gap(J, n) + gap(J, 0), []
+        for j, d in _exact_walk(n, 10 ** _printable_digits()):
+            if d is None:
+                log_d = gap(J, J - j) + gap(J, J + j) - rest + math.log((2 * j + 1) / (J + j + 1))
+                d = _scientific(log_d / math.log(10))
             mults.append(d)
-            comb = comb * (n - k) // (k + 1) if comb < stop else 0
         return tuple(reversed(mults))
+
+    def copies(self) -> tuple[int, ...]:
+        """The exact d_j of each row a trial can draw (p_j > 0) and 0 for the rest, walked only down to the lowest
+        such row; SizeLimitError if one has more than D = _printable_digits() digits.  Trial dumps read them."""
+        probs, digits = self.probabilities, _printable_digits()
+        low = next(j for j, p in enumerate(probs) if p)
+        copies = [d if probs[j] else 0 for j, d in _exact_walk(self.n, 10**digits, low)]
+        if None in copies:
+            raise SizeLimitError(f"a trial dump at n={self.n} may draw an alpha of more than {digits} digits")
+        return (0,) * low + tuple(reversed(copies))
 
     @property
     def fidelities(self) -> tuple[float, ...]:

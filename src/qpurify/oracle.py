@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .analytics import block_probability, cross_power_sum
+from .analytics import _probabilities, cross_power_sum
 from .blocks import SINGLET, SchurBasis, _popcounts, block_coordinates
 from .blocks import collective_lowering, density_matrix, dicke_power, dicke_rows, max_abs, power_coordinates
 from .blocks import qubit_eigenstates
@@ -82,9 +82,10 @@ def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, st
     post_state, reversibility = [], []
     copy_traces = 0.0
     coords = power_coordinates(basis, density_matrix(q))
+    probs = _probabilities(n, q.lam)
     for j, blocks in coords.items():
         # every copy's block is its share p_j / d_j of the kept 2j-qubit state, in Dicke coordinates
-        share = block_probability(n, q.lam, j) / len(blocks)
+        share = probs[j] / len(blocks)
         predicted = share * (block_state_matrix(q, j) if j > 0 else np.eye(1))
         # copy 1's rows as (2j+1, 2^2j kept, 2^(n-2j) discarded); kept ⊗ |singlets> projected back onto them
         first = basis.spins[j][0].reshape(2 * j + 1, 4**j, -1)

@@ -18,7 +18,7 @@ from array import array
 from collections import namedtuple
 
 from . import analytics
-from .core import MixedQubit, SizeLimitError, _check_memory
+from .core import MixedQubit, _check_memory
 
 
 _CHUNK = 1 << 14  # trials per chunk of copy indices and CSV text
@@ -103,8 +103,8 @@ class TrialOutcomes:
     Trial t fell on outcome i = ``order[t]``, which has spin ``js[i]`` and
     fidelity ``fids[i]``; ``order`` is the drawn counts laid out by outcome
     and shuffled in place by ``_shuffle``.  In dense mode ``copies[i]`` is
-    the outcome's copy index; in fast mode the multiplicity d_j, 0 where it is
-    never drawn, and the trials draw their copy indices in trial order, uniform
+    the outcome's copy index; in fast mode ``BlockSpectrum.copies``, d_j or 0 where
+    it is never drawn, and the trials draw their copy indices in trial order, uniform
     in 1..d_j, from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
     the smallest unsigned typecode that indexes every outcome: 1 byte a
     trial up to 256 outcomes, 2 up to 65,536.  Its one reader,
@@ -209,7 +209,7 @@ def _simulate(
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
         code = _typecode(len(counts))
         order = array(code)
-        for i, c in enumerate(counts):
+        for i, c in itertools.compress(enumerate(counts), counts):
             order += array(code, [i]) * c
         _shuffle(rng, memoryview(order))
         alpha_seed = rng.getrandbits(63) if mode == "fast" else None
@@ -237,18 +237,14 @@ def run_protocol(
     that does not grow with ``trials``.  With ``keep_outcomes`` each trial
     also gets a copy index alpha, uniform among its d_j copies, and
     ``outcomes`` holds 1 byte a trial up to N = 510 and 2 bytes beyond
-    (SizeLimitError if that exceeds the available memory, or if an outcome
-    with p_j > 0 has a d_j past ``BlockSpectrum.multiplicities``' printable
-    digits, 4,300: past N = 14,298 for lam <= 0.3 and N = 15,596 at lam = 0.6).
+    (SizeLimitError if that exceeds the available memory, or from
+    ``BlockSpectrum.copies`` if an outcome with p_j > 0 has a d_j of more than
+    D = 4,300 digits: past N = 14,298 for lam <= 0.3 and N = 15,596 at lam = 0.6).
     Results are bit-reproducible for a given seed; only the standard library runs.
     """
     _check_trials(trials, keep_outcomes, n // 2 + 1)
     spect = analytics.block_spectrum(n, q.lam)
-    # only a dump reads the d_j, for its copy indices; an outcome of p_j = 0 is never drawn, so it needs none
-    copies = [d if p else 0 for d, p in zip(spect.multiplicities, spect.probabilities)] if keep_outcomes else ()
-    if any(isinstance(d, str) for d in copies):
-        digits = analytics._printable_digits()
-        raise SizeLimitError(f"a trial dump at n={n} may draw an alpha past Python's {digits}-digit int-to-str limit")
+    copies = spect.copies() if keep_outcomes else ()  # only a dump reads the d_j, for its copy indices
     outcome = (range(n // 2 + 1), spect.probabilities, spect.fidelities)
     return _simulate(n, trials, seed, keep_outcomes, "fast", outcome, copies)
 
@@ -301,9 +297,9 @@ def run_protocol_dense(
 def write_outcomes_csv(outcomes: TrialOutcomes, fh) -> None:
     """Dump per-trial outcomes to the open text file ``fh`` as CSV rows ``trial,j,alpha,kept,fidelity``.
 
-    The text is built and written one chunk of trials at a time: the chunk's per-outcome
-    ``%d,j,%d,kept,fidelity`` rows joined, then one ``%`` over its trial numbers and copy indices."""
-    rows = [f"%d,{j},%d,{2 * j},{fid!r}\n" for j, fid in zip(outcomes.js, outcomes.fids)]
+    The text is built and written one chunk of trials at a time: the chunk's per-outcome ``%d,j,%d,kept,fidelity``
+    rows joined (none for an outcome of copies 0, never drawn), then one ``%`` over its trial numbers and alphas."""
+    rows = [d and f"%d,{j},%d,{2 * j},{fid!r}\n" for j, fid, d in zip(outcomes.js, outcomes.fids, outcomes.copies)]
     fh.write("trial,j,alpha,kept,fidelity\n")
     for trials, idx, alphas in outcomes._chunks():
         fh.write("".join(map(rows.__getitem__, idx)) % tuple(itertools.chain.from_iterable(zip(trials, alphas))))

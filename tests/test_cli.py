@@ -245,22 +245,53 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not dump.exists()
 
-    @pytest.mark.parametrize("n, lam, code", [(14298, 0.02, 0), (14300, 0.02, 2), (14300, 0.6, 0), (20000, 0.6, 2)])
-    def test_dump_past_the_int_to_str_limit_is_refused(self, n, lam, code, tmp_path):
-        # refused before the draw and the file when an outcome with p_j > 0 has a d_j past 4,300 digits: at
-        # lam = 0.02 the peak d_j (j = 59, p_j ~ 1e-3) passes between N = 14,298 and 14,300; at lam = 0.6 the
-        # drawable d_j have 3,969 digits at most at N = 14,300, and at N = 20,000 90 % of the mass is past the limit
+    @pytest.mark.parametrize(
+        "n, lam, code, setting",
+        # named n-lam-code at Python's default int_max_str_digits=4300, with the setting appended at the others;
+        # 0 is no limit, so D stays 4,300, and at 640 every case has a drawable d_j past D and is refused
+        [
+            pytest.param(n, lam, code, setting, id="-".join(map(str, (n, lam, code, setting)[: 3 + (setting != 4300)])))
+            for setting in (4300, 0, 640)
+            for n, lam, code in [(14298, 0.02, 0), (14300, 0.02, 2), (14300, 0.6, 0), (20000, 0.6, 2)]
+            for code in [2 if setting == 640 else code]
+        ],
+    )
+    def test_dump_past_the_int_to_str_limit_is_refused(self, n, lam, code, setting, tmp_path):
+        # refused before the draw and the file when an outcome with p_j > 0 has a d_j of more than D digits, D = 4,300
+        # or a lower int_max_str_digits: at lam = 0.02 the peak d_j (j = 59, p_j ~ 1e-3) passes 4,300 digits between
+        # N = 14,298 and 14,300; at lam = 0.6 the drawable d_j have 3,969 digits at most at N = 14,300, and at
+        # N = 20,000 90 % of the mass is past 4,300
+        digits = setting or 4300
         dump = tmp_path / "trials.csv"
         args = f"simulate --n {n} --lambda {lam} --trials 10 --seed 1 --dump-trials {dump}".split()
-        run = run_python("-X", "int_max_str_digits=4300", "-m", "qpurify", *args)
+        run = run_python("-X", f"int_max_str_digits={setting}", "-m", "qpurify", *args)
         assert run.returncode == code
         if code:
             assert run.stderr == (
-                f"error: a trial dump at n={n} may draw an alpha past Python's 4300-digit int-to-str limit\n"
+                f"error: a trial dump at n={n} may draw an alpha of more than {digits} digits\n"
             ).encode()
             assert run.stdout == b"" and not dump.exists()
         else:
             assert run.stderr == b"" and len(dump.read_text().splitlines()) == 11
+
+    def test_dump_builds_no_text(self, tmp_path, monkeypatch):
+        # a dump reads exact d_j only for the rows it can draw, and refuses a drawable row past the printable
+        # digits without formatting any <mantissa>e<exponent> cell; stats still formats them
+        def no_text(log10):
+            raise AssertionError("_scientific called")
+
+        monkeypatch.setattr(analytics, "_scientific", no_text)
+        dump = tmp_path / "trials.csv"
+        for lam, code in (("1", 0), ("0.6", 2)):
+            args = ("simulate", "--n", "100000", "--lambda", lam, "--trials", "10", "--seed", "1")
+            assert run_cli(*args, "--dump-trials", str(dump)) == code
+            if code:
+                assert not dump.exists()
+            else:
+                assert len(dump.read_text().splitlines()) == 11
+                dump.unlink()
+        with pytest.raises(AssertionError, match="_scientific called"):
+            run_cli("stats", "--n", "20000", "--lambda", "0.6")
 
     def test_pure_input_exact_yield(self, tmp_path):
         path = tmp_path / "sim.txt"
