@@ -1,18 +1,17 @@
 """Command-line front end: tables, verification runs, simulations, curves.
 
 Commands: ``stats``, ``verify``, ``simulate``, ``figure1``, ``clone``.
-Each ``cmd_*`` returns a ``Report`` of Python values, and ``main`` alone
-writes it: ``_render`` joins the cells with the ``--format`` delimiter and
-formats every number through ``_text``, floats as shortest round-trip
-decimals so CSV files parse back losslessly.  Exit codes are stable for
-CI use: 0 success, 1 verification/statistical failure, 2 usage error.
-``main`` turns a report's verdict into both its ``status=`` line and the
-exit code.  The parser checks each flag's value through its ``type=``, in
-the order the flags are read, and turns every usage error, its own
-included, into a ``UsageError``: one ``error:`` line on stderr.  Only
-``verify`` and ``simulate --dense`` import numpy and the dense modules;
-the closed-form commands, summary ``simulate`` runs, ``--help`` and every
-usage error run on the standard library alone.
+Each ``cmd_*`` returns a ``Report`` of Python values, and ``main`` alone writes it:
+``_render`` joins a table row's cells (ints, floats, strings, ``BlockLabel``s) by
+``str`` with the ``--format`` delimiter and the other values through ``_text``.  A
+float's ``str`` is its shortest round-trip decimal, so CSV files parse back
+losslessly.  Exit codes are stable for CI use: 0 success, 1 verification/statistical
+failure, 2 usage error.  ``main`` turns a report's verdict into both its ``status=``
+line and the exit code.  The parser checks each flag's value through its ``type=``,
+in the order the flags are read, and turns every usage error, its own included, into
+a ``UsageError``: one ``error:`` line on stderr.  Only ``verify`` and
+``simulate --dense`` import numpy and the dense modules; the closed-form commands,
+summary ``simulate`` runs, ``--help`` and every usage error run on the stdlib alone.
 """
 
 from __future__ import annotations
@@ -71,10 +70,8 @@ Report = namedtuple("Report", "comment header rows values verdict", defaults=(()
 
 
 def _text(value) -> str:
-    """A float in shortest round-trip form, a plain tuple as ``(x,y,z)``, a dict as ``k:v;k:v`` by key, and
-    anything else by ``str``: an integer exactly, and a d_j too long for that is already its own text."""
-    if isinstance(value, float):
-        return repr(float(value))  # a numpy scalar's own repr names its type
+    """A plain tuple as ``(x,y,z)``, a dict as ``k:v;k:v`` by key, and anything else by ``str``: a float in
+    shortest round-trip form, an integer exactly, and a d_j too long for that is already its own text."""
     if type(value) is tuple:  # not a named tuple such as BlockLabel, which has its own str
         return f"({','.join(map(_text, value))})"
     if isinstance(value, dict):
@@ -86,7 +83,7 @@ def _render(report: Report, d: str) -> str:
     lines = ["# " + " ".join(f"{name}={_text(value)}" for name, value in report.comment)] if report.comment else []
     if report.header:
         lines.append(d.join(report.header))
-        lines.extend(d.join(map(_text, row)) for row in report.rows)
+        lines.extend(d.join(map(str, row)) for row in report.rows)
     lines.extend(f"{name}={_text(value)}" for name, value in report.values)
     if report.verdict is not None:
         lines.append(f"status={'pass' if report.verdict else 'fail'}")

@@ -107,34 +107,14 @@ class TrialOutcomes:
     it is never drawn, and the trials draw their copy indices in trial order, uniform
     in 1..d_j, from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
     the smallest unsigned typecode that indexes every outcome: 1 byte a
-    trial up to 256 outcomes, 2 up to 65,536.  Its one reader,
-    ``write_outcomes_csv``, makes the rows a chunk at a time.
+    trial up to 256 outcomes, 2 up to 65,536.  Its one reader is
+    ``write_outcomes_csv``.
     """
 
     __slots__ = ("order", "js", "fids", "copies", "alpha_seed")
 
     def __init__(self, order: array, js: list[int], fids: list[float], copies: list[int], alpha_seed: int | None):
         self.order, self.js, self.fids, self.copies, self.alpha_seed = order, js, fids, copies, alpha_seed
-
-    def _chunks(self):
-        """(trial numbers, outcome indices, copy indices) of consecutive chunks; a copy
-        index is ``randrange(d) + 1`` written out, exact for any d."""
-        copies, bits = self.copies, None
-        if self.alpha_seed is not None:
-            bits, pairs = random.Random(self.alpha_seed).getrandbits, [(d, d.bit_length()) for d in copies]
-        for start in range(0, len(self.order), _CHUNK):
-            idx = self.order[start : start + _CHUNK].tolist()
-            if bits is None:
-                alphas = [copies[i] for i in idx]
-            else:
-                alphas = []
-                for i in idx:
-                    d, w = pairs[i]
-                    r = bits(w)
-                    while r >= d:
-                        r = bits(w)
-                    alphas.append(r + 1)
-            yield range(start, start + len(idx)), idx, alphas
 
     def __len__(self) -> int:
         return len(self.order)
@@ -166,18 +146,18 @@ class SimulationSummary(
         return equal if equal is NotImplemented else not equal
 
 
-def _moments(counts: list[int], values: list[float], p: list[float]) -> tuple[float, float]:
-    """Mean and standard error of a sample holding values[i] counts[i] times.
+def _moments(drawn: list[int], counts: list[int], values: list[float], p: list[float]) -> tuple[float, float]:
+    """Mean and standard error of a sample holding values[i] counts[i] times, i in ``drawn`` (every counts[i] > 0).
 
     A sample on one value has no spread, which is no evidence of certainty:
     its standard error is then the one that the drawn distribution p
     implies, sqrt(sum_i p_i (values[i] - mean_p)^2 / trials), and 0 only
     when every outcome p can draw has that one value.
     """
-    trials = sum(counts)
-    mean = math.fsum(c * v for c, v in zip(counts, values)) / trials
-    if len({v for c, v in zip(counts, values) if c}) > 1:
-        variance = math.fsum(c * (v - mean) ** 2 for c, v in zip(counts, values)) / (trials - 1)
+    trials = sum(counts[i] for i in drawn)
+    mean = math.fsum(counts[i] * values[i] for i in drawn) / trials
+    if len({values[i] for i in drawn}) > 1:
+        variance = math.fsum(counts[i] * (values[i] - mean) ** 2 for i in drawn) / (trials - 1)
     elif len({v for v, q in zip(values, p) if q > 0}) > 1:
         mean_p = math.fsum(q * v for q, v in zip(p, values))
         variance = math.fsum(q * (v - mean_p) ** 2 for q, v in zip(p, values))
@@ -205,23 +185,24 @@ def _simulate(
     js, probs, fids = outcome
     rng = random.Random(seed)
     counts = _multinomial(rng, trials, probs)
+    drawn = list(itertools.compress(range(len(counts)), counts))  # every count-weighted walk below reads these alone
     outcomes = None
     if keep_outcomes:  # drawn after the counts, so the summary stays the same
         code = _typecode(len(counts))
         order = array(code)
-        for i, c in itertools.compress(enumerate(counts), counts):
-            order += array(code, [i]) * c
+        for i in drawn:
+            order += array(code, [i]) * counts[i]
         _shuffle(rng, memoryview(order))
         alpha_seed = rng.getrandbits(63) if mode == "fast" else None
         outcomes = TrialOutcomes(order, js, fids, copies, alpha_seed)
     total = math.fsum(probs)
     p = [prob / total for prob in probs]
     histogram = dict.fromkeys(range(n // 2 + 1), 0)
-    for j, c in zip(js, counts):
-        histogram[j] += c
-    yield_moments = _moments(counts, [2.0 * j / n for j in js], p)
-    fidelity_moments = _moments(counts, fids, p)
-    label_histogram = {(lab.j, lab.alpha): c for lab, c in zip(labels, counts) if c}
+    for i in drawn:
+        histogram[js[i]] += counts[i]
+    yield_moments = _moments(drawn, counts, [2.0 * j / n for j in js], p)
+    fidelity_moments = _moments(drawn, counts, fids, p)
+    label_histogram = {(labels[i].j, labels[i].alpha): counts[i] for i in drawn} if labels else {}
     return SimulationSummary(
         trials, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram, outcomes
     )
@@ -297,9 +278,25 @@ def run_protocol_dense(
 def write_outcomes_csv(outcomes: TrialOutcomes, fh) -> None:
     """Dump per-trial outcomes to the open text file ``fh`` as CSV rows ``trial,j,alpha,kept,fidelity``.
 
-    The text is built and written one chunk of trials at a time: the chunk's per-outcome ``%d,j,%d,kept,fidelity``
-    rows joined (none for an outcome of copies 0, never drawn), then one ``%`` over its trial numbers and alphas."""
-    rows = [d and f"%d,{j},%d,{2 * j},{fid!r}\n" for j, fid, d in zip(outcomes.js, outcomes.fids, outcomes.copies)]
+    One chunk of trials at a time, the chunk's per-outcome ``%d,j,%d,kept,fidelity`` rows are joined and filled by
+    one ``%`` with its trial numbers and copy indices, in fast mode ``randrange(d) + 1`` written out, exact for any d.
+    An outcome of copies 0 is never drawn, so it gets no row and no (d, bit width) pair."""
+    order, copies, bits = outcomes.order, outcomes.copies, None
+    rows = [d and f"%d,{j},%d,{2 * j},{fid!r}\n" for j, fid, d in zip(outcomes.js, outcomes.fids, copies)]
+    if outcomes.alpha_seed is not None:
+        bits, pairs = random.Random(outcomes.alpha_seed).getrandbits, [d and (d, d.bit_length()) for d in copies]
     fh.write("trial,j,alpha,kept,fidelity\n")
-    for trials, idx, alphas in outcomes._chunks():
-        fh.write("".join(map(rows.__getitem__, idx)) % tuple(itertools.chain.from_iterable(zip(trials, alphas))))
+    for start in range(0, len(order), _CHUNK):
+        idx = order[start : start + _CHUNK].tolist()
+        if bits is None:
+            alphas = [copies[i] for i in idx]
+        else:
+            alphas = []
+            for i in idx:
+                d, w = pairs[i]
+                r = bits(w)
+                while r >= d:
+                    r = bits(w)
+                alphas.append(r + 1)
+        fields = itertools.chain.from_iterable(zip(range(start, start + len(idx)), alphas))
+        fh.write("".join(map(rows.__getitem__, idx)) % tuple(fields))

@@ -12,7 +12,8 @@ import pytest
 
 import qpurify
 from qpurify import analytics, cloning, random_direction
-from qpurify.cli import main
+from qpurify.cli import _build_parser, main
+from qpurify.core import BlockLabel
 
 from conftest import run_python
 from exact import exact_clone_lambda, exact_estimation_lambda
@@ -542,6 +543,32 @@ def test_one_writer_for_every_command(argv, tmp_path, capsys):
     assert (tmp_path / "out.txt").read_bytes() == csv.encode()
     assert (code == 1) == (csv.splitlines()[-1] == "status=fail")
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "stats --n 8 --lambda 0.5",
+        "stats --n 20000 --lambda 0.6",
+        "clone --n 4 --m 8 --lambda 0.5",
+        "clone --n 6 --m inf --lambda 0.3",
+        "figure1 --n 10",
+        "verify --n 4 --lambda 0.37",
+        "simulate --n 20 --lambda 0.6 --trials 1000 --seed 1",
+        "simulate --dense --n 4 --lambda 0.5 --trials 500 --seed 2",
+    ],
+)
+def test_report_cells_are_plain_python_values(argv):
+    # a table row is joined by str, which gives a float's shortest round-trip form; a numpy scalar, a tuple or
+    # a dict would print otherwise, so every cell is exactly one of these types (bool and float64 subclass them).
+    # The named values go through _text, which spells out tuples and dicts but has no numpy branch either
+    args = _build_parser().parse_args(argv.split())
+    report = args.func(args)
+    kinds = {type(cell) for row in report.rows for cell in row}
+    assert kinds <= {int, float, str, BlockLabel} and bool(kinds) == bool(report.header)
+    assert "stats --n 20000" not in argv or str in kinds  # the d_j past the int-to-str limit
+    assert {type(value) for _, value in (*report.comment, *report.values)} <= {int, float, str, tuple, dict}
+    assert all(type(x) is float for _, value in report.comment if type(value) is tuple for x in value)
 
 
 def _run_without(module: str, argv: str):

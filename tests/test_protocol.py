@@ -28,7 +28,7 @@ from qpurify import (
     write_outcomes_csv,
     yield_factor,
 )
-from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial, _shuffle
+from qpurify.protocol import _binomial, _log_binomial_ratio, _multinomial, _shuffle, _simulate
 
 from conftest import ROOT, run_python
 
@@ -235,6 +235,13 @@ class TestSampler:
             counts = _multinomial(rng, trials, [0.0, 0.25, 0.0, 0.5, 0.25, 0.0, 0.0])
             assert sum(counts) == trials
             assert counts[0] == counts[2] == counts[5] == counts[6] == 0
+
+    def test_summary_reads_only_drawn_outcomes(self):
+        # outcome 0 has probability 0, so it is never drawn, and its nan fidelity must not reach the moments
+        summary = _simulate(4, 1000, 1, False, "fast", (range(3), (0.0, 0.4, 0.6), (math.nan, 0.8, 0.9)), ())
+        assert summary.histogram[0] == 0 and summary.histogram[1] + summary.histogram[2] == 1000
+        assert math.isfinite(summary.empirical_mean_fidelity) and math.isfinite(summary.fidelity_se)
+        assert 0.8 < summary.empirical_mean_fidelity < 0.9 and summary.fidelity_se > 0
 
     def test_histogram_sums_exactly_at_the_largest_trial_count(self):
         summary = run_protocol(MixedQubit(0.6), 1000, trials=2**63 - 1, seed=1)
