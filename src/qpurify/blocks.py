@@ -24,7 +24,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .analytics import multiplicity
 from .core import DENSE_CAP, BlockLabel, MixedQubit, SizeLimitError, _check_memory, _check_register
 
 
@@ -294,14 +293,15 @@ def build_schur_basis(n: int) -> SchurBasis:
     copies 1..d_j(n - 2) are the n - 2 basis followed by a singlet.  Cached
     per n and immutable, but every call checks again: it raises
     SizeLimitError above DENSE_CAP qubits, or when the dense work would not
-    fit in the memory available then: the real basis (8 4^n bytes), four
-    complex copies of the largest spin sector for the temporaries of
-    ``power_coordinates``, and 64 MiB for buffers and allocator slack.  At
-    12 qubits that is 536 MiB, above the 410 MiB peak of ``qpurify verify``.
+    fit in the memory available then: the real basis (8 4^n bytes), what
+    the dense checks hold beside it (the on-weight rows and Gram matrix of
+    the largest weight, 16 C(n, n/2)^2 bytes, and four complex copies of
+    one copy's n + 1 rows), and 64 MiB for buffers and allocator slack.
+    At 12 qubits that is 208 MiB, above the 192 MiB peak of ``qpurify verify``.
     """
     _check_dense(n)
-    sector = max(multiplicity(n, j) * (2 * j + 1) for j in range(n // 2 + 1))
-    _check_memory(8 * 4**n + 4 * 16 * sector * 2**n + 2**26, f"n={n}", " of dense arrays")
+    beside = 16 * math.comb(n, n // 2) ** 2 + 4 * 16 * (n + 1) * 2**n
+    _check_memory(8 * 4**n + beside + 2**26, f"n={n}", " of dense arrays")
     return _build_basis(n)
 
 
@@ -342,13 +342,14 @@ def power_coordinates(basis: SchurBasis, rho: np.ndarray) -> dict[int, np.ndarra
 
     A row r read as the 2^(n/2)-square matrix R of its two qubit halves
     has r rho^(x n) = K^T R K for K = rho^(x n/2); each copy's block is
-    then one (2j+1)-square product, as in ``block_coordinates``.
+    then one (2j+1)-square product, as in ``block_coordinates``.  One copy
+    at a time, so the temporaries are (2j+1) rows, never a spin sector.
     """
     k = kron_power(rho, basis.n // 2)
+    side = len(k)
     coords = {}
     for j, rows in basis.spins.items():
-        half = (k.T @ rows.reshape(-1, len(k), len(k)) @ k).reshape(rows.shape)
-        coords[j] = half @ rows.transpose(0, 2, 1)
+        coords[j] = np.stack([(k.T @ copy.reshape(-1, side, side) @ k).reshape(copy.shape) @ copy.T for copy in rows])
     return coords
 
 

@@ -8,8 +8,8 @@ clone's Bloch length is (2 f_pur - 1) delta_j block by block, and
 of its qubits and the spin-0 block guesses, so the same rule serves every
 M >= 1.  M -> infinity is the best state estimation.  The tests' bounds
 over all N -> M channels and over all measurements find both optimal.  The
-spectrum rejects an odd n and lam outside [0, 1], and
-``pure_cloning_fidelity`` an m_out that is not an integer >= 1 or inf.
+spectrum rejects an odd n and lam outside [0, 1], and ``_clone_count`` an
+m_out that is not an integer >= 1 or inf.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ import itertools
 import math
 
 from . import analytics
+
+
+def _clone_count(m_out: float) -> float:
+    """m_out as an int, or math.inf; ValueError unless it is an integer >= 1 or infinity."""
+    if m_out == math.inf:
+        return math.inf
+    if not (m_out >= 1 and m_out == math.floor(m_out)):  # nan and -inf fail the first test
+        raise ValueError(f"m_out must be an integer >= 1 or infinity, got {m_out}")
+    return int(m_out)
 
 
 def pure_cloning_fidelity(j: int, m_out: float) -> float:
@@ -29,14 +38,21 @@ def pure_cloning_fidelity(j: int, m_out: float) -> float:
     """
     if j < 0:
         raise ValueError("total spin j must be nonnegative")
-    if m_out == math.inf:
+    m = _clone_count(m_out)
+    if m == math.inf:
         return (2 * j + 1) / (2 * j + 2)
-    if not (m_out >= 1 and m_out == math.floor(m_out)):  # nan and -inf fail the first test
-        raise ValueError(f"m_out must be an integer >= 1 or infinity, got {m_out}")
-    m = int(m_out)
     if m <= 2 * j:
         return 1.0
     return (m * (2 * j + 1) + 2 * j) / (m * (2 * j + 2))
+
+
+def _clone_weights(m_out: float):
+    """w_j = 2 f_pur - 1 for j = 0, 1, ..., each one correctly rounded ratio of integers:
+    1 for m_out <= 2j, j (m_out + 2) / (m_out (j + 1)) above, and j / (j + 1) at m_out = inf."""
+    m = _clone_count(m_out)
+    if m == math.inf:
+        return (j / (j + 1) for j in itertools.count())
+    return (1.0 if m <= 2 * j else j * (m + 2) / (m * (j + 1)) for j in itertools.count())
 
 
 def clone_terms(spect: analytics.BlockSpectrum, m_out: float) -> list[tuple[float, float]]:
@@ -52,8 +68,8 @@ def clone_terms(spect: analytics.BlockSpectrum, m_out: float) -> list[tuple[floa
 
 
 def clone_bloch_length(spect: analytics.BlockSpectrum, m_out: float) -> float:
-    """Bloch length of each of m_out clones: the bloch_average with w_j = 2 f_pur - 1, exact for f_pur in [1/2, 1]."""
-    return spect.bloch_average(2.0 * pure_cloning_fidelity(j, m_out) - 1.0 for j in itertools.count())
+    """Bloch length of each of m_out clones: the bloch_average with w_j = 2 f_pur - 1 of ``_clone_weights``."""
+    return spect.bloch_average(_clone_weights(m_out))
 
 
 def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
@@ -62,7 +78,7 @@ def mixed_cloning_fidelity(n_in: int, m_out: float, lam: float) -> float:
 
 
 def estimation_lambda(n: int, lam: float) -> float:
-    """Bloch length achievable by estimating the aligned state from n copies: the bloch_average with w_j = j/(j + 1).
+    """Bloch length achievable by estimating the aligned state from n copies: ``clone_bloch_length`` at m_out = inf.
 
     The spin-0 block carries no direction information and contributes
     nothing.  The value is not bounded by lam: it tends to 1 as n grows and
@@ -70,4 +86,4 @@ def estimation_lambda(n: int, lam: float) -> float:
     Estimate-and-prepare is one purification map, so it never exceeds
     2 mean_fidelity(n, lam) - 1.
     """
-    return analytics.block_spectrum(n, lam).bloch_average(j / (j + 1) for j in itertools.count())
+    return clone_bloch_length(analytics.block_spectrum(n, lam), math.inf)

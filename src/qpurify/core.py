@@ -17,10 +17,9 @@ import numbers
 from collections import namedtuple
 
 # Largest register, in qubits, for dense objects.  On a 2-core machine
-# ``qpurify verify`` takes 0.46 s at 10 qubits and 3.2-3.7 s at 410 MiB at
+# ``qpurify verify`` takes 0.24 s at 10 qubits and 1.4-1.6 s at 192 MiB at
 # 12.  At 14 the real basis alone takes 2.1 GB, and ``build_schur_basis``
-# estimates 7.0 GiB for the whole dense route, so it would also need that
-# much available memory.
+# would estimate 2.3 GiB for the whole dense route; no run has measured it.
 DENSE_CAP = 12
 
 

@@ -35,16 +35,22 @@ def orthonormality_residual(basis: SchurBasis) -> float:
 
     |j, m, alpha> must vanish off the basis states with n/2 + m ones, and
     the rows of each weight must be orthonormal there: C(n, w)-square Gram
-    matrices instead of one 2^n-square one.
+    matrices instead of one 2^n-square one.  The off-weight maximum comes
+    from each spin's column extremes, the Gram matrix from on-weight columns.
     """
     weight = _popcounts(basis.n)
     worst = 0.0
     for w in range(basis.n + 1):
         m = w - basis.n // 2
-        rows = np.concatenate([r[:, j + m] for j, r in basis.spins.items() if abs(m) <= j])
-        on = rows[:, weight == w]
-        worst = max(worst, max_abs(rows[:, weight != w]), max_abs(on @ on.T - np.eye(len(on))))
-    return worst
+        rows = [r[:, j + m] for j, r in basis.spins.items() if abs(m) <= j]
+        for spin in rows:
+            worst = max(worst, spin.max(axis=0)[weight != w].max(), -spin.min(axis=0)[weight != w].min())
+        on = np.concatenate([spin[:, weight == w] for spin in rows])
+        gram = on @ on.T
+        gram.flat[:: len(on) + 1] -= 1.0
+        worst = max(worst, np.abs(gram, out=gram).max())
+        del on, gram  # before the next weight's columns are gathered
+    return float(worst)
 
 
 def block_state_matrix(q: MixedQubit, j: int) -> np.ndarray:
@@ -201,7 +207,7 @@ def covariance_residual(basis: SchurBasis) -> float:
 
     Every row must obey J- |j, m, alpha> = sqrt((j+m)(j-m+1)) |j, m-1, alpha>,
     the row m = -j being annihilated; one ``collective_lowering`` per spin
-    array.  With the weights and orthonormality that ``orthonormality_residual``
+    copy.  With the weights and orthonormality that ``orthonormality_residual``
     checks, this puts J_z, J- and J+ = J-^T in standard form on every copy,
     so U^(x n) acts on each copy as the same spin-j irrep for every
     single-qubit U.  Every block map therefore commutes with every rotation,
@@ -210,7 +216,9 @@ def covariance_residual(basis: SchurBasis) -> float:
     worst = 0.0
     for j, rows in basis.spins.items():
         m = np.arange(1 - j, j + 1)
-        expected = np.zeros_like(rows)
-        expected[:, 1:] = np.sqrt((j + m) * (j - m + 1))[:, None] * rows[:, :-1]
-        worst = max(worst, max_abs(collective_lowering(rows, basis.n) - expected))
+        ladder = np.sqrt((j + m) * (j - m + 1))[:, None]
+        for copy in rows:  # one copy at a time: the lowered rows minus their expected ladder, in place
+            lowered = collective_lowering(copy, basis.n)
+            lowered[1:] -= ladder * copy[:-1]
+            worst = max(worst, max_abs(lowered))
     return worst

@@ -146,24 +146,24 @@ class SimulationSummary(
         return equal if equal is NotImplemented else not equal
 
 
-def _moments(drawn: list[int], counts: list[int], values: list[float], p: list[float]) -> tuple[float, float]:
-    """Mean and standard error of a sample holding values[i] counts[i] times, i in ``drawn`` (every counts[i] > 0).
+def _moments(drawn: list[int], counts: list[int], value, probs: list[float], total: float) -> tuple[float, float]:
+    """Mean and standard error of a sample holding value(i) counts[i] times, i in ``drawn`` (every counts[i] > 0).
 
     A sample on one value has no spread, which is no evidence of certainty:
-    its standard error is then the one that the drawn distribution p
-    implies, sqrt(sum_i p_i (values[i] - mean_p)^2 / trials), and 0 only
-    when every outcome p can draw has that one value.
+    its standard error is then the one that the drawn distribution p =
+    probs / total implies, sqrt(sum_i p_i (value(i) - mean_p)^2 / trials)
+    over the outcomes with p_i > 0, and 0 only when all of them have that
+    one value.  Only that fallback reads outcomes that were not drawn.
     """
     trials = sum(counts[i] for i in drawn)
-    mean = math.fsum(counts[i] * values[i] for i in drawn) / trials
-    if len({values[i] for i in drawn}) > 1:
-        variance = math.fsum(counts[i] * (values[i] - mean) ** 2 for i in drawn) / (trials - 1)
-    elif len({v for v, q in zip(values, p) if q > 0}) > 1:
-        mean_p = math.fsum(q * v for q, v in zip(p, values))
-        variance = math.fsum(q * (v - mean_p) ** 2 for q, v in zip(p, values))
-    else:
-        variance = 0.0
-    return mean, math.sqrt(variance / trials)
+    mean = math.fsum(counts[i] * value(i) for i in drawn) / trials
+    if len({value(i) for i in drawn}) > 1:
+        return mean, math.sqrt(math.fsum(counts[i] * (value(i) - mean) ** 2 for i in drawn) / (trials - 1) / trials)
+    support = [(q, value(i)) for i, prob in enumerate(probs) if (q := prob / total) > 0]
+    if len({v for _, v in support}) < 2:
+        return mean, 0.0
+    mean_p = math.fsum(q * v for q, v in support)
+    return mean, math.sqrt(math.fsum(q * (v - mean_p) ** 2 for q, v in support) / trials)
 
 
 def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
@@ -196,12 +196,11 @@ def _simulate(
         alpha_seed = rng.getrandbits(63) if mode == "fast" else None
         outcomes = TrialOutcomes(order, js, fids, copies, alpha_seed)
     total = math.fsum(probs)
-    p = [prob / total for prob in probs]
     histogram = dict.fromkeys(range(n // 2 + 1), 0)
     for i in drawn:
         histogram[js[i]] += counts[i]
-    yield_moments = _moments(drawn, counts, [2.0 * j / n for j in js], p)
-    fidelity_moments = _moments(drawn, counts, fids, p)
+    yield_moments = _moments(drawn, counts, lambda i: 2.0 * js[i] / n, probs, total)
+    fidelity_moments = _moments(drawn, counts, fids.__getitem__, probs, total)
     label_histogram = {(labels[i].j, labels[i].alpha): counts[i] for i in drawn} if labels else {}
     return SimulationSummary(
         trials, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram, outcomes

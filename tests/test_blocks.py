@@ -189,8 +189,10 @@ class TestBasisConstruction:
             build_schur_basis(14)
 
     def test_memory_estimate_follows_the_block_route(self, monkeypatch):
-        # n = 10 needs about 95 MiB: the 8 MiB basis, four complex copies of the
-        # 375-row spin-2 sector and 64 MiB; eight complex 2^10-square matrices were 128 MiB
+        # n = 10 needs about 74 MiB: the 8 MiB basis, the 252-square on-weight rows and Gram
+        # matrix of weight 5 (1 MiB), four complex copies of one copy's 11 rows (0.7 MiB) and
+        # 64 MiB; four complex copies of the largest spin sector were 95 MiB, and eight complex
+        # 2^10-square matrices 128 MiB
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: 100 * 2**20)
         assert build_schur_basis(10).n == 10
 

@@ -15,7 +15,7 @@ from qpurify import analytics, cloning, random_direction
 from qpurify.cli import _build_parser, main
 from qpurify.core import BlockLabel
 
-from conftest import run_python
+from conftest import run_cli_peak_rss, run_python
 from exact import exact_clone_lambda, exact_estimation_lambda
 
 
@@ -42,6 +42,11 @@ def run_cli(*args, out=None):
     if out is not None:
         argv += ["--out", str(out)]
     return main(argv)
+
+
+# peak RSS bound of the dense commands at the cap: the 128 MiB basis, about 30 MiB of interpreter and numpy, and
+# working sets of one copy's rows (192 MiB for verify, 174 MiB for simulate --dense)
+_DENSE_CAP_PEAK_MIB = 300
 
 
 class TestStats:
@@ -186,8 +191,9 @@ class TestVerify:
     @staticmethod
     def dense_cap_lines(*args):
         # every copy has a post_state and a round-trip row at every lambda: 924 of each at n = 12
-        run = run_python("-m", "qpurify", "verify", "--n", "12", *args)
+        run, peak_mib = run_cli_peak_rss("verify", "--n", "12", *args)
         assert (run.returncode, run.stderr) == (0, b"")
+        assert peak_mib < _DENSE_CAP_PEAK_MIB
         lines = run.stdout.decode().splitlines()
         assert lines[-1] == "status=pass" and lines[-2].startswith("covariance,collective_lowering,")
         checks = Counter(line.split(",")[0] for line in lines[2:-1])
@@ -460,6 +466,14 @@ class TestClone:
         )
         assert float(fields["lambda_mix"]) == pytest.approx(0.5, abs=1e-14)
 
+    def test_infinite_clones_print_the_estimation_length(self, capsys):
+        # lambda_mix at m = inf and lambda_mix_inf are one quantity under one weight rule, so one text
+        for n in (2, 4, 6, 20, 100, 2000):
+            for lam in ("1e-12", "0.1", "0.3", "0.5", "0.6", "0.9", "0.999", "1"):
+                assert run_cli("clone", "--n", str(n), "--m", "inf", "--lambda", lam) == 0
+                fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+                assert fields["lambda_mix"] == fields["lambda_mix_inf"], (n, lam)
+
     def test_lambda_mix_is_the_clones_bloch_length(self, capsys):
         # summed from the Bloch lengths, not 2 F_mix - 1 with F_mix ~ 1/2
         assert run_cli("clone", "--n", "40", "--m", "8", "--lambda", "1e-12") == 0
@@ -498,13 +512,13 @@ def test_unknown_command_exits_two():
             ("stats --n 8 --lambda 0.5", "5416f45e81d00496"),
             ("stats --n 8 --lambda 0.5 --format tsv", "26c231a3875205f9"),
             ("clone --n 4 --m 8 --lambda 0.5", "648120253165d167"),
-            ("clone --n 4 --m inf --lambda 0.5", "d6077d7c91a7e65c"),
+            ("clone --n 4 --m inf --lambda 0.5", "d9c3ee8abb05a547"),
             ("figure1 --n 10 --lambda 0.3,0.9 --format tsv", "fadc9d2b5546aeb7"),
             ("figure1 --n 6 --lambda 0.6,0.2,0.6", "6bb6f0fe8c8b98de"),
             ("figure1 --n 200", "fc5c01046c499ce4"),
             ("stats --n 2000 --lambda 0.6", "844ace7f39b2cd53"),
             ("stats --n 20000 --lambda 0.6", "adaff12900b80a14"),
-            ("clone --n 2000 --m inf --lambda 0.6", "aaf51159bf3ba97d"),
+            ("clone --n 2000 --m inf --lambda 0.6", "79e91766fa83af53"),
             ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "1fa8b3ec8b2968f3"),
         ]
     ],
@@ -831,8 +845,13 @@ def test_figure1_row_budget_is_one_line_within_a_second():
     ],
 )
 def test_runs_at_the_advertised_sizes(argv, timeout):
-    # each in a fresh process; a simulation's normalised targets also pass the 4-sigma gate
-    run = run_python("-m", "qpurify", *argv.split(), timeout=timeout)
+    # each in a fresh process; a simulation's normalised targets also pass the 4-sigma gate, and the dense one
+    # stays below the peak bound of verify at the cap
+    if "--dense" in argv:
+        run, peak_mib = run_cli_peak_rss(*argv.split())
+        assert peak_mib < _DENSE_CAP_PEAK_MIB
+    else:
+        run = run_python("-m", "qpurify", *argv.split(), timeout=timeout)
     assert (run.returncode, run.stderr) == (0, b"")
     assert not argv.startswith("simulate") or run.stdout.endswith(b"\nstatus=pass\n")
 

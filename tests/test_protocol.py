@@ -243,6 +243,13 @@ class TestSampler:
         assert math.isfinite(summary.empirical_mean_fidelity) and math.isfinite(summary.fidelity_se)
         assert 0.8 < summary.empirical_mean_fidelity < 0.9 and summary.fidelity_se > 0
 
+    def test_one_valued_fallback_reads_only_outcomes_it_can_draw(self):
+        # all 10 trials fall on outcome 2, so the standard error comes from p, where outcome 0 has p = 0 and nan
+        summary = _simulate(4, 10, 1, False, "fast", (range(3), (0.0, 1e-12, 1 - 1e-12), (math.nan, 0.8, 0.9)), ())
+        assert summary.histogram == {0: 0, 1: 0, 2: 10}
+        assert summary.empirical_mean_fidelity == 0.9 and 0 < summary.fidelity_se < 1e-6
+        assert summary.empirical_yield == 1.0 and 0 < summary.yield_se < 1e-6
+
     def test_histogram_sums_exactly_at_the_largest_trial_count(self):
         summary = run_protocol(MixedQubit(0.6), 1000, trials=2**63 - 1, seed=1)
         assert sum(summary.histogram.values()) == 2**63 - 1
