@@ -247,8 +247,9 @@ def yield_asymptote(n: int, lam: float) -> float:
     binomial tails, the Binomial(n, c0) mass above n/2 and the Binomial(n, c1)
     mass below it, so it falls exponentially in n.
     """
-    if lam <= 0.0:
-        raise ValueError("asymptote requires lam > 0")
+    _check_register(n)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"asymptote requires 0 < lam <= 1, got {lam}")
     return lam + (1.0 - lam) / (n * lam)
 
 
@@ -259,6 +260,7 @@ def mean_fidelity_asymptote(n: int, lam: float) -> float:
     -(1 - lam)^2/(2 n^2 lam^3), and exponentially small binomial tails
     come on top.
     """
-    if lam <= 0.0:
-        raise ValueError("asymptote requires lam > 0")
+    _check_register(n)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"asymptote requires 0 < lam <= 1, got {lam}")
     return 1.0 - (1.0 - lam) / (2.0 * n * lam * lam)

@@ -17,7 +17,7 @@ import numbers
 from collections import namedtuple
 
 # Largest register, in qubits, for dense objects.  On a 2-core machine
-# ``qpurify verify`` takes 0.24 s at 10 qubits and 1.4-1.6 s at 192 MiB at
+# ``qpurify verify`` takes 0.24 s at 10 qubits and 1.4-1.6 s at 184 MiB at
 # 12.  At 14 the real basis alone takes 2.1 GB, and ``build_schur_basis``
 # would estimate 2.3 GiB for the whole dense route; no run has measured it.
 DENSE_CAP = 12

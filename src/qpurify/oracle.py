@@ -77,7 +77,7 @@ def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, st
     (``orthonormality_residual``); the blocks B hold the whole weight,
     |sum ||B||_F^2 - tr(rho^2)^n|, which for an orthonormal basis vanishes
     exactly when every off-diagonal block does; and each copy's trace is
-    p_j / d_j.  Then one ``post_state`` row per copy, by BlockLabel:
+    p_j / d_j.  Then one ``post_state`` row per copy, by BlockLabel in the basis' order:
     max|B - (p_j / d_j) block_state_matrix| on the unnormalised block, the
     state's own scale.  Then a ``quadrature`` row per spin j >= 1, a
     ``reversibility`` row per copy and the ``covariance`` row: 3 +
@@ -107,9 +107,9 @@ def verify_decomposition(q: MixedQubit, basis: SchurBasis) -> list[tuple[str, st
         ("decomposition", "orthonormality", orthonormality_residual(basis)),
         ("decomposition", "off_block_weight", abs(weight - (q.c0**2 + q.c1**2) ** n)),
         ("decomposition", "copy_traces", copy_traces),
-        *sorted(post_state),
+        *post_state,
         *(("quadrature", f"j={j}", quadrature_check(q, j)) for j in range(1, n // 2 + 1)),
-        *sorted(reversibility),
+        *reversibility,
         ("covariance", "collective_lowering", covariance_residual(basis)),
     ]
 

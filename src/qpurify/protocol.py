@@ -102,8 +102,8 @@ class TrialOutcomes:
 
     Trial t fell on outcome i = ``order[t]``, which has spin ``js[i]`` and
     fidelity ``fids[i]``; ``order`` is the drawn counts laid out by outcome
-    and shuffled in place by ``_shuffle``.  In dense mode ``copies[i]`` is
-    the outcome's copy index; in fast mode ``BlockSpectrum.copies``, d_j or 0 where
+    and shuffled in place by ``_shuffle``.  In dense mode outcome i is one copy, ``copies[i]`` its
+    alpha in 1..d_j of spin ``js[i]``; in fast mode ``BlockSpectrum.copies``, d_j or 0 where
     it is never drawn, and the trials draw their copy indices in trial order, uniform
     in 1..d_j, from one ``random.Random(alpha_seed)``.  ``order`` is an ``array`` of
     the smallest unsigned typecode that indexes every outcome: 1 byte a
@@ -175,13 +175,11 @@ def _check_trials(trials: int, keep_outcomes: bool, outcomes: int) -> None:
         _check_memory(trials * array(_typecode(outcomes)).itemsize, f"keeping {trials} trial outcomes")
 
 
-def _simulate(
-    n: int, trials: int, seed: int, keep_outcomes: bool, mode: str, outcome, copies, labels=()
-) -> SimulationSummary:
+def _simulate(n: int, trials: int, seed: int, keep_outcomes: bool, mode: str, outcome, copies) -> SimulationSummary:
     """Draw the counts of all outcomes in one multinomial and reduce them exactly.
 
-    Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``copies``
-    is as in ``TrialOutcomes``."""
+    Outcome i has spin, probability and fidelity ``outcome[k][i]``; ``copies`` is as in
+    ``TrialOutcomes``, and in dense mode ``label_histogram`` counts i under (js[i], copies[i])."""
     js, probs, fids = outcome
     rng = random.Random(seed)
     counts = _multinomial(rng, trials, probs)
@@ -201,7 +199,7 @@ def _simulate(
         histogram[js[i]] += counts[i]
     yield_moments = _moments(drawn, counts, lambda i: 2.0 * js[i] / n, probs, total)
     fidelity_moments = _moments(drawn, counts, fids.__getitem__, probs, total)
-    label_histogram = {(labels[i].j, labels[i].alpha): counts[i] for i in drawn} if labels else {}
+    label_histogram = {(js[i], copies[i]): counts[i] for i in drawn} if mode == "dense" else {}
     return SimulationSummary(
         trials, mode, *yield_moments, *fidelity_moments, total - 1.0, histogram, label_histogram, outcomes
     )
@@ -253,9 +251,9 @@ def run_protocol_dense(
     coords = blocks.power_coordinates(basis, blocks.density_matrix(q))
     aligned, anti = blocks.qubit_eigenstates(q)
     to_eigenbasis = np.vstack([anti, aligned]).conj()
-    probs, fids = [], []
-    for j in basis.j_values():
-        traces = np.trace(coords[j], axis1=1, axis2=2).real
+    js, probs, fids, copies = [], [], [], []
+    for j, spin_blocks in coords.items():
+        traces = np.trace(spin_blocks, axis1=1, axis2=2).real
         drawn = traces >= blocks._PROB_FLOOR
         probs += np.where(drawn, traces, 0.0).tolist()  # a floored copy's probability stays zero
         if not drawn.any():
@@ -264,14 +262,12 @@ def run_protocol_dense(
             fid = analytics.block_fidelity(q.lam, 0)
         else:
             w = blocks.dicke_power(to_eigenbasis, j)
-            weights = (w @ coords[j].sum(axis=0) @ w.conj().T).diagonal().real
+            weights = (w @ spin_blocks.sum(axis=0) @ w.conj().T).diagonal().real
             fid = float(np.arange(2 * j + 1) @ weights / (2 * j * weights.sum()))
+        js += [j] * len(traces)
         fids += [fid] * len(traces)
-
-    labels = basis.labels()
-    outcome = ([label.j for label in labels], probs, fids)
-    copies = [label.alpha for label in labels]
-    return _simulate(n, trials, seed, keep_outcomes, "dense", outcome, copies, labels)
+        copies += range(1, len(traces) + 1)
+    return _simulate(n, trials, seed, keep_outcomes, "dense", (js, probs, fids), copies)
 
 
 def write_outcomes_csv(outcomes: TrialOutcomes, fh) -> None:

@@ -364,8 +364,12 @@ class TestAverages:
             assert scaled == pytest.approx(1.0, abs=0.02)
 
     def test_asymptote_requires_positive_lambda(self):
-        with pytest.raises(ValueError):
-            yield_asymptote(10, 0.0)
+        # the register and lam checks of every other (n, lam) entry point, and lam = 0 refused too
+        bad = [(10, 0.0), (0, 0.5), (-2, 0.5), (5, 0.5), (4, 1.5), (4, -0.1), (4, math.nan), (4, math.inf)]
+        for asymptote in (yield_asymptote, mean_fidelity_asymptote):
+            for n, lam in bad:
+                with pytest.raises(ValueError):
+                    asymptote(n, lam)
 
 
 class TestBlockStateMatrix:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -199,6 +200,18 @@ class TestBasisConstruction:
     def test_memory_check_skipped_without_meminfo(self, monkeypatch):
         monkeypatch.setattr("qpurify.core._mem_available_bytes", lambda: None)
         assert build_schur_basis(4).n == 4
+
+    def test_only_the_requested_register_stays_cached(self):
+        # each register grows from the next smaller one, and none of those may stay held beside
+        # n's basis: the memory estimate does not count them
+        blocks._build_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            basis = build_schur_basis(10)
+            held = tracemalloc.get_traced_memory()[0] - sum(rows.nbytes for rows in basis.spins.values())
+        finally:
+            tracemalloc.stop()
+        assert held < 2**18, held / 2**20
 
 
 _BASIS_DIGEST = (

@@ -158,6 +158,12 @@ class TestEigenstates:
         assert np.allclose(aligned, [1, 0], atol=1e-15)
         assert np.allclose(anti, [0, 1], atol=1e-15)
 
+    def test_phase_convention_off_minus_z(self):
+        # a transverse part of 1e-13, which the unit check allows, keeps |1>'s tiny coefficient real and >= 0
+        for direction in ((-1e-13, 0.0, -1.0), (1e-13, 1e-13, -1.0)):
+            aligned, _ = qubit_eigenstates(MixedQubit(0.7, direction))
+            assert aligned[1].imag == 0.0 and aligned[1].real >= 0.0, aligned
+
     @given(lam=lam_st, direction=direction_st())
     @settings(max_examples=60, deadline=None)
     def test_aligned_is_c1_eigenvector(self, lam, direction):
