@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .core import SizeLimitError, _check_lambda, _check_memory, _check_register
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG10_2 = math.log10(2.0)
 
 
 def multiplicity(n: int, j: int) -> int:
@@ -114,32 +114,6 @@ def block_fidelity(lam: float, j: int) -> float:
     return (1.0 + _prefix_sums(lam, j)[1][j]) / 2.0
 
 
-def _stirling_error(x: int) -> float:
-    """lgamma(x + 1) - ((x + 1/2) log x - x + log(2 pi)/2), for x >= 1."""
-    if x < 16:
-        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _HALF_LOG_2PI
-    r = 1.0 / (x * x)
-    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x  # error below 1.2e-14
-
-
-def _log_factorial_gap(a: int, b: int) -> float:
-    """log(a! / b!) + (b - a) log a for a >= 1, b >= 0, without the cancellation
-    of its two terms: -bd0(b, a) - log(b/a)/2 plus Stirling errors, where
-    bd0(b, a) = b log(b/a) + a - b comes from Loader's series near b = a."""
-    if b == 0:  # the limit of the form below, whose log(b/a) diverges
-        return 0.5 * math.log(a) - a + _HALF_LOG_2PI + _stirling_error(a)
-    t = b - a
-    v = t / (a + b)
-    if abs(v) < 0.1:
-        bd0, last, term, j = t * v, None, 2 * b * v, 1  # t v + 2b sum_i v^(2i+1) / (2i+1)
-        while bd0 != last:
-            term, j = term * v * v, j + 2
-            last, bd0 = bd0, bd0 + term / j
-    else:
-        bd0 = b * math.log(b / a) - t
-    return -bd0 - 0.5 * math.log(b / a) + _stirling_error(a) - _stirling_error(b)
-
-
 def _printable_digits() -> int:
     """D, the most digits of a d_j printed exactly: 4,300, or Python's int-to-str limit where that is lower."""
     return min(getattr(sys, "get_int_max_str_digits", int)() or 4300, 4300)  # 0 is no limit, as before Python had one
@@ -156,15 +130,21 @@ def _scientific(log10: float) -> str:
     return f"{mantissa!r}e{exponent}"
 
 
-def _exact_walk(n: int, big: int, low: int = 0):
+def _walk(n: int, big: int, low: int = 0):
     """(j, d_j) for j = J, J-1, ..., low, d_j = C(n, k)(2j+1)/(J+j+1) walked up from d_J = 1 by C(n, k+1) =
-    C(n, k)(n-k)/(k+1), k = J-j: an int below ``big``, else None, as is every row once C(n, k) reaches (J+1) big
-    (d_j >= C(n, k)/(J+1), and C(n, k) grows up to k = J), where the walk stops and sets C(n, k) to 0."""
-    J, comb, stop = n // 2, 1, (n // 2 + 1) * big
+    C(n, k)(n-k)/(k+1), k = J-j: an int below ``big``, else the float log10 d_j.  Once C(n, k) reaches (J+1) big,
+    every later row is past ``big`` (d_j >= C(n, k)/(J+1), and C(n, k) grows up to k = J), so from there C(n, k) is
+    kept as comb 2^shift with the top 128 bits in comb and log10 d_j = log10(comb (2j+1)/(J+j+1)) + shift log10(2).
+    Each step truncates by under 2^-127 relative, so that sum is within 1.2 ulp of log10 d_j: the rounded product
+    and sum take half an ulp each, the rounded log10(2) under 0.09 and log10 of the 128-bit quotient under 0.01."""
+    J, comb, shift, stop = n // 2, 1, 0, (n // 2 + 1) * big
     for k in range(J - low + 1):
-        d = comb * (2 * (J - k) + 1) // (2 * J - k + 1) if comb else big
-        yield J - k, d if d < big else None
-        comb = comb * (n - k) // (k + 1) if comb < stop else 0
+        d = comb * (2 * (J - k) + 1) // (2 * J - k + 1)
+        yield J - k, d if d < big and not shift else math.log10(d) + shift * _LOG10_2
+        comb = comb * (n - k) // (k + 1)
+        if shift or comb >= stop:
+            cut = max(comb.bit_length() - 128, 0)  # C(n, J+1) < C(n, J) may drop a bit after the last row
+            comb, shift = comb >> cut, shift + cut
 
 
 SpectrumRow = namedtuple("SpectrumRow", "j multiplicity probability fidelity")
@@ -177,15 +157,8 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengt
 
     @property
     def multiplicities(self) -> tuple[int | str, ...]:
-        """d_j on each read, for ``stats``: ``_exact_walk``'s int, or past 10^D the text ``_scientific`` makes of
-        log d_j = gap(J, J-j) + gap(J, J+j) - gap(J, n) - gap(J, 0) + log((2j+1)/(J+j+1)), gap = _log_factorial_gap."""
-        n, J, gap = self.n, self.n // 2, _log_factorial_gap
-        rest, mults = gap(J, n) + gap(J, 0), []
-        for j, d in _exact_walk(n, 10 ** _printable_digits()):
-            if d is None:
-                log_d = gap(J, J - j) + gap(J, J + j) - rest + math.log((2 * j + 1) / (J + j + 1))
-                d = _scientific(log_d / math.log(10))
-            mults.append(d)
+        """d_j on each read, for ``stats``: ``_walk``'s int, or past 10^D ``_scientific`` of its float log10."""
+        mults = [d if type(d) is int else _scientific(d) for _, d in _walk(self.n, 10 ** _printable_digits())]
         return tuple(reversed(mults))
 
     def copies(self) -> tuple[int, ...]:
@@ -193,8 +166,8 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "n lam probabilities bloch_lengt
         such row; SizeLimitError if one has more than D = _printable_digits() digits.  Trial dumps read them."""
         probs, digits = self.probabilities, _printable_digits()
         low = next(j for j, p in enumerate(probs) if p)
-        copies = [d if probs[j] else 0 for j, d in _exact_walk(self.n, 10**digits, low)]
-        if None in copies:
+        copies = [d if probs[j] else 0 for j, d in _walk(self.n, 10**digits, low)]
+        if float in map(type, copies):
             raise SizeLimitError(f"a trial dump at n={self.n} may draw an alpha of more than {digits} digits")
         return (0,) * low + tuple(reversed(copies))
 

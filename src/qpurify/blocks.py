@@ -252,16 +252,10 @@ class SchurBasis(namedtuple("SchurBasis", "n spins")):
 
     __slots__ = ()
 
-    def j_values(self) -> list[int]:
-        return sorted(self.spins)
-
     def multiplicity_of(self, j: int) -> int:
         if j not in self.spins:
             raise ValueError(f"no spin-{j} sector in a register of {self.n} qubits")
         return self.spins[j].shape[0]
-
-    def labels(self) -> list[BlockLabel]:
-        return [BlockLabel(j, a) for j in self.j_values() for a in range(1, len(self.spins[j]) + 1)]
 
     def block(self, j: int, alpha: int) -> np.ndarray:
         """View of the block vectors; row i is |j, m, alpha> with m = -j + i."""

@@ -22,15 +22,42 @@ from .core import MixedQubit, _check_memory
 
 
 _CHUNK = 1 << 14  # trials per chunk of copy indices and CSV text
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_error(x: int) -> float:
+    """lgamma(x + 1) - ((x + 1/2) log x - x + log(2 pi)/2), for x >= 1."""
+    if x < 16:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x  # error below 1.2e-14
+
+
+def _log_factorial_gap(a: int, b: int) -> float:
+    """log(a! / b!) + (b - a) log a for a >= 1, b >= 0, without the cancellation
+    of its two terms: -bd0(b, a) - log(b/a)/2 plus Stirling errors, where
+    bd0(b, a) = b log(b/a) + a - b comes from Loader's series near b = a."""
+    if b == 0:  # the limit of the form below, whose log(b/a) diverges
+        return 0.5 * math.log(a) - a + _HALF_LOG_2PI + _stirling_error(a)
+    t = b - a
+    v = t / (a + b)
+    if abs(v) < 0.1:
+        bd0, last, term, j = t * v, None, 2 * b * v, 1  # t v + 2b sum_i v^(2i+1) / (2i+1)
+        while bd0 != last:
+            term, j = term * v * v, j + 2
+            last, bd0 = bd0, bd0 + term / j
+    else:
+        bd0 = b * math.log(b / a) - t
+    return -bd0 - 0.5 * math.log(b / a) + _stirling_error(a) - _stirling_error(b)
 
 
 def _log_binomial_ratio(n: int, p: float, m: int):
-    """k -> log(b(k) / b(m)) for the Binomial(n, p) pmf b and 1 <= m < n.  Summed as gap(m, k) +
-    gap(n - m, n - k) + (k - m) log1p((np - m) / (m (1 - p))) with np - m exact, it keeps about
-    1e-14 relative accuracy up to n = 2**63 - 1, where lgamma differences are off by up to 5e4."""
+    """k -> log(b(k) / b(m)) for the Binomial(n, p) pmf b and 1 <= m < n, BTRS's acceptance bound.  Summed as
+    gap(m, k) + gap(n - m, n - k) + (k - m) log1p((np - m) / (m (1 - p))), gap = _log_factorial_gap, with np - m
+    exact, it keeps about 1e-14 relative accuracy up to n = 2**63 - 1, where lgamma differences are off by up to 5e4."""
     num, den = p.as_integer_ratio()
     c = math.log1p((n * num - m * den) / (m * (den - num)))
-    return lambda k: analytics._log_factorial_gap(m, k) + analytics._log_factorial_gap(n - m, n - k) + (k - m) * c
+    return lambda k: _log_factorial_gap(m, k) + _log_factorial_gap(n - m, n - k) + (k - m) * c
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:

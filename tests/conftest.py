@@ -8,6 +8,7 @@ import pytest
 
 import qpurify
 from qpurify import MixedQubit, random_direction
+from qpurify.core import BlockLabel
 
 # the directory that holds the qpurify package, and the repository above it
 SRC = Path(qpurify.__file__).resolve().parents[1]
@@ -48,3 +49,8 @@ def run_cli_peak_rss(*argv: str) -> tuple[subprocess.CompletedProcess, float]:
     err, _, peak = run.stderr.rstrip(b"\n").rpartition(b"\n")
     run.stderr = err + b"\n" if err else b""
     return run, int(peak) / 1024
+
+
+def basis_labels(basis) -> list[BlockLabel]:
+    """Every label (j, alpha) of a Schur basis, by spin and then by copy, as the basis stores its rows."""
+    return [BlockLabel(j, alpha) for j, rows in basis.spins.items() for alpha in range(1, len(rows) + 1)]

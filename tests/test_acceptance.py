@@ -38,6 +38,7 @@ from qpurify.cli import main as cli_main
 from qpurify.blocks import density_matrix
 
 from certificate import certified
+from conftest import basis_labels
 
 
 def report(number: int, ok: bool, detail: str = "") -> bool:
@@ -97,7 +98,7 @@ def test_criterion_04_oracle_formula_agreement():
         aligned = qubit_eigenstates(q)[0]
         from qpurify import block_swap
 
-        for label in basis.labels():
+        for label in basis_labels(basis):
             expected = block_probability(n, q.lam, label.j) / multiplicity(n, label.j)
             prob, post = measure_block(state, basis, label)
             worst = max(worst, abs(prob - expected))
@@ -313,7 +314,7 @@ def test_criterion_11_covariance_and_reversibility():
     for n in (4, 6):
         basis = build_schur_basis(n)
         reversibility = [residual for check, _, residual in verify_decomposition(q, basis) if check == "reversibility"]
-        assert len(reversibility) == len(basis.labels())  # one round trip per copy
+        assert len(reversibility) == len(basis_labels(basis))  # one round trip per copy
         worst_rev = max(worst_rev, *reversibility)
     ok = ok and worst_rev < 1e-10
     assert report(11, ok, f"covariance {cov:.2e}, reversibility {worst_rev:.2e}")

@@ -34,6 +34,8 @@ from qpurify.blocks import (
 from qpurify import MixedQubit, SizeLimitError, blocks, qubit_eigenstates
 from qpurify.oracle import orthonormality_residual
 
+from conftest import basis_labels
+
 
 def _vector_count(basis):
     return sum(rows.shape[0] * rows.shape[1] for rows in basis.spins.values())
@@ -145,7 +147,7 @@ def test_collective_lowering_norm_matches_ladder_coefficient():
 class TestBasisConstruction:
     def test_two_qubits_singlet_plus_triplet(self):
         basis = build_schur_basis(2)
-        assert basis.j_values() == [0, 1]
+        assert list(basis.spins) == [0, 1]
         assert basis.multiplicity_of(0) == 1 and basis.multiplicity_of(1) == 1
         assert np.allclose(basis.block(0, 1)[0], SINGLET)
 
@@ -161,15 +163,15 @@ class TestBasisConstruction:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_counts_and_completeness(self, n):
         basis = build_schur_basis(n)
-        total = sum(basis.multiplicity_of(j) * (2 * j + 1) for j in basis.j_values())
+        total = sum(basis.multiplicity_of(j) * (2 * j + 1) for j in basis.spins)
         assert total == 2**n
-        for j in basis.j_values():
+        for j in basis.spins:
             assert basis.multiplicity_of(j) == multiplicity(n, j)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_first_copy_equals_seed(self, n):
         basis = build_schur_basis(n)
-        for j in basis.j_values():
+        for j in basis.spins:
             for m in range(-j, j + 1):
                 assert max_abs(basis.block(j, 1)[j + m] - seed_vector(n, j, m)) < 1e-13
 
@@ -178,7 +180,7 @@ class TestBasisConstruction:
         # a copy that leaves the kernel of S+ stays orthonormal, so only the
         # end of its lowering ladder shows that it is not a spin-j copy
         basis = build_schur_basis(n)
-        for j in basis.j_values():
+        for j in basis.spins:
             for alpha in range(1, basis.multiplicity_of(j) + 1):
                 lowered = collective_lowering(basis.block(j, alpha)[0], n)
                 assert np.linalg.norm(lowered) < 1e-10
@@ -299,7 +301,7 @@ class TestRotationStructure:
         basis = build_schur_basis(n)
         for _ in range(5):
             u_n = kron_power(haar_unitary(rng), n)
-            for j in basis.j_values():
+            for j in basis.spins:
                 for alpha in range(1, basis.multiplicity_of(j) + 1):
                     rows = basis.block(j, alpha)
                     coeff = np.empty((2 * j + 1, 2 * j + 1), dtype=complex)
@@ -362,8 +364,8 @@ class TestBlockCoordinates:
         basis = build_schur_basis(n)
         state = _random_state(rng, n)
         coords = block_coordinates(basis, state)
-        assert sorted(coords) == basis.j_values()
-        for label in basis.labels():
+        assert sorted(coords) == list(basis.spins)
+        for label in basis_labels(basis):
             rows = basis.block(label.j, label.alpha)
             prob, post = measure_block(state, basis, label)
             expected = rows @ (prob * post) @ rows.T
@@ -374,7 +376,7 @@ class TestBlockCoordinates:
         basis = build_schur_basis(n)
         state = _random_state(rng, n)
         coords = block_coordinates(basis, state)
-        for label in basis.labels():
+        for label in basis_labels(basis):
             swap = block_swap(basis, label.j, label.alpha).matrix
             swapped = block_coordinates(basis, swap @ state @ swap.conj().T)
             got = swapped[label.j][0]

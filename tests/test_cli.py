@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import qpurify
@@ -26,6 +27,9 @@ def assert_digits_right(text, value):
     digits = mantissa.replace(".", "")
     unit = 10 ** (int(exponent) - len(digits) + 1)
     assert abs(int(digits) * unit - value) < unit
+
+
+_PRINTABLE = 10**4300  # a d_j with fewer digits prints exactly
 
 
 def exact_counts(n):
@@ -87,7 +91,7 @@ class TestStats:
         for j, (line, count) in enumerate(zip(rows, counts)):
             row_j, d = line.split(",")[:2]
             assert int(row_j) == j
-            if count < 10**4300:  # exact below 4,300 digits, as at j = 0..9 here
+            if count < _PRINTABLE:  # exact below 4,300 digits, as at j = 0..9 here
                 assert int(d) == count
                 continue
             scientific += 1
@@ -106,11 +110,31 @@ class TestStats:
         cells = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:-2]]
         counts = exact_counts(n)
         assert len(cells) == len(counts)
-        assert [int(d) for d in cells if "e" not in d] == [count for count in counts if count < 10**4300]
-        scientific = [(d, count) for d, count in zip(cells, counts) if count >= 10**4300]
+        assert [int(d) for d in cells if "e" not in d] == [count for count in counts if count < _PRINTABLE]
+        scientific = [(d, count) for d, count in zip(cells, counts) if count >= _PRINTABLE]
         assert all("e" in d for d, _ in scientific)
         for d, count in scientific[::step]:
             assert_digits_right(d, count)
+
+    def test_text_cells_at_a_million_are_right_to_their_last_digit(self):
+        # the 5,000 text rows nearest j = J, where a d_j has the fewest digits of any text cell, and every 1,000th
+        # row beyond, against a 40-digit log10 of C(n, k)(2j+1)/(J+j+1) from mpmath.loggamma.  A log d_j summed
+        # from Stirling series misses 141 of those 5,000 rows, by up to 1.95 units
+        n, J = 10**6, 10**6 // 2
+        cells = analytics.block_spectrum(n, 0.6).multiplicities
+        text = [j for j in range(J, -1, -1) if type(cells[j]) is str]
+        wrong = []
+        with mpmath.workdps(40):
+            log_n = mpmath.loggamma(n + 1)
+            for j in text[:5000] + text[5000::1000]:
+                k = J - j
+                log_d = log_n - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1) + mpmath.log(2 * j + 1)
+                log10 = (log_d - mpmath.log(J + j + 1)) / mpmath.ln10
+                mantissa, exponent = cells[j].split("e")
+                digits = mantissa.replace(".", "")  # the cell is int(digits) units of its last printed digit
+                if abs(int(digits) - mpmath.power(10, log10 - int(exponent) + len(digits) - 1)) >= 1:
+                    wrong.append((j, cells[j]))
+        assert len(text) == 498705 and not wrong, f"{len(wrong)} cells off, first {wrong[:3]}"
 
     @pytest.mark.parametrize(
         "value, text",
@@ -517,7 +541,7 @@ def test_unknown_command_exits_two():
             ("figure1 --n 6 --lambda 0.6,0.2,0.6", "6bb6f0fe8c8b98de"),
             ("figure1 --n 200", "fc5c01046c499ce4"),
             ("stats --n 2000 --lambda 0.6", "844ace7f39b2cd53"),
-            ("stats --n 20000 --lambda 0.6", "adaff12900b80a14"),
+            ("stats --n 20000 --lambda 0.6", "6883e87efc7e594f"),
             ("clone --n 2000 --m inf --lambda 0.6", "79e91766fa83af53"),
             ("simulate --n 20 --lambda 0.6 --trials 100000 --seed 42", "1fa8b3ec8b2968f3"),
         ]
@@ -525,7 +549,7 @@ def test_unknown_command_exits_two():
 )
 def test_output_bytes_golden(argv, digest, capsys):
     # sha256 prefixes of the stdout.  The closed-form rows are plain float arithmetic and
-    # libm (pow, atanh, and log and lgamma in the <mantissa>e<exponent> d_j of N = 20000),
+    # libm (pow, atanh, and log10 in the <mantissa>e<exponent> d_j of N = 20000),
     # so numpy's CPU dispatch cannot move them; the simulate row also pins
     # the seed -> draw mapping of the stdlib sampler on random.Random (MT19937)
     assert main(argv.split()) == 0

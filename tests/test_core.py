@@ -26,7 +26,7 @@ from qpurify import (
 )
 from qpurify.blocks import SINGLET
 
-from conftest import random_qubit
+from conftest import basis_labels, random_qubit
 
 lam_st = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -121,7 +121,7 @@ class TestValueTypes:
                 value.extra = None
 
     def test_labels_hash_and_sort_as_tuples(self):
-        labels = build_schur_basis(6).labels()
+        labels = basis_labels(build_schur_basis(6))
         assert sorted(labels) == sorted(labels[::-1]) == labels
         assert labels == sorted(labels, key=lambda label: (label.j, label.alpha))
         assert hash(BlockLabel(1, 2)) == hash((1, 2))

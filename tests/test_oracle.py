@@ -31,7 +31,7 @@ from qpurify.blocks import outer, power_coordinates, qubit_eigenstates
 from qpurify.oracle import _angular_rule, _gauss_legendre, orthonormality_residual
 from qpurify.protocol import run_protocol_dense
 
-from conftest import random_qubit
+from conftest import basis_labels, random_qubit
 
 
 def worst_residual(rows):
@@ -65,7 +65,7 @@ class TestVerifyDecomposition:
         # every copy keeps its row at lambda = 1; only the symmetric block has weight, the rest read zero
         rows = verify(MixedQubit(1.0, random_direction(rng)), 4)
         post_state = {label: residual for check, label, residual in rows if check == "post_state"}
-        assert list(post_state) == build_schur_basis(4).labels()
+        assert list(post_state) == basis_labels(build_schur_basis(4))
         assert max(residual for label, residual in post_state.items() if label.j != 2) <= 1e-15
 
     @pytest.mark.parametrize("n", [6, 8, 10])
@@ -189,7 +189,7 @@ class TestMeasureBlock:
         basis = build_schur_basis(4)
         q = random_qubit(rng, lam=0.5)
         state = kron_power(density_matrix(q), 4)
-        for j in basis.j_values():
+        for j in basis.spins:
             expected = block_probability(4, q.lam, j) / multiplicity(4, j)
             for alpha in range(1, basis.multiplicity_of(j) + 1):
                 prob, _ = measure_block(state, basis, BlockLabel(j, alpha))
@@ -201,7 +201,7 @@ class TestMeasureBlock:
         state = kron_power(density_matrix(q), 6)
         from qpurify import block_swap
 
-        for label in basis.labels():
+        for label in basis_labels(basis):
             if label.j == 0:
                 continue
             prob, post = measure_block(state, basis, label)
@@ -267,7 +267,7 @@ class TestReversibility:
 
     def test_six_qubit_sweep(self, rng):
         rows = reversibility_rows(random_qubit(rng), 6)
-        assert list(rows) == build_schur_basis(6).labels()
+        assert list(rows) == basis_labels(build_schur_basis(6))
         assert max(rows.values()) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
@@ -276,7 +276,7 @@ class TestReversibility:
         for n in (2, 4):
             rows = verify(MixedQubit(lam, random_direction(rng)), n)
             for kind in ("post_state", "reversibility"):
-                assert [label for check, label, _ in rows if check == kind] == build_schur_basis(n).labels()
+                assert [label for check, label, _ in rows if check == kind] == basis_labels(build_schur_basis(n))
 
 
 def lab_frame_covariance(q, n, unitaries):
@@ -311,7 +311,7 @@ class TestCovariance:
         state = a @ a.conj().T
         state /= np.trace(state).real  # full rank, not a tensor power
         got = purification_map_outputs(basis, state)
-        for j in basis.j_values():
+        for j in basis.spins:
             acc = np.zeros_like(state)
             for alpha in range(1, basis.multiplicity_of(j) + 1):
                 rows = basis.block(j, alpha)
@@ -365,7 +365,7 @@ class TestKroneckerReferenceRoutes:
         basis = build_schur_basis(n)
         state = kron_power(density_matrix(q), n)
         reversibility = reversibility_rows(q, n)
-        for label in basis.labels():
+        for label in basis_labels(basis):
             rows, first = basis.block(label.j, label.alpha), basis.block(label.j, 1)
             measured = rows @ state @ rows.T  # the copy's unnormalised block, relabelled as copy 1
             unwound = first.T @ measured @ first
